@@ -66,6 +66,7 @@ from .projective import (
     Configuration,
     ProjectiveMap,
     ProjectivePoint,
+    brackets,
     condition_star,
     coplanar,
     cremona_at,

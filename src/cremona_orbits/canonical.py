@@ -1,8 +1,9 @@
 """Configuration invariants under PGL(4) x permutation.
 
 ``canonical_form`` normalizes the configuration by every ordered 5-point
-frame (send it to e0, e1, e2, e3, (1:1:1:1)), sorts the resulting canonical
-points, and keeps the lexicographically least serialization.  Two
+frame (send it to e0, e1, e2, e3, (1:1:1:1)) and sorts the resulting
+canonical points; of these candidates it keeps the least in the order of
+integer point tuples and writes it as ``k|x0,x1,x2,x3;...`` in decimal.  Two
 configurations are equivalent iff their canonical forms agree.
 """
 
@@ -11,90 +12,127 @@ from __future__ import annotations
 import itertools
 import math
 
+from .digits import int_to_decimal
 from .errors import NoFrameError
-from .linalg import adjugate4, det4, mat_vec
-from .projective import Configuration
+from .projective import Configuration, brackets
 
-_PERMS4 = tuple(itertools.permutations(range(4)))
+# coordinate permutations (orders of the four frame vertices), grouped by the
+# coordinate they put first
+_PERMS_BY_LEAD = tuple(
+    tuple(s for s in itertools.permutations(range(4)) if s[0] == lead) for lead in range(4)
+)
 
 # images of the frame points themselves, shared by every candidate
-_FRAME_IMAGES = (
-    ((0, 0, 0, 1), b"0,0,0,1"),
-    ((0, 0, 1, 0), b"0,0,1,0"),
-    ((0, 1, 0, 0), b"0,1,0,0"),
-    ((1, 0, 0, 0), b"1,0,0,0"),
-    ((1, 1, 1, 1), b"1,1,1,1"),
-)
+_FRAME_IMAGES = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1))
 
 
 def serialize_points(k, pts) -> bytes:
     """Byte encoding of a point list: ``k|x0,x1,x2,x3;...`` in decimal."""
-    return b"%d|" % k + b";".join(b",".join(b"%d" % v for v in p) for p in pts)
+    text = "%d|" % k + ";".join(",".join(int_to_decimal(v) for v in p) for p in pts)
+    return text.encode("ascii")
+
+
+def _ratio(w, c):
+    """Numerators and denominators of w_i / c_i, each fraction in lowest terms."""
+    nums = []
+    dens = []
+    for wi, ci in zip(w, c):
+        g = math.gcd(wi, ci)
+        nums.append(wi // g)
+        dens.append(ci // g)
+    return nums, dens
+
+
+def _clear(nums, dens):
+    """Primitive integer representative of the point (n0/d0 : .. : n3/d3)."""
+    lcm = math.lcm(*dens)
+    y = [n * (lcm // d) for n, d in zip(nums, dens)]
+    g = math.gcd(*y)
+    return tuple(v // g for v in y)
+
+
+def _permuted(y, neg, sigma):
+    """The canonical representative of y with coordinates in the order sigma."""
+    for i in sigma:
+        if y[i]:
+            src = y if y[i] > 0 else neg
+            return (src[sigma[0]], src[sigma[1]], src[sigma[2]], src[sigma[3]])
+    raise AssertionError("zero image")
 
 
 def canonical_form(config: Configuration) -> bytes:
     """Deterministic byte-string invariant under point permutation and PGL(4).
 
-    Enumerating ordered frames is organized per unordered 5-subset: changing
-    the order of the four vertex points only permutes the rows of the
-    normalizing map (the permutation sign cancels against the row scales), so
-    each candidate is a coordinate permutation of one precomputed image set.
+    Candidates.  An ordered frame (b0, b1, b2, b3, u) of the configuration
+    has a unique normalizing map T sending b_i to e_i and u to (1:1:1:1); the
+    candidate is the sorted tuple of the canonical representatives of
+    T(p_1), .., T(p_k).  For g in PGL(4) and a relabeling pi, the frames of
+    g.pi(P) are exactly the images of the frames of P, and the normalizing map
+    of the image frame is T g^{-1}, so it produces the same sorted tuple.  The
+    multiset of candidates is therefore invariant under PGL(4) x S_k, and so is
+    its minimum under any fixed total order; here that order compares sorted
+    point tuples as integer tuples.  Conversely, equal minima come from frames
+    F of P and F' of Q with T_F(P) = T_F'(Q) as point sets, so T_F'^{-1} T_F
+    carries P onto Q up to relabeling.
+
+    Brackets.  With A the matrix of columns p_b0, .., p_b3, Cramer's rule
+    makes (adj(A) p_t)_i the bracket of the base with p_t in column i, so
+    every vector is read off ``brackets`` with a sign, and T(p_t) is the
+    point (w_i / c_i) for w = adj(A) p_t, c = adj(A) p_u.  Reordering the four
+    vertices only permutes the coordinates of every image, so each unordered
+    5-subset and choice of u yields one image set and 24 coordinate orders.
+
+    Selection.  The five frame images are in every candidate and differ from
+    every other image, so comparing candidates is comparing the sorted images
+    of the k - 5 remaining points.  The first coordinate of the least of them
+    is min_t |T(p_t)_{sigma_0}|, which prunes the six orders with a leading
+    coordinate that already exceeds the best.  Only the winner is encoded.
     """
-    pts = [p.coords for p in config.points]
-    k = len(pts)
-    det_of = {}
-    adj_of = {}
-    for sub in itertools.combinations(range(k), 4):
-        cols = tuple(tuple(pts[sub[j]][i] for j in range(4)) for i in range(4))
-        d = det4(cols)
-        det_of[sub] = d
-        if d:
-            adj_of[sub] = adjugate4(cols)
+    k = config.k
+    br = brackets(config)
+    labels = range(1, k + 1)
+
+    def vector(base, t):
+        """adj(A_base) @ p_t from the bracket table, divided by its gcd."""
+        v = []
+        for i in range(4):
+            rest = base[:i] + base[i + 1:]
+            pos = sum(1 for b in rest if b < t)
+            sub = rest[:pos] + (t,) + rest[pos:]
+            v.append(br[sub] if (i - pos) % 2 == 0 else -br[sub])
+        g = math.gcd(*v)
+        return tuple(x // g for x in v)
 
     best = None
-    found = False
-    prefix = b"%d|" % k
-    for frame in itertools.combinations(range(k), 5):
-        if any(det_of[sub] == 0 for sub in itertools.combinations(frame, 4)):
+    for base in itertools.combinations(labels, 4):
+        if br[base] == 0:
             continue
-        found = True
-        rest = [t for t in range(k) if t not in frame]
-        for unit in frame:
-            base = tuple(x for x in frame if x != unit)
-            adj = adj_of[base]
-            c = mat_vec(adj, pts[unit])
-            p01 = c[0] * c[1]
-            p23 = c[2] * c[3]
-            scale = (c[1] * p23, c[0] * p23, p01 * c[3], p01 * c[2])
-            variable = []
-            for t in rest:
-                w = mat_vec(adj, pts[t])
-                y = (scale[0] * w[0], scale[1] * w[1], scale[2] * w[2], scale[3] * w[3])
-                g = math.gcd(*y)
-                y = (y[0] // g, y[1] // g, y[2] // g, y[3] // g)
-                variable.append((y, tuple(b"%d" % abs(v) for v in y)))
-            for sigma in _PERMS4:
-                entries = list(_FRAME_IMAGES)
-                for y, digits in variable:
-                    yy = (y[sigma[0]], y[sigma[1]], y[sigma[2]], y[sigma[3]])
-                    for v in yy:
-                        if v:
-                            if v < 0:
-                                yy = (-yy[0], -yy[1], -yy[2], -yy[3])
-                            break
-                    blob = b",".join(
-                        b"-" + s if v < 0 else s
-                        for v, s in zip(yy, (digits[sigma[0]], digits[sigma[1]],
-                                             digits[sigma[2]], digits[sigma[3]]))
-                    )
-                    entries.append((yy, blob))
-                entries.sort()
-                cand = prefix + b";".join(e[1] for e in entries)
-                if best is None or cand < best:
-                    best = cand
-    if not found:
+        others = [t for t in labels if t not in base]
+        vecs = {t: vector(base, t) for t in others}
+        ratios = {}  # (t, u) -> w_t / w_u in lowest terms
+        for u in others:
+            if not all(vecs[u]):
+                continue  # base + u is no frame: u lies on a plane of three base points
+            images = []
+            for t in others:
+                if t == u:
+                    continue
+                if (u, t) in ratios:
+                    dens, nums = ratios[(u, t)]
+                else:
+                    nums, dens = ratios[(t, u)] = _ratio(vecs[t], vecs[u])
+                y = _clear(nums, dens)
+                images.append((y, tuple(-v for v in y)))
+            for lead in range(4):
+                if best is not None and min(abs(y[lead]) for y, _ in images) > best[0][0]:
+                    continue
+                for sigma in _PERMS_BY_LEAD[lead]:
+                    cand = sorted(_permuted(y, neg, sigma) for y, neg in images)
+                    if best is None or cand < best:
+                        best = cand
+    if best is None:
         raise NoFrameError("no 5 points of the configuration form a projective frame")
-    return best
+    return serialize_points(k, sorted(_FRAME_IMAGES + tuple(best)))
 
 
 def equivalent(a: Configuration, b: Configuration) -> bool:

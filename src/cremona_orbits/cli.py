@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen, cremona, iterate, orbit, equiv, lattice-cert.  Exit codes:
-0 success/affirmative, 1 negative verdict, 2 input error, 3 precondition
-violation (condition (*), degenerate frames, generation failure).  Every
+0 success/affirmative, 1 negative verdict, 2 input error (including an
+unreadable input or unwritable output path), 3 precondition violation
+(condition (*), degenerate frames, generation failure), 4 internal error (an
+unexpected exception, reported in one line instead of a traceback).  Every
 file-producing command writes a ``<out>.manifest.json`` next to its outputs;
 timestamps live only there, so outputs themselves are reproducible bytes.
 """
@@ -14,7 +16,7 @@ import sys
 
 from . import serialize
 from ._version import __version__
-from .canonical import canonical_form
+from .canonical import equivalent
 from .errors import (
     FormatError,
     FrameError,
@@ -29,13 +31,14 @@ from .lattice import (
     jordan_certificate,
     plane_through_last_four,
 )
-from .orbit import consistency_check, coxeter_iterate, orbit_bfs
+from .orbit import consistency_check, coxeter_iterate, env_workers, orbit_bfs
 from .projective import CenterSet, cremona_at, random_config
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _int_at_least(minimum):
@@ -166,8 +169,13 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    try:
+        workers = env_workers()
+    except ValueError as e:
+        print("usage error: %s" % e, file=sys.stderr)
+        return EXIT_INPUT
     config = serialize.load_config(args.input)
-    graph = orbit_bfs(config, args.max_depth, args.max_nodes)
+    graph = orbit_bfs(config, args.max_depth, args.max_nodes, workers)
     for parent, centers in graph.degenerate:
         print("warning: degenerate child of %s at centers %s skipped"
               % (parent.decode("ascii")[:40], centers.indices), file=sys.stderr)
@@ -187,7 +195,7 @@ def cmd_equiv(args) -> int:
     try:
         a = serialize.load_config(args.a)
         b = serialize.load_config(args.b)
-        verdict = a.k == b.k and canonical_form(a) == canonical_form(b)
+        verdict = equivalent(a, b)
     except (FormatError, NoFrameError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
@@ -230,6 +238,13 @@ def main(argv=None) -> int:
     except (StarViolationError, FrameError, NoFrameError, GenerationError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_PRECONDITION
+    except OSError as e:
+        print("input error: %s" % e, file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as e:  # last resort: never fall through to exit 1, the negative verdict
+        text = " ".join(str(e).split())[:200]
+        print("internal error: %s: %s" % (type(e).__name__, text), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ from .lattice import (
 from .projective import (
     CenterSet,
     Configuration,
+    brackets,
     condition_star,
-    coplanar,
     cremona_at,
     permute_config,
     star_violation,
@@ -94,11 +94,7 @@ def apply_word(config: Configuration, word: CremonaWord):
 
 def coplanar_scan(config: Configuration) -> tuple[tuple[int, int, int, int], ...]:
     """All 4-subsets of labels (sorted) whose points lie on a common plane."""
-    return tuple(
-        sub
-        for sub in itertools.combinations(range(1, config.k + 1), 4)
-        if coplanar(*(config.point(i) for i in sub))
-    )
+    return tuple(sub for sub, d in brackets(config).items() if d == 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,11 +239,21 @@ def _expand_edge(task):
         return parent_canon, centers, None, None
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("CREMONA_ORBITS_WORKERS", "")
-    return max(1, int(env)) if env.strip() else 1
+def env_workers() -> int:
+    """Worker count requested by CREMONA_ORBITS_WORKERS (1 if unset or blank)."""
+    env = os.environ.get("CREMONA_ORBITS_WORKERS", "").strip()
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError("CREMONA_ORBITS_WORKERS must be an integer, got %r"
+                         % env[:40]) from None
+
+
+def worker_count(requested: int, tasks: int) -> int:
+    """Processes to start: min(requested, os.cpu_count(), tasks), at least 1."""
+    return max(1, min(requested, os.cpu_count() or 1, tasks))
 
 
 def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
@@ -257,13 +263,15 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
     From each node every admissible center set is tried.  Results are
     level-synchronous and sorted before insertion, so the node and edge sets
     do not depend on worker count or scheduling.  ``workers`` defaults to the
-    CREMONA_ORBITS_WORKERS environment variable (1 if unset).
+    CREMONA_ORBITS_WORKERS environment variable (1 if unset, ValueError if
+    not an integer); each level starts ``worker_count(workers, tasks)``
+    processes.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
-    nworkers = _worker_count(workers)
+    requested = env_workers() if workers is None else workers
     root_canon = canonical_form(config)
     nodes = {root_canon: OrbitNode(root_canon, config, 0, None)}
     edges = []
@@ -281,7 +289,8 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
                 centers = CenterSet(sub)
                 if condition_star(cfg, centers):
                     tasks.append((canon, cfg, centers))
-        if nworkers > 1 and len(tasks) > 1:
+        nworkers = worker_count(requested, len(tasks))
+        if nworkers > 1:
             with ProcessPoolExecutor(max_workers=nworkers) as pool:
                 results = list(pool.map(_expand_edge, tasks))
         else:

@@ -184,6 +184,19 @@ def coplanar(p1, p2, p3, p4) -> bool:
     return det4((p1.coords, p2.coords, p3.coords, p4.coords)) == 0
 
 
+def brackets(config: Configuration) -> dict[tuple[int, int, int, int], int]:
+    """The bracket [abcd] = det(p_a, p_b, p_c, p_d) of every sorted 4-subset of labels.
+
+    Keys are sorted label 4-tuples in lexicographic order; a bracket is zero
+    iff its four points are coplanar.
+    """
+    pts = (None,) + tuple(p.coords for p in config.points)
+    return {
+        sub: det4((pts[sub[0]], pts[sub[1]], pts[sub[2]], pts[sub[3]]))
+        for sub in itertools.combinations(range(1, config.k + 1), 4)
+    }
+
+
 def _collinear(p1, p2, p3) -> bool:
     """True iff the 3x4 coordinate matrix has rank < 3 (all 3x3 minors zero)."""
     rows = (p1.coords, p2.coords, p3.coords)

@@ -2,7 +2,9 @@
 
 Point coordinates are emitted as decimal strings so downstream consumers
 never overflow a 64-bit integer; the reader accepts plain ints as well and
-re-canonicalizes every point.  All JSON is dumped sorted with a trailing
+re-canonicalizes every point.  Integers of any size are converted by
+``digits``, past Python's int/str digit cap.  Floats and booleans are
+rejected, never truncated.  All JSON is dumped sorted with a trailing
 newline, so reruns are byte-identical.
 """
 
@@ -13,6 +15,7 @@ import datetime
 import json
 
 from ._version import __version__
+from .digits import decimal_to_int, int_to_decimal
 from .errors import FormatError
 from .lattice import DistinctnessReport, DivisorClass, JordanCertificate
 from .orbit import IterationReport, OrbitGraph
@@ -28,11 +31,23 @@ def dump_json(path, obj) -> None:
 def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=decimal_to_int)
     except OSError as e:
         raise FormatError("%s: cannot read (%s)" % (path, e)) from None
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError("%s: not valid JSON (%s)" % (path, e)) from None
+
+
+def _integer(value, what):
+    """An int from a JSON integer or a decimal string; anything else is a FormatError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return decimal_to_int(value)
+        except ValueError:
+            pass
+    raise FormatError("non-integer %s %s" % (what, repr(value)[:40]))
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +56,7 @@ def load_json(path):
 def config_to_obj(config: Configuration) -> dict:
     return {
         "k": config.k,
-        "points": [[str(v) for v in p.coords] for p in config.points],
+        "points": [[int_to_decimal(v) for v in p.coords] for p in config.points],
     }
 
 
@@ -55,12 +70,12 @@ def config_from_obj(obj) -> Configuration:
     pts = []
     for row in points:
         if not isinstance(row, list) or len(row) != 4:
-            raise FormatError("each point needs 4 coordinates, got %r" % (row,))
+            raise FormatError("each point needs a list of 4 coordinates")
+        coords = tuple(_integer(v, "coordinate") for v in row)
         try:
-            coords = tuple(int(v) for v in row)
-        except (TypeError, ValueError):
-            raise FormatError("non-integer coordinate in %r" % (row,)) from None
-        pts.append(normalize_point(coords))
+            pts.append(normalize_point(coords))
+        except ValueError as e:
+            raise FormatError(str(e)) from None
     try:
         return Configuration(tuple(pts))
     except ValueError as e:
@@ -85,7 +100,10 @@ def divisor_to_obj(c: DivisorClass) -> dict:
 def divisor_from_obj(obj) -> DivisorClass:
     if not isinstance(obj, dict) or "d" not in obj or "m" not in obj:
         raise FormatError("divisor object needs 'd' and 'm'")
-    return DivisorClass(int(obj["d"]), tuple(int(v) for v in obj["m"]))
+    if not isinstance(obj["m"], list):
+        raise FormatError("divisor 'm' must be a list")
+    return DivisorClass(_integer(obj["d"], "degree"),
+                        tuple(_integer(v, "multiplicity") for v in obj["m"]))
 
 
 def jordan_to_obj(cert: JordanCertificate) -> dict:

@@ -5,7 +5,16 @@ import random
 import pytest
 
 import cremona_orbits as co
-from helpers import brute_force_canonical, cfg_from_rows, rand_invertible_map, rand_permutation
+from helpers import (
+    brute_force_canonical,
+    brute_force_canonical_bytes,
+    cfg_from_rows,
+    rand_invertible_map,
+    rand_permutation,
+    special_coplanar_config,
+)
+
+CENTERS = co.CenterSet((1, 2, 3, 4))
 
 
 def scrambled(cfg, rng):
@@ -20,6 +29,42 @@ def test_matches_brute_force_enumeration():
     for seed in (1, 2):
         cfg = co.random_config(500 + seed, 5)
         assert co.canonical_form(cfg) == brute_force_canonical(cfg)
+
+
+def test_matches_brute_force_with_coplanar_four_tuple():
+    # {5,6,7,8} is coplanar, so the 5-subsets containing it are no frames and
+    # some images have zero coordinates
+    cfg = special_coplanar_config(3)
+    assert co.canonical_form(cfg) == brute_force_canonical(cfg)
+
+
+def test_verdicts_match_byte_order_oracle():
+    # the byte-least serialization picks other winners; verdicts must agree
+    rng = random.Random(36)
+    a = co.random_config(1500, 6)
+    s = special_coplanar_config(4)
+    b = co.random_config(1501, 6, k=9)
+    c = co.random_config(1502, 6, k=10)
+    corpus = [a, scrambled(a, rng), co.cremona_at(a, CENTERS), s, scrambled(s, rng),
+              b, scrambled(b, rng), c, co.cremona_at(scrambled(c, rng), CENTERS)]
+    new = [co.canonical_form(x) for x in corpus]
+    old = [brute_force_canonical_bytes(x) for x in corpus]
+    verdicts = set()
+    for i in range(len(corpus)):
+        for j in range(i + 1, len(corpus)):
+            verdict = new[i] == new[j]
+            assert verdict == (old[i] == old[j]), (i, j)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_invariant_on_a_tall_iterate():
+    # twelve Cremona-then-shift steps: coordinates of several thousand bits
+    word = co.CremonaWord(co.CremonaWord.coxeter_step(8).moves * 12)
+    tall, _ = co.apply_word(co.random_config(1600, 5), word)
+    assert max(abs(v).bit_length() for p in tall.points for v in p.coords) > 1500
+    rng = random.Random(37)
+    assert co.canonical_form(scrambled(tall, rng)) == co.canonical_form(tall)
 
 
 def test_invariant_under_permutation_and_projective_maps():

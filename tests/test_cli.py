@@ -186,6 +186,18 @@ def test_equiv_malformed_file(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_equiv_float_coordinates_are_input_error(tmp_path, capsys):
+    obj = serialize.config_to_obj(co.random_config(6, 9))
+    obj["points"][0] = [1.5, 2, 3, 4.9]
+    a = write_config(tmp_path / "a.json", co.random_config(6, 9))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run(["equiv", a, bad]) == 2
+    captured = capsys.readouterr()
+    assert "INEQUIVALENT" not in captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_equiv_no_frame_is_input_error(tmp_path, capsys):
     planar = cfg_from_rows(
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0),
@@ -218,6 +230,32 @@ def test_lattice_cert_k9_relations(tmp_path):
     cert = json.loads(out.read_text())
     assert cert["coxeter_relations_all_hold"] is True
     assert len(cert["coxeter_matrix"]) == 10
+
+
+def test_orbit_bad_worker_count_is_usage_error(tmp_path, capsys, monkeypatch):
+    src = write_config(tmp_path / "p.json", co.random_config(5, 8))
+    monkeypatch.setenv("CREMONA_ORBITS_WORKERS", "abc")
+    assert run(["orbit", src, "--max-depth", 1, "--out", tmp_path / "o.json"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "CREMONA_ORBITS_WORKERS" in err[0]
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    from cremona_orbits import cli
+
+    def broken(*args):
+        raise RuntimeError("synthetic\nfailure")
+
+    monkeypatch.setattr(cli, "random_config", broken)
+    assert run(["gen", *GOOD, "--out", tmp_path / "x.json"]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["internal error: RuntimeError: synthetic failure"]
+
+
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    assert run(["gen", *GOOD, "--out", tmp_path / "missing" / "x.json"]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_missing_input_file_is_input_error(tmp_path, capsys):

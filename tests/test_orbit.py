@@ -183,6 +183,51 @@ def test_orbit_validates_limits():
         co.orbit_bfs(cfg, 1, 0)
 
 
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(orbit_mod.os, "cpu_count", lambda: 4)
+    assert orbit_mod.worker_count(1000, 70) == 4
+    assert orbit_mod.worker_count(1000, 3) == 3
+    assert orbit_mod.worker_count(2, 70) == 2
+    assert orbit_mod.worker_count(0, 70) == 1
+    assert orbit_mod.worker_count(5, 0) == 1
+    monkeypatch.setattr(orbit_mod.os, "cpu_count", lambda: None)
+    assert orbit_mod.worker_count(8, 70) == 1
+
+
+def test_env_workers(monkeypatch):
+    monkeypatch.delenv("CREMONA_ORBITS_WORKERS", raising=False)
+    assert orbit_mod.env_workers() == 1
+    monkeypatch.setenv("CREMONA_ORBITS_WORKERS", " 3 ")
+    assert orbit_mod.env_workers() == 3
+    monkeypatch.setenv("CREMONA_ORBITS_WORKERS", "abc")
+    with pytest.raises(ValueError, match="CREMONA_ORBITS_WORKERS"):
+        orbit_mod.env_workers()
+
+
+def test_orbit_bfs_starts_capped_pool(monkeypatch):
+    # a stand-in executor records the pool size and runs the tasks in-process
+    sizes = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(orbit_mod, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(orbit_mod.os, "cpu_count", lambda: 2)
+    graph = co.orbit_bfs(co.random_config(56, 6), 1, 1000, workers=10 ** 6)
+    assert sizes == [2]
+    assert len(graph.nodes) == 71
+
+
 def test_orbit_records_degenerate_children(monkeypatch):
     cfg = co.random_config(58, 8)
     real = orbit_mod.canonical_form

@@ -1,11 +1,13 @@
 """JSON round trips, schema validation, manifests, CSV."""
 
 import json
+import random
 
 import pytest
 
 import cremona_orbits as co
 from cremona_orbits import serialize
+from cremona_orbits.digits import decimal_to_int, int_to_decimal
 from helpers import special_coplanar_config
 
 
@@ -55,6 +57,62 @@ def test_reader_rejects_bad_documents(tmp_path, mutate):
         serialize.load_config(path)
 
 
+@pytest.mark.parametrize("bad", [1.5, 4.0, True, None, [1], "1.5", "1e3", ""])
+def test_reader_rejects_non_integer_coordinates(tmp_path, bad):
+    obj = serialize.config_to_obj(co.random_config(10, 9))
+    obj["points"][0][1] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(co.FormatError):
+        serialize.load_config(path)
+
+
+def test_reader_rejects_zero_point(tmp_path):
+    obj = serialize.config_to_obj(co.random_config(10, 9))
+    obj["points"][0] = [0, "0", 0, 0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(co.FormatError):
+        serialize.load_config(path)
+
+
+def test_decimal_text_past_the_digit_cap():
+    rng = random.Random(3)
+    for bits in (1, 64, 1920, 1921, 14300, 40000):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        for v in (n, -n):
+            assert decimal_to_int(int_to_decimal(v)) == v
+    assert int_to_decimal(12345) == "12345"
+    assert int_to_decimal(-10 ** 5000) == "-1" + "0" * 5000
+    assert decimal_to_int("+" + "0" * 6000 + "42") == 42
+    for bad in ("", "-", "1.5", "1_000", "0x10", "1e5"):
+        with pytest.raises(ValueError):
+            decimal_to_int(bad)
+
+
+def test_tall_coordinates_roundtrip(tmp_path):
+    # a projective image with coordinates past Python's 4300-digit int/str cap
+    small = co.random_config(7, 10)
+    rng = random.Random(4)
+    big = 10 ** 4400
+    rows = [[big * (i == j) + rng.randint(-9, 9) for j in range(4)] for i in range(4)]
+    tall = co.transform_config(small, co.ProjectiveMap.from_rows(rows))
+    assert max(abs(v).bit_length() for p in tall.points for v in p.coords) > 14300
+    path = tmp_path / "tall.json"
+    serialize.dump_config(path, tall)
+    assert serialize.load_config(path) == tall
+    assert co.canonical_form(serialize.load_config(path)) == co.canonical_form(small)
+    # the same coordinates as plain JSON integers
+    rows = ("[%s]" % ",".join(row) for row in serialize.config_to_obj(tall)["points"])
+    path.write_text('{"k": 8, "points": [%s]}' % ",".join(rows))
+    assert serialize.load_config(path) == tall
+
+
+def test_canonical_encoding_past_the_digit_cap():
+    form = co.canonical.serialize_points(8, [(1, 0, 0, 0), (10 ** 5000, -3, 0, 7)])
+    assert form == b"8|1,0,0,0;1" + b"0" * 5000 + b",-3,0,7"
+
+
 def test_reader_rejects_non_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json {")
@@ -73,6 +131,18 @@ def test_dump_is_deterministic(tmp_path):
 def test_divisor_roundtrip():
     c = co.DivisorClass(3, (2, 2, 2, 1, 1, 1, 1, 2))
     assert serialize.divisor_from_obj(serialize.divisor_to_obj(c)) == c
+
+
+@pytest.mark.parametrize("obj", [
+    {"d": 1.5, "m": [0] * 8},
+    {"d": True, "m": [0] * 8},
+    {"d": 1, "m": [0] * 7 + [2.0]},
+    {"d": 1, "m": [0] * 7 + [False]},
+    {"d": 1, "m": "00000000"},
+])
+def test_divisor_reader_rejects_floats_and_bools(obj):
+    with pytest.raises(co.FormatError):
+        serialize.divisor_from_obj(obj)
 
 
 def test_report_object_shape():
