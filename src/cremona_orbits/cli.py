@@ -115,10 +115,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_cremona(args) -> int:
-    if len(set(args.centers)) != 4:
-        print("usage error: centers must be 4 distinct labels, got %r"
-              % (args.centers,), file=sys.stderr)
-        return EXIT_INPUT
     config = serialize.load_config(args.input)
     try:
         centers = CenterSet(tuple(args.centers))
@@ -153,6 +149,10 @@ def _write_report(args, report) -> None:
 
 def cmd_iterate(args) -> int:
     config = serialize.load_config(args.input)
+    if config.k != 8:
+        print("usage error: iterate needs an 8-point configuration, got k = %d" % config.k,
+              file=sys.stderr)
+        return EXIT_INPUT
     try:
         report = coxeter_iterate(config, args.steps)
     except StarViolationError as e:
@@ -205,6 +205,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_lattice_cert(args) -> int:
     msigma = coxeter_element(args.k)
+    relations = coxeter_relations(args.k)
     cert = {
         "k": args.k,
         "N": args.N,
@@ -213,9 +214,8 @@ def cmd_lattice_cert(args) -> int:
         "distinctness": serialize.distinctness_to_obj(
             distinctness_certificate(plane_through_last_four(args.k), args.N)
         ),
-        "coxeter_relations": [{"relation": name, "holds": ok}
-                              for name, ok in coxeter_relations(args.k)],
-        "coxeter_relations_all_hold": all(ok for _, ok in coxeter_relations(args.k)),
+        "coxeter_relations": [{"relation": name, "holds": ok} for name, ok in relations],
+        "coxeter_relations_all_hold": all(ok for _, ok in relations),
     }
     csv_path = str(args.out) + ".degrees.csv"
     serialize.dump_json(args.out, cert)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 
 class DegeneratePointError(ValueError):
     """Homogeneous coordinates are all zero."""
@@ -24,6 +26,7 @@ class NoFrameError(ValueError):
     """No 5 points of the configuration form a projective frame."""
 
 
+@dataclass(frozen=True, slots=True)
 class StarViolation:
     """Witness for a failure of condition (*).
 
@@ -33,21 +36,8 @@ class StarViolation:
     ``plane``.  Labels are 1-based.
     """
 
-    __slots__ = ("plane", "point")
-
-    def __init__(self, plane, point=None):
-        self.plane = tuple(plane)
-        self.point = point
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StarViolation)
-            and self.plane == other.plane
-            and self.point == other.point
-        )
-
-    def __repr__(self):
-        return "StarViolation(plane=%r, point=%r)" % (self.plane, self.point)
+    plane: tuple[int, ...]
+    point: int | None = None
 
     def describe(self):
         if self.point is None:

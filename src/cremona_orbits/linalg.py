@@ -7,11 +7,6 @@ lists/tuples of rows.  No floating point anywhere.
 from __future__ import annotations
 
 
-def det3(m):
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def det4(m):
     """Determinant of a 4x4 via complementary 2x2 minors."""
     (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = m

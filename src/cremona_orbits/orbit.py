@@ -31,7 +31,6 @@ from .projective import (
     condition_star,
     cremona_at,
     permute_config,
-    star_violation,
 )
 
 
@@ -75,9 +74,6 @@ def apply_word(config: Configuration, word: CremonaWord):
     shadow = LatticeMap.identity(k)
     for step, move in enumerate(word.moves):
         if isinstance(move, CremonaMove):
-            if move.centers.indices[-1] > k:
-                raise ValueError("move %d: centers %r out of range 1..%d"
-                                 % (step, move.centers.indices, k))
             try:
                 cur = cremona_at(cur, move.centers)
             except StarViolationError as e:
@@ -151,13 +147,11 @@ def _assemble_report(steps_requested, truncated, configs, tracked) -> IterationR
     )
 
 
-def coxeter_iterate(config: Configuration, steps: int,
-                    height_cap_bits: int | None = None) -> IterationReport:
+def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     """Iterate (Cremona at the first four points, then cyclic shift).
 
-    Condition (*) is verified before every step; on a violation the raised
-    error carries the step index and a partial report of what completed.
-    The optional height cap truncates gracefully once coordinates outgrow it.
+    When condition (*) fails, the error raised by the Cremona move gets the
+    step index and a partial report of what completed.
     """
     if config.k != 8:
         raise ValueError("iteration is defined for k = 8, got k = %d" % config.k)
@@ -167,19 +161,15 @@ def coxeter_iterate(config: Configuration, steps: int,
     shift = cyclic_shift(8)
     tracked = iterate_class(plane_through_last_four(8), steps)
     configs = [config]
-    truncated = False
     for n in range(steps):
-        cur = configs[-1]
-        if height_cap_bits is not None and _max_bits(cur) > height_cap_bits:
-            truncated = True
-            break
-        viol = star_violation(cur, centers)
-        if viol is not None:
-            err = StarViolationError(viol, step=n)
+        try:
+            moved = cremona_at(configs[-1], centers)
+        except StarViolationError as e:
+            err = StarViolationError(e.violation, step=n)
             err.partial_report = _assemble_report(steps, True, configs, tracked)
-            raise err
-        configs.append(permute_config(cremona_at(cur, centers), shift))
-    return _assemble_report(steps, truncated, configs, tracked)
+            raise err from None
+        configs.append(permute_config(moved, shift))
+    return _assemble_report(steps, False, configs, tracked)
 
 
 def consistency_check(report: IterationReport) -> bool:

@@ -23,16 +23,27 @@ from .errors import (
 from .linalg import adjugate4, det4, mat_vec
 
 
-def _canonical4(coords):
-    """gcd-reduce and sign-normalize a nonzero integer 4-vector."""
-    g = math.gcd(*coords)
+def _primitive(v):
+    """v divided by the gcd of its entries, signed so the first nonzero entry is positive."""
+    g = math.gcd(*v)
     if g == 0:
         raise DegeneratePointError("all four homogeneous coordinates are zero")
-    x = tuple(c // g for c in coords)
-    for c in x:
-        if c:
-            return x if c > 0 else tuple(-v for v in x)
-    raise AssertionError("unreachable")
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
+def _clear_denominators(values, n):
+    """The primitive integer vector proportional to n ints or Fractions; floats are rejected."""
+    vals = []
+    for v in values:
+        if isinstance(v, float):
+            raise TypeError("floating point coordinates are not allowed: %r" % (v,))
+        vals.append(v if isinstance(v, (int, Fraction)) else Fraction(v))
+    if len(vals) != n:
+        raise ValueError("expected %d coordinates, got %d" % (n, len(vals)))
+    lcm = math.lcm(*(v.denominator for v in vals))
+    return _primitive(tuple(int(v * lcm) for v in vals))
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -46,29 +57,17 @@ class ProjectivePoint:
         object.__setattr__(self, "coords", c)
         if len(c) != 4 or not all(isinstance(v, int) for v in c):
             raise TypeError("coords must be 4 integers, got %r" % (c,))
-        if c != _canonical4(c):
+        if c != _primitive(c):
             raise ValueError("non-canonical representative %r" % (c,))
+
+
+# the coordinate vertices e0, e1, e2, e3
+_VERTICES = tuple(ProjectivePoint(tuple(int(i == j) for j in range(4))) for i in range(4))
 
 
 def normalize_point(raw) -> ProjectivePoint:
     """Canonical representative of a 4-tuple of rationals (ints or Fractions)."""
-    vals = []
-    for v in raw:
-        if isinstance(v, float):
-            raise TypeError("floating point coordinates are not allowed: %r" % (v,))
-        vals.append(v if isinstance(v, (int, Fraction)) else Fraction(v))
-    if len(vals) != 4:
-        raise ValueError("expected 4 coordinates, got %d" % len(vals))
-    lcm = 1
-    for v in vals:
-        if isinstance(v, Fraction):
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    ints = []
-    for v in vals:
-        w = v * lcm
-        assert isinstance(w, int) or w.denominator == 1
-        ints.append(int(w))
-    return ProjectivePoint(_canonical4(tuple(ints)))
+    return ProjectivePoint(_clear_denominators(raw, 4))
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,10 +106,10 @@ class ProjectiveMap:
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
-        flat = [v for r in rows for v in r]
+        flat = tuple(v for r in rows for v in r)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("need a 4x4 matrix")
-        if flat != list(_canonical16(flat)):
+        if flat != _primitive(flat):
             raise ValueError("non-canonical matrix representative")
         if det4(rows) == 0:
             raise ValueError("projective map must be invertible")
@@ -118,24 +117,11 @@ class ProjectiveMap:
     @classmethod
     def from_rows(cls, rows) -> "ProjectiveMap":
         """Build from any 4x4 of ints/Fractions, clearing scale canonically."""
-        flat = []
-        for r in rows:
-            for v in r:
-                if isinstance(v, float):
-                    raise TypeError("floating point entries are not allowed")
-                flat.append(v if isinstance(v, (int, Fraction)) else Fraction(v))
-        if len(flat) != 16:
-            raise ValueError("need a 4x4 matrix")
-        lcm = 1
-        for v in flat:
-            if isinstance(v, Fraction):
-                lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        ints = [int(v * lcm) for v in flat]
-        ints = _canonical16(ints)
-        return cls(tuple(tuple(ints[4 * i: 4 * i + 4]) for i in range(4)))
+        flat = _clear_denominators([v for r in rows for v in r], 16)
+        return cls(tuple(flat[i: i + 4] for i in range(0, 16, 4)))
 
     def apply(self, p: ProjectivePoint) -> ProjectivePoint:
-        return ProjectivePoint(_canonical4(mat_vec(self.rows, p.coords)))
+        return ProjectivePoint(_primitive(mat_vec(self.rows, p.coords)))
 
     def compose(self, other: "ProjectiveMap") -> "ProjectiveMap":
         """self after other (matrix product self @ other)."""
@@ -144,17 +130,6 @@ class ProjectiveMap:
             for i in range(4)
         )
         return ProjectiveMap.from_rows(prod)
-
-
-def _canonical16(flat):
-    g = math.gcd(*flat)
-    if g == 0:
-        raise ValueError("zero matrix is not a projective map")
-    out = tuple(v // g for v in flat)
-    for v in out:
-        if v:
-            return out if v > 0 else tuple(-x for x in out)
-    raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,38 +172,43 @@ def brackets(config: Configuration) -> dict[tuple[int, int, int, int], int]:
     }
 
 
-def _collinear(p1, p2, p3) -> bool:
-    """True iff the 3x4 coordinate matrix has rank < 3 (all 3x3 minors zero)."""
-    rows = (p1.coords, p2.coords, p3.coords)
-    for cols in itertools.combinations(range(4), 3):
-        a, b, c = (tuple(r[j] for j in cols) for r in rows)
-        if (a[0] * (b[1] * c[2] - b[2] * c[1])
-                - a[1] * (b[0] * c[2] - b[2] * c[0])
-                + a[2] * (b[0] * c[1] - b[1] * c[0])) != 0:
-            return False
-    return True
+def _cremona_frame(config: Configuration, centers: CenterSet):
+    """Condition (*) and the Cremona-frame vectors of the non-centers, from one adjugate.
+
+    With A the matrix whose columns are the centers c1 < c2 < c3 < c4,
+    Cramer's rule makes coordinate i of adj(A) p_t the bracket of the centers
+    with p_t in place of c_{i+1}; it is zero iff p_t lies on the plane through
+    the other three centers.  Returns ``(vectors, None)`` when (*) holds,
+    ``vectors`` mapping each non-center label t to adj(A) p_t, and otherwise
+    ``(None, witness)`` with the first witness in the order documented at
+    ``star_violation``.
+    """
+    idx = centers.indices
+    if idx[-1] > config.k:
+        raise ValueError("center labels %r out of range 1..%d" % (idx, config.k))
+    a = tuple(tuple(config.point(c).coords[i] for c in idx) for i in range(4))
+    if det4(a) == 0:
+        return None, StarViolation(plane=idx)
+    adj = adjugate4(a)
+    others = centers.complement(config.k)
+    vectors = {t: mat_vec(adj, config.point(t).coords) for t in others}
+    for i in (3, 2, 1, 0):  # coordinate 3 tests the plane (c1, c2, c3), which comes first
+        for t in others:
+            if vectors[t][i] == 0:
+                return None, StarViolation(plane=idx[:i] + idx[i + 1:], point=t)
+    return vectors, None
 
 
 def star_violation(config: Configuration, centers: CenterSet) -> StarViolation | None:
     """First witness against condition (*), or None if it holds.
 
     Condition (*): the centers span P^3 and no other point of the
-    configuration lies on any plane through three of them.
+    configuration lies on any plane through three of them.  The witness is
+    the first failure in this order: the four centers themselves; then the
+    planes (c1,c2,c3), (c1,c2,c4), (c1,c3,c4), (c2,c3,c4) of the sorted
+    centers, each against the other points in ascending label order.
     """
-    idx = centers.indices
-    if idx[-1] > config.k:
-        raise ValueError("center labels %r out of range 1..%d" % (idx, config.k))
-    cpts = [config.point(i) for i in idx]
-    if coplanar(*cpts):
-        return StarViolation(plane=idx)
-    others = centers.complement(config.k)
-    for triple in itertools.combinations(range(4), 3):
-        plane_labels = tuple(idx[t] for t in triple)
-        plane_pts = [cpts[t] for t in triple]
-        for j in others:
-            if coplanar(*plane_pts, config.point(j)):
-                return StarViolation(plane=plane_labels, point=j)
-    return None
+    return _cremona_frame(config, centers)[1]
 
 
 def condition_star(config: Configuration, centers: CenterSet) -> bool:
@@ -283,28 +263,25 @@ def permute_config(config: Configuration, perm) -> Configuration:
 def cremona_at(config: Configuration, centers: CenterSet) -> Configuration:
     """Cremona transformation centered at four configuration points.
 
-    Output is written in the Cremona frame: the coordinate change T with
-    T^{-1}'s columns the canonical center representatives puts the centers at
-    the coordinate vertices; every non-center point then maps to the
+    Output is written in the Cremona frame: the coordinate change T = adj(A),
+    A the matrix whose columns are the sorted centers, puts the centers at the
+    coordinate vertices; every non-center point then maps to the
     coordinate-wise reciprocal of its T-image, and each center to the vertex
     it occupies (the image of the plane through the other three centers).
+    Raises StarViolationError when condition (*) fails.
     """
-    viol = star_violation(config, centers)
+    vectors, viol = _cremona_frame(config, centers)
     if viol is not None:
         raise StarViolationError(viol)
-    idx = centers.indices
-    inside = set(idx)
-    a = tuple(tuple(config.point(idx[j]).coords[i] for j in range(4)) for i in range(4))
-    t = adjugate4(a)
+    vertex = dict(zip(centers.indices, _VERTICES))
     out = []
     for label in range(1, config.k + 1):
-        y = mat_vec(t, config.point(label).coords)
-        if label in inside:
-            out.append(ProjectivePoint(_canonical4(y)))
+        if label in vertex:
+            out.append(vertex[label])
         else:
-            assert 0 not in y, "condition (*) guarantees nonzero Cremona-frame coordinates"
+            y = vectors[label]
             rec = (y[1] * y[2] * y[3], y[0] * y[2] * y[3], y[0] * y[1] * y[3], y[0] * y[1] * y[2])
-            out.append(ProjectivePoint(_canonical4(rec)))
+            out.append(ProjectivePoint(_primitive(rec)))
     return Configuration(tuple(out))
 
 
@@ -332,10 +309,11 @@ def random_config(seed: int, height: int, k: int = 8) -> Configuration:
                 raw = tuple(rng.randint(-height, height) for _ in range(4))
                 if raw == (0, 0, 0, 0):
                     continue
-                cand = ProjectivePoint(_canonical4(raw))
+                cand = ProjectivePoint(_primitive(raw))
                 if any(cand.coords == p.coords for p in pts):
                     continue
-                if len(pts) == 2 and _collinear(pts[0], pts[1], cand):
+                # collinear iff coplanar with each coordinate vertex (every 3x3 minor zero)
+                if len(pts) == 2 and all(coplanar(*pts, cand, v) for v in _VERTICES):
                     continue
                 if len(pts) >= 3 and any(
                     coplanar(*triple, cand) for triple in itertools.combinations(pts, 3)

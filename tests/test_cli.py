@@ -101,6 +101,16 @@ def test_iterate_rejects_zero_steps(tmp_path):
     assert err.value.code == 2
 
 
+def test_iterate_nine_points_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "p.json"
+    assert run(["gen", "--seed", 1, "--height", 10, "--k", 9, "--out", src]) == 0
+    capsys.readouterr()
+    assert run(["iterate", src, "--steps", 1, "--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_iterate_star_violation_writes_partial_report(tmp_path, capsys):
     cfg = cfg_from_rows(
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),

@@ -29,13 +29,6 @@ def test_det4_agrees_with_bareiss():
         assert linalg.det4(m) == linalg.det_bareiss(m)
 
 
-def test_det3_against_sympy():
-    rng = random.Random(3)
-    for _ in range(100):
-        m = rand_mat(rng, 3)
-        assert linalg.det3(m) == int(sympy.Matrix(m).det())
-
-
 def test_rank_against_sympy():
     rng = random.Random(4)
     for _ in range(80):

@@ -1,9 +1,11 @@
 """Exact projective geometry: canonical points, frames, condition (*), Cremona."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import cremona_orbits as co
 from helpers import cfg_from_rows, rand_invertible_map, rand_permutation
@@ -141,6 +143,7 @@ def test_condition_star_point_on_plane():
     assert not co.condition_star(cfg, centers)
     viol = co.star_violation(cfg, centers)
     assert viol.plane == (1, 2, 3) and viol.point == 5
+    assert repr(viol) == "StarViolation(plane=(1, 2, 3), point=5)"
 
 
 def test_condition_star_coplanar_centers():
@@ -174,8 +177,62 @@ def test_condition_star_invariant_under_maps_and_center_fixing_relabeling():
         assert co.condition_star(co.permute_config(cfg, tuple(perm)), centers) == base
 
 
+def brute_force_star_violation(cfg, centers):
+    """The first witness found by coplanarity tests in the documented order."""
+    idx = centers.indices
+    if co.coplanar(*(cfg.point(c) for c in idx)):
+        return co.StarViolation(plane=idx)
+    for plane in itertools.combinations(idx, 3):
+        for j in centers.complement(cfg.k):
+            if co.coplanar(*(cfg.point(c) for c in plane), cfg.point(j)):
+                return co.StarViolation(plane=plane, point=j)
+    return None
+
+
+def test_star_violation_matches_brute_force_on_small_coordinates():
+    # points with coordinates in {-1, 0, 1}: most center sets violate (*)
+    small = sorted({pt(*v) for v in itertools.product((-1, 0, 1), repeat=4) if any(v)})
+    rng = random.Random(16)
+    kinds = {"coplanar centers": 0, "point on plane": 0, "holds": 0}
+    for trial in range(12):
+        cfg = co.Configuration(tuple(rng.sample(small, 8 + trial % 2)))
+        for sub in itertools.combinations(range(1, cfg.k + 1), 4):
+            centers = co.CenterSet(sub)
+            viol = co.star_violation(cfg, centers)
+            want = brute_force_star_violation(cfg, centers)
+            assert viol == want
+            assert repr(viol) == repr(want)
+            if viol is None:
+                kinds["holds"] += 1
+            else:
+                assert viol.describe() == want.describe()
+                kinds["coplanar centers" if viol.point is None else "point on plane"] += 1
+    assert min(kinds.values()) > 0
+    assert kinds["holds"] < kinds["point on plane"] + kinds["coplanar centers"]
+
+
 # ---------------------------------------------------------------------------
 # cremona_at
+
+def test_cremona_matches_bracket_reciprocals():
+    # coordinate i of a non-center image is 1 / [centers with p_t in place of center i]
+    rng = random.Random(17)
+    tall, _ = co.apply_word(co.random_config(600, 9), co.CremonaWord(
+        co.CremonaWord.coxeter_step(8).moves * 3))
+    cases = [co.random_config(500 + s, 9, k=8 + s % 2) for s in range(4)] + [tall]
+    for cfg in cases:
+        centers = co.CenterSet(tuple(rng.sample(range(1, cfg.k + 1), 4)))
+        cols = [list(cfg.point(c).coords) for c in centers.indices]
+        out = co.cremona_at(cfg, centers)
+        for label in range(1, cfg.k + 1):
+            if label in centers.indices:
+                want = pt(*(int(c == label) for c in centers.indices))
+            else:
+                p = list(cfg.point(label).coords)
+                br = [int(sympy.Matrix(cols[:i] + [p] + cols[i + 1:]).T.det()) for i in range(4)]
+                want = co.normalize_point(tuple(Fraction(1, b) for b in br))
+            assert out.point(label) == want
+
 
 def test_cremona_fixes_unit_point():
     cfg = vertex_config()
@@ -232,8 +289,6 @@ def test_random_config_deterministic():
 
 
 def test_random_config_general_position():
-    import itertools
-
     cfg = co.random_config(5, 12)
     assert co.coplanar_scan(cfg) == ()
     for sub in itertools.combinations(range(1, 9), 4):
@@ -251,6 +306,19 @@ def test_random_config_validates_arguments():
         co.random_config(1, 1)
     with pytest.raises(ValueError):
         co.random_config(1, 5, k=7)
+
+
+def test_random_config_pinned_points():
+    # the sampler's random stream fixes configurations recorded elsewhere (the
+    # benchmark's seed tables); seed 23 at height 2 rejects a collinear triple
+    assert [p.coords for p in co.random_config(23, 2).points] == [
+        (0, 1, 1, -1), (0, 1, 1, 2), (1, -2, -1, 2), (1, -2, -2, -2),
+        (1, 1, -2, 2), (1, 0, -2, -1), (2, -1, 0, 2), (2, -2, 1, -1),
+    ]
+    assert [p.coords for p in co.random_config(7, 10).points] == [
+        (0, 3, -1, -5), (9, 8, -7, 7), (1, 8, -9, 6), (4, 9, 8, -3),
+        (3, -8, -3, -8), (7, 3, -9, 8), (7, 3, -10, -10), (8, -9, 8, 8),
+    ]
 
 
 def test_random_config_small_height_still_succeeds():
