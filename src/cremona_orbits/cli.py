@@ -117,10 +117,7 @@ def cmd_gen(args) -> int:
 def cmd_cremona(args) -> int:
     config = serialize.load_config(args.input)
     try:
-        centers = CenterSet(tuple(args.centers))
-        if centers.indices[-1] > config.k:
-            raise ValueError("center label %d out of range 1..%d"
-                             % (centers.indices[-1], config.k))
+        centers = CenterSet(tuple(args.centers)).within(config.k)
     except ValueError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_INPUT

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import DimensionError
+from .projective import CenterSet, check_permutation
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,22 +139,13 @@ def quartic_curve_class(k: int = 8) -> CurveClass:
 # ---------------------------------------------------------------------------
 # the two generators and the Coxeter element
 
-def _check_centers(centers, k):
-    idx = tuple(sorted(centers))
-    if len(idx) != 4 or len(set(idx)) != 4:
-        raise ValueError("need exactly 4 distinct center labels, got %r" % (centers,))
-    if idx[0] < 1 or idx[-1] > k:
-        raise ValueError("center labels %r out of range 1..%d" % (idx, k))
-    return idx
-
-
 def cremona_pushforward(c: DivisorClass, centers) -> DivisorClass:
     """Strict-transform class under the Cremona transformation at the centers.
 
     With s the sum of the center multiplicities: d' = 3d - s, and
     m'_i = 2d + m_i - s on centers, m'_i = m_i off them.
     """
-    idx = _check_centers(centers, c.k)
+    idx = CenterSet(centers).within(c.k).indices
     s = sum(c.m[i - 1] for i in idx)
     shift = 2 * c.d - s
     m2 = list(c.m)
@@ -164,13 +156,8 @@ def cremona_pushforward(c: DivisorClass, centers) -> DivisorClass:
 
 def permute_class(c: DivisorClass, perm) -> DivisorClass:
     """Relabel multiplicities: new m_i = old m_{perm[i]} (1-based labels)."""
-    _check_perm(perm, c.k)
+    check_permutation(perm, c.k)
     return DivisorClass(c.d, tuple(c.m[p - 1] for p in perm))
-
-
-def _check_perm(perm, k):
-    if len(perm) != k or sorted(perm) != list(range(1, k + 1)):
-        raise ValueError("not a permutation of 1..%d: %r" % (k, perm))
 
 
 def cyclic_shift(k: int) -> tuple[int, ...]:
@@ -178,20 +165,18 @@ def cyclic_shift(k: int) -> tuple[int, ...]:
     return tuple(range(2, k + 1)) + (1,)
 
 
-def cremona_map(k: int, centers) -> LatticeMap:
-    cols = [
-        _to_vector(cremona_pushforward(_from_vector(e), centers))
-        for e in linalg.identity(k + 1)
-    ]
+def _class_map(k: int, image) -> LatticeMap:
+    """The lattice map whose column j is the vector of image(basis class j)."""
+    cols = [_to_vector(image(_from_vector(e))) for e in linalg.identity(k + 1)]
     return LatticeMap(tuple(zip(*cols)))
+
+
+def cremona_map(k: int, centers) -> LatticeMap:
+    return _class_map(k, lambda c: cremona_pushforward(c, centers))
 
 
 def permutation_map(k: int, perm) -> LatticeMap:
-    cols = [
-        _to_vector(permute_class(_from_vector(e), perm))
-        for e in linalg.identity(k + 1)
-    ]
-    return LatticeMap(tuple(zip(*cols)))
+    return _class_map(k, lambda c: permute_class(c, perm))
 
 
 def coxeter_element(k: int = 8) -> LatticeMap:
@@ -226,7 +211,7 @@ def is_root_class(c: DivisorClass, curve: CurveClass | None = None) -> bool:
 
 def flopped_curve_classes(centers, k: int = 8) -> list[CurveClass]:
     """The six classes l - e_i - e_j over pairs of centers (the flopped lines)."""
-    idx = _check_centers(centers, k)
+    idx = CenterSet(centers).within(k).indices
     out = []
     for i, j in itertools.combinations(idx, 2):
         n = [0] * k
@@ -288,14 +273,12 @@ def jordan_certificate(M: LatticeMap) -> JordanCertificate:
     mat = M.entries
     coeffs = linalg.charpoly(mat)
     n = linalg.mat_sub(mat, linalg.identity(len(mat)))
-    ranks = []
-    power = n
-    for _ in range(4):
-        ranks.append(linalg.rank(power))
-        power = linalg.mat_mul(power, n)
+    powers = [n]
+    for _ in range(3):
+        powers.append(linalg.mat_mul(powers[-1], n))
     return JordanCertificate(
         multiplicity_of_one=linalg.multiplicity_at_one(coeffs),
-        ranks=tuple(ranks),
+        ranks=tuple(linalg.rank(p) for p in powers),
         charpoly=coeffs,
     )
 
@@ -305,8 +288,11 @@ class DistinctnessReport:
     """Exact-iteration evidence that the orbit of a class is injective up to N.
 
     ``trailing_min`` pairs (t, min degree over steps t..N) demonstrate degree
-    growth; ``quadratic_part_nonzero`` records (M - I)^2 v != 0, i.e. the class
-    meets the rank-3 Jordan block so its degree growth is quadratic.
+    growth.  The checkpoints are t = N * i // 10 for i = 0..9 without
+    repeats, so N < 10 gives t = 0..N-1; ``degree_growth`` records that the
+    last trailing minimum exceeds the first.  ``quadratic_part_nonzero``
+    records (M - I)^2 v != 0, i.e. the class meets the rank-3 Jordan block so
+    its degree growth is quadratic.
     """
 
     N: int
@@ -322,7 +308,10 @@ class DistinctnessReport:
 def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
     if N < 1:
         raise ValueError("N must be >= 1")
-    orbit = iterate_class(v, N)
+    orbit = iterate_class(v, max(N, 2))
+    # (M - I)^2 v = M^2 v - 2 M v + v, read off the first two steps even when N == 1
+    quad = [c - 2 * b + a for a, b, c in zip(*map(_to_vector, orbit[:3]))]
+    orbit = orbit[: N + 1]
     seen: dict[tuple, int] = {}
     first_collision = None
     for n, c in enumerate(orbit):
@@ -332,16 +321,8 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
             break
         seen[key] = n
     degrees = tuple(c.d for c in orbit)
-    checkpoints = sorted({(N // 10) * i for i in range(10)})
+    checkpoints = sorted({N * i // 10 for i in range(10)})
     trailing = tuple((t, min(degrees[t:])) for t in checkpoints)
-    msigma = coxeter_element(v.k)
-    once = msigma.apply(v)
-    twice = msigma.apply(once)
-    # (M - I)^2 v = M^2 v - 2 M v + v
-    quad = DivisorClass(
-        twice.d - 2 * once.d + v.d,
-        tuple(a - 2 * b + c for a, b, c in zip(twice.m, once.m, v.m)),
-    )
     return DistinctnessReport(
         N=N,
         start=v,
@@ -350,7 +331,7 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
         degrees=degrees,
         trailing_min=trailing,
         degree_growth=trailing[-1][1] > trailing[0][1],
-        quadratic_part_nonzero=(quad.d, quad.m) != (0, (0,) * v.k),
+        quadratic_part_nonzero=any(quad),
     )
 
 
@@ -374,23 +355,17 @@ def coxeter_relations(k: int) -> list[tuple[str, bool]]:
     ident = linalg.identity(k + 1)
     r = cremona_map(k, (1, 2, 3, 4)).entries
     s = {i: permutation_map(k, _transposition(k, i)).entries for i in range(1, k)}
-
-    def power(m, e):
-        return linalg.mat_pow(m, e)
-
-    out = [("r^2 = 1", power(r, 2) == ident)]
+    out = [("r^2 = 1", linalg.mat_pow(r, 2) == ident)]
     for i, j in itertools.combinations(range(1, k), 2):
         if j - i >= 2:
-            out.append(
-                ("(s%d s%d)^2 = 1" % (i, j), power(linalg.mat_mul(s[i], s[j]), 2) == ident)
-            )
+            prod = linalg.mat_mul(s[i], s[j])
+            out.append(("(s%d s%d)^2 = 1" % (i, j), linalg.mat_pow(prod, 2) == ident))
     for i in range(1, k - 1):
-        out.append(
-            ("(s%d s%d)^3 = 1" % (i, i + 1), power(linalg.mat_mul(s[i], s[i + 1]), 3) == ident)
-        )
-    out.append(("(r s4)^3 = 1", power(linalg.mat_mul(r, s[4]), 3) == ident))
+        prod = linalg.mat_mul(s[i], s[i + 1])
+        out.append(("(s%d s%d)^3 = 1" % (i, i + 1), linalg.mat_pow(prod, 3) == ident))
+    out.append(("(r s4)^3 = 1", linalg.mat_pow(linalg.mat_mul(r, s[4]), 3) == ident))
     for i in [1, 2, 3] + list(range(5, k)):
-        out.append(("(r s%d)^2 = 1" % i, power(linalg.mat_mul(r, s[i]), 2) == ident))
+        out.append(("(r s%d)^2 = 1" % i, linalg.mat_pow(linalg.mat_mul(r, s[i]), 2) == ident))
     return out
 
 

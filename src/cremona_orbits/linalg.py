@@ -73,9 +73,11 @@ def identity(n):
 
 
 def mat_pow(m, e):
-    n = len(m)
-    out = identity(n)
-    for _ in range(e):
+    """m**e for e >= 0, in e - 1 products (the identity when e == 0)."""
+    if e == 0:
+        return identity(len(m))
+    out = m
+    for _ in range(e - 1):
         out = mat_mul(out, m)
     return out
 
@@ -84,45 +86,26 @@ def trace(m):
     return sum(m[i][i] for i in range(len(m)))
 
 
-def det_bareiss(m):
-    """Exact integer determinant by fraction-free Gaussian elimination."""
-    n = len(m)
-    a = [list(r) for r in m]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if a[c][c] == 0:
-            for i in range(c + 1, n):
-                if a[i][c] != 0:
-                    a[c], a[i] = a[i], a[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[c][c] * a[i][j] - a[i][c] * a[c][j]) // prev
-            a[i][c] = 0
-        prev = a[c][c]
-    return sign * a[n - 1][n - 1]
+def _eliminate(m):
+    """Fraction-free (Bareiss) elimination of an integer matrix, on a copy.
 
-
-def rank(m):
-    """Rank over Q of an integer matrix (fraction-free elimination)."""
+    Returns ``(rank, sign, last)``: the rank over Q, the sign of the row swaps
+    and the last pivot.  Every entry stays a minor of ``m``, so each division
+    is exact; for a full-rank square matrix, sign * last is the determinant.
+    """
     a = [list(r) for r in m]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     r = 0
+    sign = 1
     prev = 1
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         for i in range(r + 1, nrows):
             for j in range(c + 1, ncols):
                 a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
@@ -131,7 +114,18 @@ def rank(m):
         r += 1
         if r == nrows:
             break
-    return r
+    return r, sign, prev
+
+
+def det_bareiss(m):
+    """Exact integer determinant of a square matrix."""
+    r, sign, last = _eliminate(m)
+    return sign * last if r == len(m) else 0
+
+
+def rank(m):
+    """Rank over Q of an integer matrix."""
+    return _eliminate(m)[0]
 
 
 def charpoly(m):

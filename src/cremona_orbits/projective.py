@@ -146,6 +146,12 @@ class CenterSet:
         if idx[0] < 1:
             raise ValueError("labels are 1-based, got %r" % (idx,))
 
+    def within(self, k: int) -> "CenterSet":
+        """This center set, after checking that every label is at most k."""
+        if self.indices[-1] > k:
+            raise ValueError("center labels %r out of range 1..%d" % (self.indices, k))
+        return self
+
     def complement(self, k: int) -> tuple[int, ...]:
         inside = set(self.indices)
         return tuple(i for i in range(1, k + 1) if i not in inside)
@@ -183,9 +189,7 @@ def _cremona_frame(config: Configuration, centers: CenterSet):
     ``(None, witness)`` with the first witness in the order documented at
     ``star_violation``.
     """
-    idx = centers.indices
-    if idx[-1] > config.k:
-        raise ValueError("center labels %r out of range 1..%d" % (idx, config.k))
+    idx = centers.within(config.k).indices
     a = tuple(tuple(config.point(c).coords[i] for c in idx) for i in range(4))
     if det4(a) == 0:
         return None, StarViolation(plane=idx)
@@ -249,11 +253,15 @@ def transform_config(config: Configuration, pmap: ProjectiveMap) -> Configuratio
     return Configuration(tuple(pmap.apply(p) for p in config.points))
 
 
-def permute_config(config: Configuration, perm) -> Configuration:
-    """Reorder points: new position i holds old point perm[i] (1-based)."""
-    k = config.k
+def check_permutation(perm, k: int) -> None:
+    """Raise ValueError unless perm lists each label 1..k exactly once."""
     if len(perm) != k or sorted(perm) != list(range(1, k + 1)):
         raise ValueError("not a permutation of 1..%d: %r" % (k, perm))
+
+
+def permute_config(config: Configuration, perm) -> Configuration:
+    """Reorder points: new position i holds old point perm[i] (1-based)."""
+    check_permutation(perm, config.k)
     return Configuration(tuple(config.points[p - 1] for p in perm))
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, file outputs."""
 
+import hashlib
 import json
 
 import pytest
@@ -240,6 +241,16 @@ def test_lattice_cert_k9_relations(tmp_path):
     cert = json.loads(out.read_text())
     assert cert["coxeter_relations_all_hold"] is True
     assert len(cert["coxeter_matrix"]) == 10
+
+
+@pytest.mark.parametrize("k, digest", [
+    (8, "ddc166bf6afeda89e088f40c57d4f101dbd2be21ca91f8c836c860181d155a82"),
+    (12, "c87e9242061efb0f5ec899e5117c880088bcd0432c93b3306e3fcfb3680bb159"),
+])
+def test_lattice_cert_bytes_are_pinned(tmp_path, k, digest):
+    out = tmp_path / "cert.json"
+    assert run(["lattice-cert", "--k", k, "--N", 100, "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_orbit_bad_worker_count_is_usage_error(tmp_path, capsys, monkeypatch):

@@ -68,12 +68,29 @@ def test_pushforward_is_involution():
         assert co.cremona_pushforward(co.cremona_pushforward(c, centers), centers) == c
 
 
+@pytest.mark.parametrize("centers", [(1, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 9), (1, 2, 3)])
+def test_bad_center_labels_are_rejected(centers):
+    with pytest.raises(ValueError):
+        co.cremona_pushforward(co.hyperplane_class(8), centers)
+    with pytest.raises(ValueError):
+        co.flopped_curve_classes(centers, 8)
+
+
 # ---------------------------------------------------------------------------
 # permutations
 
 def test_permute_identity():
     c = rand_divisor(random.Random(43))
     assert co.permute_class(c, tuple(range(1, 9))) == c
+
+
+@pytest.mark.parametrize(
+    "perm", [(1, 1, 3, 4, 5, 6, 7, 8), (0, 2, 3, 4, 5, 6, 7, 8), (2, 3, 4, 5, 6, 7, 8, 9),
+             (1, 2, 3, 4, 5, 6, 7)],
+)
+def test_permute_class_rejects_non_permutation(perm):
+    with pytest.raises(ValueError):
+        co.permute_class(co.hyperplane_class(8), perm)
 
 
 def test_cyclic_shift_moves_e5_to_e4():
@@ -267,6 +284,21 @@ def test_distinctness_of_iterated_plane():
     mins = [d for _, d in rep.trailing_min]
     assert mins == sorted(mins)
     assert mins[-1] > mins[0]
+
+
+@pytest.mark.parametrize("N, checkpoints, growth", [
+    (1, [0], False),
+    (5, [0, 1, 2, 3, 4], True),  # degrees 1, 3, 2, 3, 3, 4 grow
+    (13, [0, 1, 2, 3, 5, 6, 7, 9, 10, 11], True),
+    (20, [0, 2, 4, 6, 8, 10, 12, 14, 16, 18], True),
+])
+def test_distinctness_checkpoints(N, checkpoints, growth):
+    v = co.plane_through_last_four(8)
+    rep = co.distinctness_certificate(v, N)
+    assert rep.degrees == tuple(c.d for c in co.iterate_class(v, N))
+    assert [t for t, _ in rep.trailing_min] == checkpoints
+    assert rep.degree_growth is growth
+    assert rep.quadratic_part_nonzero  # needs two steps, also when N == 1
 
 
 def test_distinctness_detects_fixed_class():

@@ -29,6 +29,25 @@ def test_det4_agrees_with_bareiss():
         assert linalg.det4(m) == linalg.det_bareiss(m)
 
 
+def test_det_bareiss_against_sympy():
+    rng = random.Random(3)
+    for n in range(1, 7):
+        for trial in range(30):
+            m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 1:
+                m[0][0] = 0  # the first pivot needs a row swap
+            if n >= 2 and trial % 3 == 2:
+                m[rng.randrange(n)] = list(m[rng.randrange(n)])  # often singular
+            assert linalg.det_bareiss(m) == sympy.Matrix(m).det()
+    for m in (
+        ((0, 1), (1, 0)),
+        ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+        ((0, 1, 2), (0, 3, 4), (0, 5, 6)),  # zero first column
+        ((1, 2, 3), (2, 4, 6), (1, 0, 1)),  # zero pivot after one step
+    ):
+        assert linalg.det_bareiss(m) == sympy.Matrix(m).det()
+
+
 def test_rank_against_sympy():
     rng = random.Random(4)
     for _ in range(80):
@@ -36,6 +55,15 @@ def test_rank_against_sympy():
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         if n >= 2 and rng.random() < 0.5:
             m[rng.randrange(n)] = list(m[rng.randrange(n)])  # force rank drops
+        assert linalg.rank(m) == sympy.Matrix(m).rank()
+    for _ in range(80):  # rectangular, wide and tall
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if rows >= 2 and rng.random() < 0.5:
+            m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+        if rng.random() < 0.3:
+            for r in m:
+                r[rng.randrange(cols)] = 0  # zero entries that force pivot search
         assert linalg.rank(m) == sympy.Matrix(m).rank()
 
 
@@ -60,4 +88,8 @@ def test_mat_pow_and_identity():
     rng = random.Random(6)
     m = rand_mat(rng, 3)
     assert linalg.mat_pow(m, 0) == linalg.identity(3)
+    assert linalg.mat_pow(m, 1) == m
     assert linalg.mat_pow(m, 2) == linalg.mat_mul(m, m)
+    assert linalg.mat_pow(m, 3) == tuple(
+        tuple(int(x) for x in row) for row in (sympy.Matrix(m) ** 3).tolist()
+    )
