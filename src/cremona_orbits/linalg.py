@@ -6,6 +6,8 @@ lists/tuples of rows.  No floating point anywhere.
 
 from __future__ import annotations
 
+from operator import mul
+
 
 def det4(m):
     """Determinant of a 4x4 via complementary 2x2 minors."""
@@ -53,15 +55,12 @@ def adjugate4(m):
 
 
 def mat_vec(m, v):
-    return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in m)
+    return tuple(sum(map(mul, r, v)) for r in m)
 
 
 def mat_mul(a, b):
-    n = len(b)
-    cols = range(len(b[0]))
-    return tuple(
-        tuple(sum(row[i] * b[i][j] for i in range(n)) for j in cols) for row in a
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_sub(a, b):
@@ -70,16 +69,6 @@ def mat_sub(a, b):
 
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_pow(m, e):
-    """m**e for e >= 0, in e - 1 products (the identity when e == 0)."""
-    if e == 0:
-        return identity(len(m))
-    out = m
-    for _ in range(e - 1):
-        out = mat_mul(out, m)
-    return out
 
 
 def trace(m):

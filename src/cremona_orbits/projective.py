@@ -20,7 +20,7 @@ from .errors import (
     StarViolation,
     StarViolationError,
 )
-from .linalg import adjugate4, det4, mat_vec
+from .linalg import adjugate4, det4, mat_mul, mat_vec
 
 
 def _primitive(v):
@@ -125,11 +125,7 @@ class ProjectiveMap:
 
     def compose(self, other: "ProjectiveMap") -> "ProjectiveMap":
         """self after other (matrix product self @ other)."""
-        prod = tuple(
-            tuple(sum(self.rows[i][t] * other.rows[t][j] for t in range(4)) for j in range(4))
-            for i in range(4)
-        )
-        return ProjectiveMap.from_rows(prod)
+        return ProjectiveMap.from_rows(mat_mul(self.rows, other.rows))
 
 
 @dataclass(frozen=True, slots=True)

@@ -246,6 +246,9 @@ def test_lattice_cert_k9_relations(tmp_path):
 @pytest.mark.parametrize("k, digest", [
     (8, "ddc166bf6afeda89e088f40c57d4f101dbd2be21ca91f8c836c860181d155a82"),
     (12, "c87e9242061efb0f5ec899e5117c880088bcd0432c93b3306e3fcfb3680bb159"),
+    (16, "87a3055d9721411cb34a6984cedef53e69c33ad6ade83102429396b1ec77c584"),
+    (20, "fb3e5b9b3436b41205759a50391cf1233e4ff60b8f30156bcd310d20714716db"),
+    (24, "878412cfb9a1b683e3f4cf4648e62a384e0a4b6ef23fa1d856f8e82f655e0015"),
 ])
 def test_lattice_cert_bytes_are_pinned(tmp_path, k, digest):
     out = tmp_path / "cert.json"

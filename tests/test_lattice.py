@@ -1,13 +1,14 @@
 """Divisor lattice: pushforward, Coxeter element, pairings, certificates."""
 
 import random
+import re
 
 import pytest
 import sympy
 
 import cremona_orbits as co
 from cremona_orbits import linalg
-from cremona_orbits.lattice import _from_vector, _to_vector
+from cremona_orbits.lattice import _from_vector, _to_vector, _word_is_identity
 from helpers import rand_divisor, rand_permutation
 
 # closed form of the Coxeter element for k = 8 (Cremona at {1,2,3,4}, then the
@@ -126,11 +127,25 @@ def test_coxeter_element_is_shift_after_cremona():
     for k in (8, 10):
         msigma = co.coxeter_element(k)
         shift = co.cyclic_shift(k)
+        assert msigma == co.permutation_map(k, shift) @ co.cremona_map(k, CENTERS)
         for _ in range(50):
             c = rand_divisor(rng, k=k)
             assert msigma.apply(c) == co.permute_class(
                 co.cremona_pushforward(c, CENTERS), shift
             )
+
+
+def test_rank_below_eight_is_rejected():
+    v = co.plane_through_last_four(7)
+    for call in (
+        lambda: co.coxeter_element(7),
+        lambda: co.coxeter_relations(7),
+        lambda: co.iterate_class(v, 0),
+        lambda: co.iterate_class(v, 5),
+        lambda: co.distinctness_certificate(v, 10),
+    ):
+        with pytest.raises(ValueError, match="need k >= 8"):
+            call()
 
 
 def test_generated_maps_are_unimodular():
@@ -236,6 +251,17 @@ def test_iterate_against_matrix_power_oracle():
         assert list(_to_vector(c)) == [int(x) for x in want]
 
 
+@pytest.mark.parametrize("k", [10, 12])
+def test_iterate_against_repeated_coxeter_element(k):
+    rng = random.Random(k)
+    msigma = co.coxeter_element(k)
+    for v in (co.plane_through_last_four(k), rand_divisor(rng, k=k)):
+        cur = v
+        for c in co.iterate_class(v, 12):
+            assert c == cur
+            cur = msigma.apply(cur)
+
+
 # ---------------------------------------------------------------------------
 # Jordan certificate
 
@@ -320,6 +346,37 @@ def test_relations_hold_for_k8_and_k9():
 def test_cremona_map_is_involution_matrix():
     r = co.cremona_map(8, CENTERS)
     assert (r @ r).entries == linalg.identity(9)
+
+
+def sympy_word(k, letters, power):
+    """The matrix (letters[0] letters[1] ..)^power from the dense generator maps."""
+    prod = sympy.eye(k + 1)
+    for g in letters:
+        if g == "r":
+            prod *= sympy.Matrix(co.cremona_map(k, CENTERS).entries)
+        else:
+            i = int(g[1:])
+            perm = list(range(1, k + 1))
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+            prod *= sympy.Matrix(co.permutation_map(k, perm).entries)
+    return prod**power
+
+
+@pytest.mark.parametrize("k", [8, 9, 10])
+def test_relation_verdicts_match_sympy_matrices(k):
+    for name, ok in co.coxeter_relations(k):
+        m = re.fullmatch(r"\(?(r|s\d+)(?: (s\d+))?\)?\^(\d+) = 1", name)
+        letters = [g for g in m.group(1, 2) if g]
+        assert ok == (sympy_word(k, letters, int(m.group(3))) == sympy.eye(k + 1)), name
+
+
+@pytest.mark.parametrize("word, power", [
+    ((0, 4), 2), ((1, 2), 2), ((0,), 1), ((1, 3), 1), ((0, 5), 1),
+])
+def test_word_checker_rejects_non_relations(word, power):
+    assert not _word_is_identity(8, word, power)
+    letters = ["r" if g == 0 else "s%d" % g for g in word]
+    assert sympy_word(8, letters, power) != sympy.eye(9)
 
 
 def test_relation_list_is_complete_for_k8():

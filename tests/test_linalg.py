@@ -84,12 +84,14 @@ def test_multiplicity_at_one():
         assert linalg.multiplicity_at_one(coeffs) == mult
 
 
-def test_mat_pow_and_identity():
+def test_mat_mul_and_mat_vec_against_sympy():
     rng = random.Random(6)
-    m = rand_mat(rng, 3)
-    assert linalg.mat_pow(m, 0) == linalg.identity(3)
-    assert linalg.mat_pow(m, 1) == m
-    assert linalg.mat_pow(m, 2) == linalg.mat_mul(m, m)
-    assert linalg.mat_pow(m, 3) == tuple(
-        tuple(int(x) for x in row) for row in (sympy.Matrix(m) ** 3).tolist()
-    )
+    for _ in range(40):
+        rows, inner, cols = (rng.randint(1, 5) for _ in range(3))
+        a = [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
+        v = [rng.randint(-9, 9) for _ in range(inner)]
+        want = (sympy.Matrix(a) * sympy.Matrix(b)).tolist()
+        assert linalg.mat_mul(a, b) == tuple(tuple(int(x) for x in r) for r in want)
+        assert linalg.mat_vec(a, v) == tuple(int(x) for x in sympy.Matrix(a) * sympy.Matrix(v))
+    assert linalg.mat_mul(linalg.identity(3), ((1, 2, 3),) * 3) == ((1, 2, 3),) * 3
