@@ -19,6 +19,7 @@ from .errors import (
     NoFrameError,
     StarViolation,
     StarViolationError,
+    UsageError,
 )
 from .lattice import (
     CurveClass,

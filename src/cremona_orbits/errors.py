@@ -69,3 +69,7 @@ class DimensionError(ValueError):
 
 class FormatError(ValueError):
     """A JSON document does not match the expected schema."""
+
+
+class UsageError(ValueError):
+    """A caller's argument lies outside its documented range."""

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import DimensionError
+from .errors import DimensionError, UsageError
 from .projective import CenterSet, check_permutation
 
 
@@ -114,9 +114,9 @@ def anticanonical_class(k: int = 8) -> DivisorClass:
 
 
 def plane_through_last_four(k: int = 8) -> DivisorClass:
-    """H - E_{k-3} - E_{k-2} - E_{k-1} - E_k."""
+    """H - E_{k-3} - E_{k-2} - E_{k-1} - E_k (H minus every E_i when k < 4)."""
     m = [0] * k
-    for i in range(k - 4, k):
+    for i in range(max(k - 4, 0), k):
         m[i] = 1
     return DivisorClass(1, tuple(m))
 
@@ -182,7 +182,7 @@ def permutation_map(k: int, perm) -> LatticeMap:
 def _check_rank(k: int) -> None:
     """The Coxeter element and the T(2, 4, k-4) presentation need k >= 8."""
     if k < 8:
-        raise ValueError("need k >= 8, got %d" % k)
+        raise UsageError("need k >= 8, got %d" % k)
 
 
 def _coxeter_step(c: DivisorClass) -> DivisorClass:
@@ -315,7 +315,7 @@ class DistinctnessReport:
 
 def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise UsageError("N must be >= 1")
     orbit = iterate_class(v, max(N, 2))
     # (M - I)^2 v = M^2 v - 2 M v + v, read off the first two steps even when N == 1
     quad = [c - 2 * b + a for a, b, c in zip(*map(_to_vector, orbit[:3]))]

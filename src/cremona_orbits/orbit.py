@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .canonical import canonical_form
-from .errors import NoFrameError, StarViolationError
+from .errors import NoFrameError, StarViolationError, UsageError
 from .lattice import (
     DivisorClass,
     LatticeMap,
@@ -154,9 +154,9 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     step index and a partial report of what completed.
     """
     if config.k != 8:
-        raise ValueError("iteration is defined for k = 8, got k = %d" % config.k)
+        raise UsageError("iteration is defined for k = 8, got k = %d" % config.k)
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise UsageError("steps must be >= 1")
     centers = CenterSet((1, 2, 3, 4))
     shift = cyclic_shift(8)
     tracked = iterate_class(plane_through_last_four(8), steps)
@@ -237,7 +237,7 @@ def env_workers() -> int:
     try:
         return int(env)
     except ValueError:
-        raise ValueError("CREMONA_ORBITS_WORKERS must be an integer, got %r"
+        raise UsageError("CREMONA_ORBITS_WORKERS must be an integer, got %r"
                          % env[:40]) from None
 
 
@@ -253,20 +253,19 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
     From each node every admissible center set is tried.  Results are
     level-synchronous and sorted before insertion, so the node and edge sets
     do not depend on worker count or scheduling.  ``workers`` defaults to the
-    CREMONA_ORBITS_WORKERS environment variable (1 if unset, ValueError if
+    CREMONA_ORBITS_WORKERS environment variable (1 if unset, UsageError if
     not an integer); each level starts ``worker_count(workers, tasks)``
-    processes.
+    processes.  Every node outside the final frontier has been expanded.
     """
     if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
+        raise UsageError("max_depth must be >= 0")
     if max_nodes < 1:
-        raise ValueError("max_nodes must be >= 1")
+        raise UsageError("max_nodes must be >= 1")
     requested = env_workers() if workers is None else workers
     root_canon = canonical_form(config)
     nodes = {root_canon: OrbitNode(root_canon, config, 0, None)}
     edges = []
     degenerate = []
-    expanded = set()
     truncated = False
     frontier = [root_canon]
     depth = 0
@@ -274,7 +273,6 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
         tasks = []
         for canon in frontier:
             cfg = nodes[canon].representative
-            expanded.add(canon)
             for sub in itertools.combinations(range(1, cfg.k + 1), 4):
                 centers = CenterSet(sub)
                 if condition_star(cfg, centers):
@@ -307,6 +305,6 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
         nodes=nodes,
         edges=tuple(edges),
         truncated=truncated,
-        frontier_remaining=sum(1 for c in nodes if c not in expanded),
+        frontier_remaining=len(frontier),
         degenerate=tuple(degenerate),
     )

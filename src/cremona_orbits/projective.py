@@ -19,6 +19,7 @@ from .errors import (
     GenerationError,
     StarViolation,
     StarViolationError,
+    UsageError,
 )
 from .linalg import adjugate4, det4, mat_mul, mat_vec
 
@@ -138,14 +139,14 @@ class CenterSet:
         idx = tuple(sorted(self.indices))
         object.__setattr__(self, "indices", idx)
         if len(idx) != 4 or len(set(idx)) != 4:
-            raise ValueError("need exactly 4 distinct labels, got %r" % (self.indices,))
+            raise UsageError("need exactly 4 distinct labels, got %r" % (self.indices,))
         if idx[0] < 1:
-            raise ValueError("labels are 1-based, got %r" % (idx,))
+            raise UsageError("labels are 1-based, got %r" % (idx,))
 
     def within(self, k: int) -> "CenterSet":
         """This center set, after checking that every label is at most k."""
         if self.indices[-1] > k:
-            raise ValueError("center labels %r out of range 1..%d" % (self.indices, k))
+            raise UsageError("center labels %r out of range 1..%d" % (self.indices, k))
         return self
 
     def complement(self, k: int) -> tuple[int, ...]:
@@ -292,6 +293,15 @@ def cremona_at(config: Configuration, centers: CenterSet) -> Configuration:
 # ---------------------------------------------------------------------------
 # seeded generation
 
+def _plane(p, q, r):
+    """The plane through three points: det(p, q, r, x) is its dot product with x.
+
+    Its entries are the last-row cofactors, read off column 3 of the adjugate;
+    all four are zero iff the three points are collinear.
+    """
+    return tuple(row[3] for row in adjugate4((p, q, r, (0, 0, 0, 0))))
+
+
 def random_config(seed: int, height: int, k: int = 8) -> Configuration:
     """Deterministic k-point configuration in general position.
 
@@ -302,33 +312,33 @@ def random_config(seed: int, height: int, k: int = 8) -> Configuration:
     contain a frame).
     """
     if height < 2:
-        raise ValueError("height must be >= 2")
+        raise UsageError("height must be >= 2")
     if k < 8:
-        raise ValueError("k must be >= 8")
+        raise UsageError("k must be >= 8")
     rng = random.Random(seed)
     for _restart in range(50):
-        pts: list[ProjectivePoint] = []
+        pts: list[tuple[int, ...]] = []
+        planes: list[tuple[int, ...]] = []  # one per accepted triple
         while len(pts) < k:
             for _try in range(2000):
                 raw = tuple(rng.randint(-height, height) for _ in range(4))
                 if raw == (0, 0, 0, 0):
                     continue
-                cand = ProjectivePoint(_primitive(raw))
-                if any(cand.coords == p.coords for p in pts):
+                cand = _primitive(raw)
+                if cand in pts:
                     continue
-                # collinear iff coplanar with each coordinate vertex (every 3x3 minor zero)
-                if len(pts) == 2 and all(coplanar(*pts, cand, v) for v in _VERTICES):
+                if len(pts) == 2 and not any(_plane(*pts, cand)):
+                    continue  # collinear
+                x0, x1, x2, x3 = cand
+                if any(h0 * x0 + h1 * x1 + h2 * x2 + h3 * x3 == 0 for h0, h1, h2, h3 in planes):
                     continue
-                if len(pts) >= 3 and any(
-                    coplanar(*triple, cand) for triple in itertools.combinations(pts, 3)
-                ):
-                    continue
+                planes.extend(_plane(p, q, cand) for p, q in itertools.combinations(pts, 2))
                 pts.append(cand)
                 break
             else:
                 break  # budget for this point exhausted; restart from scratch
         if len(pts) == k:
-            return Configuration(tuple(pts))
+            return Configuration(tuple(map(ProjectivePoint, pts)))
     raise GenerationError(
         "could not sample %d points in general position at height %d (seed %d)"
         % (k, height, seed)

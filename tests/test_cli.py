@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -41,12 +43,6 @@ def test_gen_roundtrips_through_reader(tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
-def test_gen_rejects_small_k(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        run(["gen", "--seed", "1", "--k", "7", "--out", tmp_path / "x.json"])
-    assert err.value.code == 2
-
-
 # ---------------------------------------------------------------------------
 # cremona
 
@@ -59,16 +55,6 @@ def test_cremona_involution_via_files(tmp_path, capsys):
     assert run(["cremona", once, "--centers", 1, 2, 3, 4, "--out", twice]) == 0
     assert run(["equiv", src, twice]) == 0
     assert capsys.readouterr().out.strip().endswith("EQUIVALENT")
-
-
-def test_cremona_repeated_center_is_usage_error(tmp_path):
-    src = write_config(tmp_path / "p.json", co.random_config(4, 9))
-    assert run(["cremona", src, "--centers", 1, 1, 3, 4, "--out", tmp_path / "q.json"]) == 2
-
-
-def test_cremona_center_out_of_range(tmp_path):
-    src = write_config(tmp_path / "p.json", co.random_config(4, 9))
-    assert run(["cremona", src, "--centers", 1, 2, 3, 9, "--out", tmp_path / "q.json"]) == 2
 
 
 def test_cremona_coplanar_centers_exit_3(tmp_path, capsys):
@@ -93,23 +79,6 @@ def test_iterate_writes_report_and_degree_table(tmp_path):
     csv_lines = (tmp_path / "report.json.degrees.csv").read_text().splitlines()
     assert csv_lines[0] == "step,degree"
     assert [int(line.split(",")[1]) for line in csv_lines[1:]] == expected
-
-
-def test_iterate_rejects_zero_steps(tmp_path):
-    src = write_config(tmp_path / "p.json", co.random_config(7, 10))
-    with pytest.raises(SystemExit) as err:
-        run(["iterate", src, "--steps", "0", "--out", tmp_path / "r.json"])
-    assert err.value.code == 2
-
-
-def test_iterate_nine_points_is_usage_error(tmp_path, capsys):
-    src = tmp_path / "p.json"
-    assert run(["gen", "--seed", 1, "--height", 10, "--k", 9, "--out", src]) == 0
-    capsys.readouterr()
-    assert run(["iterate", src, "--steps", 1, "--out", tmp_path / "r.json"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage error:") and err.count("\n") == 1
-    assert not (tmp_path / "r.json").exists()
 
 
 def test_iterate_star_violation_writes_partial_report(tmp_path, capsys):
@@ -256,25 +225,53 @@ def test_lattice_cert_bytes_are_pinned(tmp_path, k, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_orbit_bad_worker_count_is_usage_error(tmp_path, capsys, monkeypatch):
-    src = write_config(tmp_path / "p.json", co.random_config(5, 8))
-    monkeypatch.setenv("CREMONA_ORBITS_WORKERS", "abc")
-    assert run(["orbit", src, "--max-depth", 1, "--out", tmp_path / "o.json"]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "CREMONA_ORBITS_WORKERS" in err[0]
-    assert not (tmp_path / "o.json").exists()
+# ---------------------------------------------------------------------------
+# exit codes
+
+@pytest.mark.parametrize("argv, workers, message", [
+    (["gen", "--seed", 1, "--k", 7], None, "k must be >= 8"),
+    (["gen", "--seed", 1, "--height", 1], None, "height must be >= 2"),
+    (["iterate", "P8", "--steps", 0], None, "steps must be >= 1"),
+    (["iterate", "P9", "--steps", 1], None, "iteration is defined for k = 8, got k = 9"),
+    (["orbit", "P8", "--max-depth", -1], None, "max_depth must be >= 0"),
+    (["orbit", "P8", "--max-depth", 1, "--max-nodes", 0], None, "max_nodes must be >= 1"),
+    (["orbit", "P8", "--max-depth", 1], "abc", "CREMONA_ORBITS_WORKERS"),
+    (["lattice-cert", "--k", 7], None, "need k >= 8, got 7"),
+    (["lattice-cert", "--k", 0], None, "need k >= 8, got 0"),
+    (["lattice-cert", "--N", 0], None, "N must be >= 1"),
+    (["cremona", "P8", "--centers", 1, 1, 3, 4], None, "need exactly 4 distinct labels"),
+    (["cremona", "P8", "--centers", 1, 2, 3, 9], None, "(1, 2, 3, 9) out of range 1..8"),
+], ids=["gen-k7", "gen-height1", "iterate-steps0", "iterate-k9", "orbit-depth-1",
+        "orbit-nodes0", "orbit-workers-abc", "lattice-cert-k7", "lattice-cert-k0",
+        "lattice-cert-N0", "cremona-repeated", "cremona-out-of-range"])
+def test_argument_out_of_range_is_one_usage_line(tmp_path, capsys, monkeypatch,
+                                                 argv, workers, message):
+    inputs = {"P8": write_config(tmp_path / "p8.json", co.random_config(7, 10)),
+              "P9": tmp_path / "p9.json"}
+    assert run(["gen", "--seed", 1, "--height", 10, "--k", 9, "--out", inputs["P9"]]) == 0
+    if workers is not None:
+        monkeypatch.setenv("CREMONA_ORBITS_WORKERS", workers)
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert run([inputs.get(a, a) for a in argv] + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert message in err
+    assert not list(tmp_path.glob("out.json*"))
 
 
-def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("exc", [RuntimeError, ValueError], ids=["RuntimeError", "ValueError"])
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch, exc):
+    # a plain ValueError is an internal fault too: only UsageError means exit 2
     from cremona_orbits import cli
 
     def broken(*args):
-        raise RuntimeError("synthetic\nfailure")
+        raise exc("synthetic\nfailure")
 
     monkeypatch.setattr(cli, "random_config", broken)
     assert run(["gen", *GOOD, "--out", tmp_path / "x.json"]) == cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["internal error: RuntimeError: synthetic failure"]
+    assert err == ["internal error: %s: synthetic failure" % exc.__name__]
 
 
 def test_unwritable_output_is_input_error(tmp_path, capsys):
@@ -285,3 +282,13 @@ def test_unwritable_output_is_input_error(tmp_path, capsys):
 def test_missing_input_file_is_input_error(tmp_path, capsys):
     assert run(["iterate", tmp_path / "nope.json", "--steps", 1,
                 "--out", tmp_path / "r.json"]) == 2
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1].splitlines()
+    assert lines and all(line.startswith("cremona-orbits ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CREMONA_ORBITS_WORKERS", raising=False)
+    assert [main(shlex.split(line)[1:]) for line in lines] == [0, 0, 1, 0, 0, 0]
+    assert "INEQUIVALENT" in capsys.readouterr().out.splitlines()

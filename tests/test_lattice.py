@@ -144,7 +144,7 @@ def test_rank_below_eight_is_rejected():
         lambda: co.iterate_class(v, 5),
         lambda: co.distinctness_certificate(v, 10),
     ):
-        with pytest.raises(ValueError, match="need k >= 8"):
+        with pytest.raises(co.UsageError, match="need k >= 8"):
             call()
 
 

@@ -91,9 +91,9 @@ def test_iteration_tracks_coplanar_tuple_of_special_configuration():
 
 
 def test_iteration_validates_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(co.UsageError):
         co.coxeter_iterate(co.random_config(1, 6, k=9), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(co.UsageError):
         co.coxeter_iterate(co.random_config(1, 6), 0)
 
 
@@ -164,15 +164,16 @@ def test_orbit_node_budget_truncates_deterministically():
     g2 = co.orbit_bfs(cfg, 1, 12, workers=2)
     assert g1.truncated and g2.truncated
     assert len(g1.nodes) == 12
+    assert g1.frontier_remaining == 11
     assert set(g1.nodes) == set(g2.nodes)
     assert g1.edges == g2.edges
 
 
 def test_orbit_validates_limits():
     cfg = co.random_config(57, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(co.UsageError):
         co.orbit_bfs(cfg, -1, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(co.UsageError):
         co.orbit_bfs(cfg, 1, 0)
 
 
