@@ -32,19 +32,14 @@ def serialize_points(k, pts) -> bytes:
     return text.encode("ascii")
 
 
-def _ratio(w, c):
-    """Numerators and denominators of w_i / c_i, each fraction in lowest terms."""
+def _quotient(w, c):
+    """Primitive integer representative of the point (w0/c0 : .. : w3/c3)."""
     nums = []
     dens = []
     for wi, ci in zip(w, c):
         g = math.gcd(wi, ci)
         nums.append(wi // g)
         dens.append(ci // g)
-    return nums, dens
-
-
-def _clear(nums, dens):
-    """Primitive integer representative of the point (n0/d0 : .. : n3/d3)."""
     lcm = math.lcm(*dens)
     y = [n * (lcm // d) for n, d in zip(nums, dens)]
     g = math.gcd(*y)
@@ -58,6 +53,19 @@ def _permuted(y, neg, sigma):
             src = y if y[i] > 0 else neg
             return (src[sigma[0]], src[sigma[1]], src[sigma[2]], src[sigma[3]])
     raise AssertionError("zero image")
+
+
+def _swap_unit(y, j):
+    """M_j y, where M_j trades the frame vertex e_j with the unit point.
+
+    (M_j y)_i = y_i - y_j for i != j and (M_j y)_j = -y_j.  M_j fixes e_i for
+    i != j, sends e_j to -(1:1:1:1) and (1:1:1:1) to -e_j; it is an integer
+    involution of determinant -1.
+    """
+    yj = y[j]
+    z = [v - yj for v in y]
+    z[j] = -yj
+    return tuple(z)
 
 
 def canonical_form(config: Configuration) -> bytes:
@@ -78,9 +86,22 @@ def canonical_form(config: Configuration) -> bytes:
     Brackets.  With A the matrix of columns p_b0, .., p_b3, Cramer's rule
     makes (adj(A) p_t)_i the bracket of the base with p_t in column i, so
     every vector is read off ``brackets`` with a sign, and T(p_t) is the
-    point (w_i / c_i) for w = adj(A) p_t, c = adj(A) p_u.  Reordering the four
-    vertices only permutes the coordinates of every image, so each unordered
-    5-subset and choice of u yields one image set and 24 coordinate orders.
+    point (w_i / c_i) for w = adj(A) p_t, c = adj(A) p_u.  The coordinates of
+    c are the brackets of the four 4-subsets of S = base + u other than the
+    base, so S is a frame iff the base bracket and every c_i are nonzero.
+    Reordering the four vertices only permutes the coordinates of every
+    image, so each unordered 5-subset and choice of u yields one image set
+    and 24 coordinate orders.
+
+    Unit points.  Each frame S is reduced once, with u its largest label, so
+    no base containing label k is used.  For the frame with b_j as unit point
+    and u as vertex j, the normalizing map is M_j T: M_j (``_swap_unit``)
+    fixes e_i for i != j and swaps e_j with (1:1:1:1) up to sign, so M_j T
+    sends this ordered frame to the standard one, and a projective map is
+    fixed by the images of a frame.  M_j is an integer matrix of determinant
+    -1, so a primitive image stays primitive and only its sign is left to
+    fix.  The five unit points of S thus give exactly the candidates of every
+    (base, u) with base + u = S.
 
     Selection.  The five frame images are in every candidate and differ from
     every other image, so comparing candidates is comparing the sorted images
@@ -104,32 +125,24 @@ def canonical_form(config: Configuration) -> bytes:
         return tuple(x // g for x in v)
 
     best = None
-    for base in itertools.combinations(labels, 4):
+    for base in itertools.combinations(range(1, k), 4):
         if br[base] == 0:
             continue
         others = [t for t in labels if t not in base]
         vecs = {t: vector(base, t) for t in others}
-        ratios = {}  # (t, u) -> w_t / w_u in lowest terms
-        for u in others:
+        for u in range(base[3] + 1, k + 1):
             if not all(vecs[u]):
                 continue  # base + u is no frame: u lies on a plane of three base points
-            images = []
-            for t in others:
-                if t == u:
-                    continue
-                if (u, t) in ratios:
-                    dens, nums = ratios[(u, t)]
-                else:
-                    nums, dens = ratios[(t, u)] = _ratio(vecs[t], vecs[u])
-                y = _clear(nums, dens)
-                images.append((y, tuple(-v for v in y)))
-            for lead in range(4):
-                if best is not None and min(abs(y[lead]) for y, _ in images) > best[0][0]:
-                    continue
-                for sigma in _PERMS_BY_LEAD[lead]:
-                    cand = sorted(_permuted(y, neg, sigma) for y, neg in images)
-                    if best is None or cand < best:
-                        best = cand
+            reduced = [_quotient(vecs[t], vecs[u]) for t in others if t != u]
+            for ys in (reduced, *([_swap_unit(y, j) for y in reduced] for j in range(4))):
+                images = [(y, tuple(-v for v in y)) for y in ys]
+                for lead in range(4):
+                    if best is not None and min(abs(y[lead]) for y in ys) > best[0][0]:
+                        continue
+                    for sigma in _PERMS_BY_LEAD[lead]:
+                        cand = sorted(_permuted(y, neg, sigma) for y, neg in images)
+                        if best is None or cand < best:
+                            best = cand
     if best is None:
         raise NoFrameError("no 5 points of the configuration form a projective frame")
     return serialize_points(k, sorted(_FRAME_IMAGES + tuple(best)))

@@ -2,9 +2,10 @@
 
 Subcommands: gen, cremona, iterate, orbit, equiv, lattice-cert.  Exit codes:
 0 success/affirmative, 1 negative verdict, 2 input error (including an
-unreadable input or unwritable output path) or usage error (any argument
-outside its documented range, reported as one ``usage error:`` line by the
-library check it trips), 3 precondition violation (condition (*), degenerate
+unreadable input or unwritable output path) or usage error (a missing or
+malformed argument, reported by the parser, or one outside its documented
+range, reported by the library check it trips; either way one ``usage
+error:`` line), 3 precondition violation (condition (*), degenerate
 frames, generation failure), 4 internal error (an unexpected exception,
 reported in one line instead of a traceback).  ``main`` is the only place
 that maps an exception to an exit code.  Every file-producing command writes
@@ -44,8 +45,15 @@ EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argparse whose errors reach ``main`` as ``UsageError``: one line, exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cremona-orbits",
         description="Exact Cremona dynamics of point configurations in P^3.",
     )
@@ -167,9 +175,9 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_lattice_cert(args) -> int:
-    # first, so that a bad N is rejected before any other work
-    distinctness = distinctness_certificate(plane_through_last_four(args.k), args.N)
+    # first, so that a bad k or N is rejected before any other work
     msigma = coxeter_element(args.k)
+    distinctness = distinctness_certificate(plane_through_last_four(args.k), args.N)
     relations = coxeter_relations(args.k)
     cert = {
         "k": args.k,
@@ -186,9 +194,8 @@ def cmd_lattice_cert(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)

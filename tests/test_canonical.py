@@ -5,6 +5,8 @@ import random
 import pytest
 
 import cremona_orbits as co
+from cremona_orbits import canonical
+from cremona_orbits.linalg import det4
 from helpers import (
     brute_force_canonical,
     brute_force_canonical_bytes,
@@ -36,6 +38,44 @@ def test_matches_brute_force_with_coplanar_four_tuple():
     # some images have zero coordinates
     cfg = special_coplanar_config(3)
     assert co.canonical_form(cfg) == brute_force_canonical(cfg)
+
+
+def _coplanar_with_last_label(seed):
+    """Nine points whose one coplanar 4-tuple is {2, 5, 7, 9}: p9 is on the plane of p2, p5, p7."""
+    cfg = co.random_config(seed, 6, k=9)
+    p2, p5, p7 = (cfg.point(i).coords for i in (2, 5, 7))
+    p9 = co.normalize_point(tuple(a + 2 * b - 3 * c for a, b, c in zip(p2, p5, p7)))
+    cfg = co.Configuration(cfg.points[:8] + (p9,))
+    assert co.coplanar_scan(cfg) == ((2, 5, 7, 9),)
+    return cfg
+
+
+@pytest.mark.parametrize("make", [
+    lambda: co.random_config(510, 5, k=9),
+    lambda: co.cremona_at(co.random_config(510, 5, k=9), CENTERS),
+    lambda: _coplanar_with_last_label(511),
+], ids=["random", "cremona-image", "coplanar-with-label-9"])
+def test_matches_brute_force_k9(make):
+    # label 9 is never in a reduced base, so every frame holding it comes from
+    # a unit swap; with {2,5,7,9} coplanar, some 5-subsets through 9 are no frames
+    cfg = make()
+    assert cfg.k == 9
+    assert co.canonical_form(cfg) == brute_force_canonical(cfg)
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_unit_swap_is_unimodular_involution_of_the_frame(j):
+    frame = set(canonical._FRAME_IMAGES)
+    basis = [tuple(int(i == c) for i in range(4)) for c in range(4)]
+    columns = [canonical._swap_unit(e, j) for e in basis]
+    assert det4(columns) in (1, -1)
+    for y in basis + [(3, -1, 4, -1), (0, 5, -9, 2)]:
+        assert canonical._swap_unit(canonical._swap_unit(y, j), j) == y
+    images = {co.normalize_point(canonical._swap_unit(y, j)).coords for y in frame}
+    assert images == frame
+    unit = (1, 1, 1, 1)
+    assert co.normalize_point(canonical._swap_unit(unit, j)).coords == basis[j]
+    assert co.normalize_point(canonical._swap_unit(basis[j], j)).coords == unit
 
 
 def test_verdicts_match_byte_order_oracle():

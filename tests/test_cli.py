@@ -188,6 +188,21 @@ def test_equiv_no_frame_is_input_error(tmp_path, capsys):
     assert "frame" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["orbit", "P", "--max-depth", 1],
+     "109acfeca7a27b85811c65fb9b279e4830fb58d83d0e61001209db7a3d3fc452"),
+    (["iterate", "P", "--steps", 8],
+     "23d7ae8e4d739edfcf343f2b3d89dd6363367e75d45bbc1c78bdb81a61fae075"),
+], ids=["orbit-depth1", "iterate-steps8"])
+def test_canonical_bytes_are_pinned(tmp_path, argv, digest):
+    # both outputs carry canonical forms: any change to the chosen candidate shows here
+    src = tmp_path / "p.json"
+    assert run(["gen", "--seed", 7, "--height", 10, "--out", src]) == 0
+    out = tmp_path / "out.json"
+    assert run([src if a == "P" else a for a in argv] + ["--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # lattice-cert
 
@@ -238,12 +253,16 @@ def test_lattice_cert_bytes_are_pinned(tmp_path, k, digest):
     (["orbit", "P8", "--max-depth", 1], "abc", "CREMONA_ORBITS_WORKERS"),
     (["lattice-cert", "--k", 7], None, "need k >= 8, got 7"),
     (["lattice-cert", "--k", 0], None, "need k >= 8, got 0"),
+    (["lattice-cert", "--k", -5], None, "need k >= 8, got -5"),
     (["lattice-cert", "--N", 0], None, "N must be >= 1"),
     (["cremona", "P8", "--centers", 1, 1, 3, 4], None, "need exactly 4 distinct labels"),
     (["cremona", "P8", "--centers", 1, 2, 3, 9], None, "(1, 2, 3, 9) out of range 1..8"),
+    (["gen", "--seed", 1, "--k", "abc"], None, "argument --k: invalid int value: 'abc'"),
+    (["gen", "--height", 10], None, "the following arguments are required: --seed"),
 ], ids=["gen-k7", "gen-height1", "iterate-steps0", "iterate-k9", "orbit-depth-1",
         "orbit-nodes0", "orbit-workers-abc", "lattice-cert-k7", "lattice-cert-k0",
-        "lattice-cert-N0", "cremona-repeated", "cremona-out-of-range"])
+        "lattice-cert-k-5", "lattice-cert-N0", "cremona-repeated", "cremona-out-of-range",
+        "gen-k-abc", "gen-no-seed"])
 def test_argument_out_of_range_is_one_usage_line(tmp_path, capsys, monkeypatch,
                                                  argv, workers, message):
     inputs = {"P8": write_config(tmp_path / "p8.json", co.random_config(7, 10)),
@@ -258,6 +277,14 @@ def test_argument_out_of_range_is_one_usage_line(tmp_path, capsys, monkeypatch,
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert message in err
     assert not list(tmp_path.glob("out.json*"))
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        run([flag])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, ValueError], ids=["RuntimeError", "ValueError"])
