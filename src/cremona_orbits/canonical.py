@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .digits import int_to_decimal
 from .errors import NoFrameError
 from .projective import Configuration, brackets
 
-# coordinate permutations (orders of the four frame vertices), grouped by the
-# coordinate they put first
-_PERMS_BY_LEAD = tuple(
-    tuple(s for s in itertools.permutations(range(4)) if s[0] == lead) for lead in range(4)
+# the 24 orders of the four frame vertices as coordinate getters, grouped by
+# the coordinate they put first
+_ORDERS_BY_LEAD = tuple(
+    tuple(operator.itemgetter(*s) for s in itertools.permutations(range(4)) if s[0] == lead)
+    for lead in range(4)
 )
 
 # images of the frame points themselves, shared by every candidate
@@ -46,13 +48,19 @@ def _quotient(w, c):
     return tuple(v // g for v in y)
 
 
-def _permuted(y, neg, sigma):
-    """The canonical representative of y with coordinates in the order sigma."""
-    for i in sigma:
-        if y[i]:
-            src = y if y[i] > 0 else neg
-            return (src[sigma[0]], src[sigma[1]], src[sigma[2]], src[sigma[3]])
-    raise AssertionError("zero image")
+def _oriented(p):
+    """p or -p, whichever has a positive first nonzero entry."""
+    return p if p > (0, 0, 0, 0) else tuple(-v for v in p)
+
+
+def _cramer(br, base, t):
+    """adj(A_base) p_t up to a common sign, divided by its gcd: the signed
+    5-subset rule of ``canonical_form``."""
+    s = sorted((*base, t))
+    drops = zip(s, reversed(list(itertools.combinations(s, 4))))  # (S_r, S - S_r)
+    v = [(-1) ** r * br[sub] for r, (label, sub) in enumerate(drops) if label != t]
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def _swap_unit(y, j):
@@ -84,11 +92,16 @@ def canonical_form(config: Configuration) -> bytes:
     carries P onto Q up to relabeling.
 
     Brackets.  With A the matrix of columns p_b0, .., p_b3, Cramer's rule
-    makes (adj(A) p_t)_i the bracket of the base with p_t in column i, so
-    every vector is read off ``brackets`` with a sign, and T(p_t) is the
-    point (w_i / c_i) for w = adj(A) p_t, c = adj(A) p_u.  The coordinates of
-    c are the brackets of the four 4-subsets of S = base + u other than the
-    base, so S is a frame iff the base bracket and every c_i are nonzero.
+    makes (adj(A) p_t)_i the bracket of the base with p_t in column i.  Let
+    S = sorted(base + t) hold t at position j and b_i at position r: sorting
+    that column order takes r + j + 1 transpositions mod 2, so
+    (adj(A) p_t)_i = (-1)^(r+j+1) [S - S_r].  T(p_t) is the point (w_i / c_i)
+    for w = adj(A) p_t, c = adj(A) p_u; a sign common to w or to c only
+    negates it, and neither the unit swap nor the prune below sees the sign,
+    which is fixed last.  So ``_cramer`` drops (-1)^(j+1) and keeps
+    (-1)^r [S - S_r] for r != j, divided by its gcd.  The coordinates of c
+    are the brackets of the four 4-subsets of base + u other than the base,
+    so base + u is a frame iff the base bracket and every c_i are nonzero.
     Reordering the four vertices only permutes the coordinates of every
     image, so each unordered 5-subset and choice of u yields one image set
     and 24 coordinate orders.
@@ -105,42 +118,34 @@ def canonical_form(config: Configuration) -> bytes:
 
     Selection.  The five frame images are in every candidate and differ from
     every other image, so comparing candidates is comparing the sorted images
-    of the k - 5 remaining points.  The first coordinate of the least of them
-    is min_t |T(p_t)_{sigma_0}|, which prunes the six orders with a leading
-    coordinate that already exceeds the best.  Only the winner is encoded.
+    of the k - 5 remaining points.  A vertex order sigma turns an image set
+    into a candidate: each image is read in the order sigma, oriented
+    (``_oriented``: a tuple exceeds zero iff its first nonzero entry is
+    positive), and the results are sorted.  The first coordinate of the least
+    of them is min_t |T(p_t)_{sigma_0}|; one bound per image set and leading
+    coordinate prunes the six orders whose lead already exceeds the best.
+    Only the winner is encoded.
     """
     k = config.k
     br = brackets(config)
     labels = range(1, k + 1)
-
-    def vector(base, t):
-        """adj(A_base) @ p_t from the bracket table, divided by its gcd."""
-        v = []
-        for i in range(4):
-            rest = base[:i] + base[i + 1:]
-            pos = sum(1 for b in rest if b < t)
-            sub = rest[:pos] + (t,) + rest[pos:]
-            v.append(br[sub] if (i - pos) % 2 == 0 else -br[sub])
-        g = math.gcd(*v)
-        return tuple(x // g for x in v)
-
     best = None
     for base in itertools.combinations(range(1, k), 4):
         if br[base] == 0:
             continue
         others = [t for t in labels if t not in base]
-        vecs = {t: vector(base, t) for t in others}
+        vecs = {t: _cramer(br, base, t) for t in others}
         for u in range(base[3] + 1, k + 1):
             if not all(vecs[u]):
                 continue  # base + u is no frame: u lies on a plane of three base points
             reduced = [_quotient(vecs[t], vecs[u]) for t in others if t != u]
             for ys in (reduced, *([_swap_unit(y, j) for y in reduced] for j in range(4))):
-                images = [(y, tuple(-v for v in y)) for y in ys]
-                for lead in range(4):
-                    if best is not None and min(abs(y[lead]) for y in ys) > best[0][0]:
+                lows = [min(map(abs, col)) for col in zip(*ys)]
+                for lead, orders in enumerate(_ORDERS_BY_LEAD):
+                    if best is not None and lows[lead] > best[0][0]:
                         continue
-                    for sigma in _PERMS_BY_LEAD[lead]:
-                        cand = sorted(_permuted(y, neg, sigma) for y, neg in images)
+                    for order in orders:
+                        cand = sorted([_oriented(order(y)) for y in ys])
                         if best is None or cand < best:
                             best = cand
     if best is None:

@@ -2,15 +2,16 @@
 
 Subcommands: gen, cremona, iterate, orbit, equiv, lattice-cert.  Exit codes:
 0 success/affirmative, 1 negative verdict, 2 input error (including an
-unreadable input or unwritable output path) or usage error (a missing or
-malformed argument, reported by the parser, or one outside its documented
-range, reported by the library check it trips; either way one ``usage
-error:`` line), 3 precondition violation (condition (*), degenerate
-frames, generation failure), 4 internal error (an unexpected exception,
-reported in one line instead of a traceback).  ``main`` is the only place
-that maps an exception to an exit code.  Every file-producing command writes
-a ``<out>.manifest.json`` next to its outputs; timestamps live only there, so
-outputs themselves are reproducible bytes.
+unreadable input, an unwritable output path, or a configuration with no
+5-point frame, in every command) or usage error (a missing or malformed
+argument, reported by the parser, or one outside its documented range,
+reported by the library check it trips; either way one ``usage error:``
+line), 3 precondition violation (condition (*), generation failure), 4
+internal error (an unexpected exception, reported in one line instead of a
+traceback).  ``main`` is the only place that maps an exception to an exit
+code.  Every file-producing command writes a ``<out>.manifest.json`` next to
+its outputs; timestamps live only there, so outputs themselves are
+reproducible bytes.
 """
 
 from __future__ import annotations
@@ -138,8 +139,7 @@ def cmd_iterate(args) -> int:
         partial = e.partial_report
         _write(args, "iterate", params, serialize.report_to_obj(partial), partial.degrees)
         print("wrote partial report to %s" % args.out, file=sys.stderr)
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise
     _write(args, "iterate", params, serialize.report_to_obj(report), report.degrees)
     ok = consistency_check(report)
     print("completed %d steps; %d stored configurations; consistency %s"
@@ -165,11 +165,7 @@ def cmd_orbit(args) -> int:
 def cmd_equiv(args) -> int:
     a = serialize.load_config(args.a)
     b = serialize.load_config(args.b)
-    try:
-        verdict = equivalent(a, b)
-    except NoFrameError as e:  # a frameless configuration is an input error, not a precondition
-        print("input error: %s" % e, file=sys.stderr)
-        return EXIT_INPUT
+    verdict = equivalent(a, b)
     print("EQUIVALENT" if verdict else "INEQUIVALENT")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
@@ -200,10 +196,10 @@ def main(argv=None) -> int:
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
-    except (FormatError, OSError) as e:
+    except (FormatError, NoFrameError, OSError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
-    except (StarViolationError, NoFrameError, GenerationError) as e:
+    except (StarViolationError, GenerationError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_PRECONDITION
     except Exception as e:  # last resort: never fall through to exit 1, the negative verdict

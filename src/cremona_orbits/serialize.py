@@ -36,6 +36,8 @@ def load_json(path):
         raise FormatError("%s: cannot read (%s)" % (path, e)) from None
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError("%s: not valid JSON (%s)" % (path, e)) from None
+    except RecursionError:
+        raise FormatError("%s: JSON nested too deeply to read" % path) from None
 
 
 def _integer(value, what):

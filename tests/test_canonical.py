@@ -1,12 +1,15 @@
 """Canonical forms and the equivalence decision."""
 
+import hashlib
+import itertools
+import math
 import random
 
 import pytest
 
 import cremona_orbits as co
 from cremona_orbits import canonical
-from cremona_orbits.linalg import det4
+from cremona_orbits.linalg import adjugate4, det4, mat_vec
 from helpers import (
     brute_force_canonical,
     brute_force_canonical_bytes,
@@ -184,3 +187,52 @@ def test_form_is_ascii_and_starts_with_k():
     form = co.canonical_form(cfg)
     assert form.startswith(b"8|")
     form.decode("ascii")
+
+
+# the 40 canonical points with coordinates in {-1, 0, 1}: random picks of 8-10
+# of them are full of coplanar 4-tuples and zero image coordinates
+_SMALL_POINTS = sorted(
+    {co.normalize_point(p).coords for p in itertools.product((-1, 0, 1), repeat=4) if any(p)}
+)
+
+
+def _small_config(rng, k):
+    return cfg_from_rows(rng.sample(_SMALL_POINTS, k))
+
+
+def test_cramer_matches_adjugate():
+    # the signed 5-subset rule against the adjugate itself, up to sign
+    rng = random.Random(38)
+    cfgs = [co.random_config(1700, 6, k=k) for k in (8, 9, 10)]
+    cfgs += [_small_config(rng, k) for k in (8, 9, 10) for _ in range(3)]
+    checked = 0
+    for cfg in cfgs:
+        br = co.brackets(cfg)
+        for base in itertools.combinations(range(1, cfg.k + 1), 4):
+            if br[base] == 0:
+                continue
+            adj = adjugate4(
+                [[cfg.point(b).coords[i] for b in base] for i in range(4)]
+            )
+            for t in range(1, cfg.k + 1):
+                if t in base:
+                    continue
+                w = mat_vec(adj, cfg.point(t).coords)
+                g = math.gcd(*w)
+                w = tuple(v // g for v in w)
+                assert canonical._cramer(br, base, t) in (w, tuple(-v for v in w))
+                checked += 1
+    assert checked > 1000
+
+
+def test_canonical_forms_of_a_corpus_are_pinned():
+    # sha256 of the forms, measured before the candidate loop was rewritten
+    rng = random.Random(39)
+    cfgs = [co.random_config(1800 + k, 6, k=k) for k in (9, 10)]
+    cfgs += [co.cremona_at(c, CENTERS) for c in cfgs]
+    cfgs += [special_coplanar_config(s) for s in (5, 6)]
+    cfgs += [co.cremona_at(c, co.CenterSet((1, 2, 3, 5))) for c in cfgs[-2:]]
+    cfgs += [_small_config(rng, k) for k in (8, 9, 10) for _ in range(4)]
+    blob = b"\n".join(co.canonical_form(c) for c in cfgs)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "73052cb96e4f0a495ee077a0c857faf5679ddcec57f7c459755113b837693f9d")

@@ -178,14 +178,32 @@ def test_equiv_float_coordinates_are_input_error(tmp_path, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
-def test_equiv_no_frame_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["equiv", "A", "A"],
+    ["iterate", "A", "--steps", 2, "--out", "OUT"],
+    ["orbit", "A", "--max-depth", 1, "--out", "OUT"],
+], ids=["equiv", "iterate", "orbit"])
+def test_no_frame_is_input_error(tmp_path, capsys, argv):
+    # iterate fails at step 0 before any report exists: (*) at {1,2,3,4}
+    # would make {1,2,3,4,5} a frame
     planar = cfg_from_rows(
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0),
          (1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0), (1, 2, 3, 0)]
     )
     a = write_config(tmp_path / "a.json", planar)
-    assert run(["equiv", a, a]) == 2
-    assert "frame" in capsys.readouterr().err
+    names = {"A": a, "OUT": tmp_path / "out.json"}
+    assert run([names.get(x, x) for x in argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and "frame" in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    assert run(["equiv", deep, deep]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -319,3 +337,11 @@ def test_readme_cli_walkthrough_runs(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CREMONA_ORBITS_WORKERS", raising=False)
     assert [main(shlex.split(line)[1:]) for line in lines] == [0, 0, 1, 0, 0, 0]
     assert "INEQUIVALENT" in capsys.readouterr().out.splitlines()
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1]
+    code = code.split("```", 1)[0]
+    assert "import cremona_orbits" in code
+    exec(compile(code, "README.md", "exec"), {})
