@@ -15,7 +15,7 @@ import operator
 
 from .digits import int_to_decimal
 from .errors import NoFrameError
-from .projective import Configuration, brackets
+from .projective import Configuration, brackets, cramer
 
 # the 24 orders of the four frame vertices as coordinate getters, grouped by
 # the coordinate they put first
@@ -53,16 +53,6 @@ def _oriented(p):
     return p if p > (0, 0, 0, 0) else tuple(-v for v in p)
 
 
-def _cramer(br, base, t):
-    """adj(A_base) p_t up to a common sign, divided by its gcd: the signed
-    5-subset rule of ``canonical_form``."""
-    s = sorted((*base, t))
-    drops = zip(s, reversed(list(itertools.combinations(s, 4))))  # (S_r, S - S_r)
-    v = [(-1) ** r * br[sub] for r, (label, sub) in enumerate(drops) if label != t]
-    g = math.gcd(*v)
-    return tuple(x // g for x in v)
-
-
 def _swap_unit(y, j):
     """M_j y, where M_j trades the frame vertex e_j with the unit point.
 
@@ -91,17 +81,14 @@ def canonical_form(config: Configuration) -> bytes:
     F of P and F' of Q with T_F(P) = T_F'(Q) as point sets, so T_F'^{-1} T_F
     carries P onto Q up to relabeling.
 
-    Brackets.  With A the matrix of columns p_b0, .., p_b3, Cramer's rule
-    makes (adj(A) p_t)_i the bracket of the base with p_t in column i.  Let
-    S = sorted(base + t) hold t at position j and b_i at position r: sorting
-    that column order takes r + j + 1 transpositions mod 2, so
-    (adj(A) p_t)_i = (-1)^(r+j+1) [S - S_r].  T(p_t) is the point (w_i / c_i)
-    for w = adj(A) p_t, c = adj(A) p_u; a sign common to w or to c only
-    negates it, and neither the unit swap nor the prune below sees the sign,
-    which is fixed last.  So ``_cramer`` drops (-1)^(j+1) and keeps
-    (-1)^r [S - S_r] for r != j, divided by its gcd.  The coordinates of c
-    are the brackets of the four 4-subsets of base + u other than the base,
-    so base + u is a frame iff the base bracket and every c_i are nonzero.
+    Brackets.  With A the matrix of columns p_b0, .., p_b3, T(p_t) is the
+    point (w_i / c_i) for w = adj(A) p_t, c = adj(A) p_u, both read from the
+    bracket table by ``cramer`` (``projective``) up to a common sign and a
+    positive scale.  A sign common to w or to c only negates T(p_t), and
+    neither the unit swap nor the prune below sees the sign, which is fixed
+    last.  The coordinates of c are the brackets of the four 4-subsets of
+    base + u other than the base, so base + u is a frame iff the base bracket
+    and every c_i are nonzero.
     Reordering the four vertices only permutes the coordinates of every
     image, so each unordered 5-subset and choice of u yields one image set
     and 24 coordinate orders.
@@ -126,15 +113,18 @@ def canonical_form(config: Configuration) -> bytes:
     coordinate prunes the six orders whose lead already exceeds the best.
     Only the winner is encoded.
     """
-    k = config.k
-    br = brackets(config)
+    return bracket_form(config.k, brackets(config))
+
+
+def bracket_form(k: int, br) -> bytes:
+    """``canonical_form`` of a k-point configuration, from its bracket table ``br``."""
     labels = range(1, k + 1)
     best = None
     for base in itertools.combinations(range(1, k), 4):
         if br[base] == 0:
             continue
         others = [t for t in labels if t not in base]
-        vecs = {t: _cramer(br, base, t) for t in others}
+        vecs = {t: cramer(br, base, t) for t in others}
         for u in range(base[3] + 1, k + 1):
             if not all(vecs[u]):
                 continue  # base + u is no frame: u lies on a plane of three base points

@@ -346,24 +346,19 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
 # ---------------------------------------------------------------------------
 # Coxeter presentation checks
 
-def _transposition(k: int, i: int) -> tuple[int, ...]:
-    perm = list(range(1, k + 1))
-    perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    return tuple(perm)
-
-
 def _word_is_identity(k: int, word, power: int) -> bool:
     """True iff (word)^power returns every basis class H, E_1..E_k to itself.
 
     ``word`` lists generators as in a product, so the last one acts first:
     0 is r, the Cremona move at {1,2,3,4}, and i >= 1 is s_i, the swap of
-    labels i and i+1.  The action on classes is linear, so fixing the basis
-    is exactly the matrix identity (word)^power = 1.
+    labels i and i+1, applied by swapping multiplicities i and i+1.  The
+    action on classes is linear, so fixing the basis is exactly the matrix
+    identity (word)^power = 1.
     """
     def act(c):
         for g in reversed(word * power):
             c = (cremona_pushforward(c, (1, 2, 3, 4)) if g == 0
-                 else permute_class(c, _transposition(k, g)))
+                 else DivisorClass(c.d, c.m[:g - 1] + (c.m[g], c.m[g - 1]) + c.m[g + 1:]))
         return c
 
     return all(_to_vector(act(_from_vector(e))) == e for e in linalg.identity(k + 1))

@@ -3,7 +3,9 @@
 ``coxeter_iterate`` runs the degree-growth iteration (Cremona at the first
 four points, then the cyclic shift) while cross-checking geometry against the
 tracked divisor class; ``orbit_bfs`` explores the full orbit under all center
-choices with canonical-form deduplication.
+choices with canonical-form deduplication.  Each driver computes one bracket
+table per configuration it examines and reads the canonical form, the
+coplanar 4-tuples, condition (*) and the Cremona moves from it.
 """
 
 from __future__ import annotations
@@ -13,25 +15,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .canonical import canonical_form
+from .canonical import bracket_form, canonical_form
 from .errors import NoFrameError, StarViolationError, UsageError
-from .lattice import (
-    DivisorClass,
-    LatticeMap,
-    cremona_map,
-    cyclic_shift,
-    iterate_class,
-    permutation_map,
-    plane_through_last_four,
-)
-from .projective import (
-    CenterSet,
-    Configuration,
-    brackets,
-    condition_star,
-    cremona_at,
-    permute_config,
-)
+from .lattice import (DivisorClass, LatticeMap, cremona_map, cremona_pushforward, cyclic_shift,
+                      iterate_class, permutation_map, permute_class, plane_through_last_four)
+from .projective import (CenterSet, Configuration, brackets, cremona_at, cremona_frame,
+                         cremona_image, permute_config)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,9 +77,13 @@ def apply_word(config: Configuration, word: CremonaWord):
 # ---------------------------------------------------------------------------
 # the degree-growth iteration
 
+def _zero_brackets(br):
+    return tuple(sub for sub, d in br.items() if d == 0)
+
+
 def coplanar_scan(config: Configuration) -> tuple[tuple[int, int, int, int], ...]:
     """All 4-subsets of labels (sorted) whose points lie on a common plane."""
-    return tuple(sub for sub, d in brackets(config).items() if d == 0)
+    return _zero_brackets(brackets(config))
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,41 +110,14 @@ class IterationReport:
     all_pairwise_inequivalent: bool
 
 
-def _max_bits(config: Configuration) -> int:
-    return max(abs(v).bit_length() for p in config.points for v in p.coords)
-
-
-def _assemble_report(steps_requested, truncated, configs, tracked) -> IterationReport:
-    centers = CenterSet((1, 2, 3, 4))
-    n = len(configs)
-    forms = tuple(canonical_form(c) for c in configs)
-    ineq = tuple(
-        tuple(i != j and forms[i] != forms[j] for j in range(n)) for i in range(n)
-    )
-    return IterationReport(
-        k=configs[0].k,
-        steps_requested=steps_requested,
-        steps_completed=n - 1,
-        truncated=truncated,
-        configs=tuple(configs),
-        star_ok=tuple(condition_star(c, centers) for c in configs),
-        coplanar_tuples=tuple(coplanar_scan(c) for c in configs),
-        tracked=tuple(tracked[:n]),
-        degrees=tuple(c.d for c in tracked[:n]),
-        bit_lengths=tuple(_max_bits(c) for c in configs),
-        canonical_forms=forms,
-        inequivalent=ineq,
-        all_pairwise_inequivalent=all(
-            forms[i] != forms[j] for i in range(n) for j in range(i + 1, n)
-        ),
-    )
-
-
 def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     """Iterate (Cremona at the first four points, then cyclic shift).
 
-    When condition (*) fails, the error raised by the Cremona move gets the
-    step index and a partial report of what completed.
+    Each configuration's one bracket table gives its canonical form, its
+    coplanar 4-tuples, condition (*) at {1,2,3,4} and the next move; the
+    tracked class takes the same two steps alongside.  When condition (*)
+    fails before the last step, a StarViolationError carries the step index
+    and the partial report of the configurations reached.
     """
     if config.k != 8:
         raise UsageError("iteration is defined for k = 8, got k = %d" % config.k)
@@ -159,21 +125,38 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
         raise UsageError("steps must be >= 1")
     centers = CenterSet((1, 2, 3, 4))
     shift = cyclic_shift(8)
-    tracked = iterate_class(plane_through_last_four(8), steps)
-    configs = [config]
-    for n in range(steps):
-        try:
-            moved = cremona_at(configs[-1], centers)
-        except StarViolationError as e:
-            err = StarViolationError(e.violation, step=n)
-            err.partial_report = _assemble_report(steps, True, configs, tracked)
-            raise err from None
-        configs.append(permute_config(moved, shift))
-    return _assemble_report(steps, False, configs, tracked)
+    cfg, cls = config, plane_through_last_four(8)
+    rows = []
+    while True:
+        br = brackets(cfg)
+        vectors, viol = cremona_frame(br, centers, 8)
+        rows.append((cfg, viol is None, _zero_brackets(br), cls, bracket_form(8, br)))
+        if len(rows) > steps or viol is not None:
+            break
+        cfg = permute_config(cremona_image(cfg, centers, vectors), shift)
+        cls = permute_class(cremona_pushforward(cls, centers.indices), shift)
+    configs, star_ok, coplanar, tracked, forms = zip(*rows)
+    n = len(rows)
+    report = IterationReport(
+        k=8, steps_requested=steps, steps_completed=n - 1, truncated=n <= steps,
+        configs=configs, star_ok=star_ok, coplanar_tuples=coplanar, tracked=tracked,
+        degrees=tuple(c.d for c in tracked), canonical_forms=forms,
+        bit_lengths=tuple(max(abs(v).bit_length() for p in c.points for v in p.coords)
+                          for c in configs),
+        inequivalent=tuple(tuple(i != j and f != g for j, g in enumerate(forms))
+                           for i, f in enumerate(forms)),
+        all_pairwise_inequivalent=len(set(forms)) == n)
+    if report.truncated:
+        err = StarViolationError(viol, step=n - 1)
+        err.partial_report = report
+        raise err
+    return report
 
 
 def consistency_check(report: IterationReport) -> bool:
     """Recompute the lattice prediction and the geometric scans; compare.
+
+    The scans of each configuration come from one fresh bracket table.
 
     Coplanar 4-tuples may only occur where the tracked class is a plane class
     H - E_a - E_b - E_c - E_d, and then only at exactly {a,b,c,d}.
@@ -185,11 +168,11 @@ def consistency_check(report: IterationReport) -> bool:
     if tuple(c.d for c in expected) != report.degrees:
         return False
     for i, cfg in enumerate(report.configs):
-        if coplanar_scan(cfg) != report.coplanar_tuples[i]:
-            return False
-        if condition_star(cfg, centers) != report.star_ok[i]:
-            return False
+        br = brackets(cfg)
         found = report.coplanar_tuples[i]
+        if (_zero_brackets(br) != found
+                or (cremona_frame(br, centers, report.k)[1] is None) != report.star_ok[i]):
+            return False
         if found:
             cls = report.tracked[i]
             if cls.d != 1 or any(mi not in (0, 1) for mi in cls.m):
@@ -221,8 +204,8 @@ class OrbitGraph:
 
 
 def _expand_edge(task):
-    parent_canon, cfg, centers = task
-    child = cremona_at(cfg, centers)
+    parent_canon, cfg, centers, vectors = task
+    child = cremona_image(cfg, centers, vectors)
     try:
         return parent_canon, centers, child, canonical_form(child)
     except NoFrameError:
@@ -250,7 +233,9 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
               workers: int | None = None) -> OrbitGraph:
     """Breadth-first orbit exploration with canonical-form deduplication.
 
-    From each node every admissible center set is tried.  Results are
+    From each node every admissible center set is tried; the node's one
+    bracket table decides condition (*) and gives each child's task its
+    Cremona-frame vectors.  Results are
     level-synchronous and sorted before insertion, so the node and edge sets
     do not depend on worker count or scheduling.  ``workers`` defaults to the
     CREMONA_ORBITS_WORKERS environment variable (1 if unset, UsageError if
@@ -273,10 +258,12 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
         tasks = []
         for canon in frontier:
             cfg = nodes[canon].representative
+            br = brackets(cfg)
             for sub in itertools.combinations(range(1, cfg.k + 1), 4):
                 centers = CenterSet(sub)
-                if condition_star(cfg, centers):
-                    tasks.append((canon, cfg, centers))
+                vectors = cremona_frame(br, centers, cfg.k)[0]
+                if vectors is not None:
+                    tasks.append((canon, cfg, centers, vectors))
         nworkers = worker_count(requested, len(tasks))
         if nworkers > 1:
             with ProcessPoolExecutor(max_workers=nworkers) as pool:

@@ -3,6 +3,11 @@
 Points are canonical integer 4-tuples (gcd 1, first nonzero coordinate
 positive), so equality of points is equality of tuples.  All predicates are
 exact integer decisions; floats are rejected outright.
+
+Condition (*), the Cremona move, the coplanar scan and the canonical form read
+the bracket table (``brackets``) through one Cramer rule (``cramer``).  A driver
+computes one table per configuration; a lone ``cremona_at`` or
+``star_violation`` computes only the 1 + 4(k - 4) brackets around its centers.
 """
 
 from __future__ import annotations
@@ -162,42 +167,64 @@ def coplanar(p1, p2, p3, p4) -> bool:
     return det4((p1.coords, p2.coords, p3.coords, p4.coords)) == 0
 
 
-def brackets(config: Configuration) -> dict[tuple[int, int, int, int], int]:
-    """The bracket [abcd] = det(p_a, p_b, p_c, p_d) of every sorted 4-subset of labels.
+def brackets(config: Configuration, subsets=None) -> dict[tuple[int, int, int, int], int]:
+    """The bracket [abcd] = det(p_a, p_b, p_c, p_d) of each sorted 4-subset of labels.
 
-    Keys are sorted label 4-tuples in lexicographic order; a bracket is zero
-    iff its four points are coplanar.
+    ``subsets`` defaults to all C(k, 4) of them, keyed in lexicographic order;
+    a bracket is zero iff its four points are coplanar.  It is the one source
+    of the configuration's brackets.
     """
+    if subsets is None:
+        subsets = itertools.combinations(range(1, config.k + 1), 4)
     pts = (None,) + tuple(p.coords for p in config.points)
-    return {
-        sub: det4((pts[sub[0]], pts[sub[1]], pts[sub[2]], pts[sub[3]]))
-        for sub in itertools.combinations(range(1, config.k + 1), 4)
-    }
+    return {sub: det4((pts[sub[0]], pts[sub[1]], pts[sub[2]], pts[sub[3]])) for sub in subsets}
 
 
-def _cremona_frame(config: Configuration, centers: CenterSet):
-    """Condition (*) and the Cremona-frame vectors of the non-centers, from one adjugate.
+def cramer(br, base, t):
+    """adj(A) p_t up to a common sign, divided by its gcd: the signed 5-subset rule.
 
-    With A the matrix whose columns are the centers c1 < c2 < c3 < c4,
-    Cramer's rule makes coordinate i of adj(A) p_t the bracket of the centers
-    with p_t in place of c_{i+1}; it is zero iff p_t lies on the plane through
-    the other three centers.  Returns ``(vectors, None)`` when (*) holds,
-    ``vectors`` mapping each non-center label t to adj(A) p_t, and otherwise
-    ``(None, witness)`` with the first witness in the order documented at
-    ``star_violation``.
+    A has the points of the sorted labels ``base`` as columns; ``br`` holds
+    the brackets of base + t.  By Cramer's rule (adj(A) p_t)_i is the bracket
+    of the base with p_t in column i.  Let S = sorted(base + t) hold t at
+    position j and base[i] at position r: sorting that column order takes
+    r + j + 1 transpositions mod 2, so (adj(A) p_t)_i = (-1)^(r+j+1) [S - S_r].
+    The common sign (-1)^(j+1) is dropped.  The vector is nonzero if [base] is.
     """
-    idx = centers.within(config.k).indices
-    a = tuple(tuple(config.point(c).coords[i] for c in idx) for i in range(4))
-    if det4(a) == 0:
+    s = sorted((*base, t))
+    drops = zip(s, reversed(list(itertools.combinations(s, 4))))  # (S_r, S - S_r)
+    v = [(-1) ** r * br[sub] for r, (label, sub) in enumerate(drops) if label != t]
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def cremona_frame(br, centers: CenterSet, k: int):
+    """Condition (*) and the Cremona-frame vectors of the non-centers, from brackets.
+
+    ``br`` holds (at least) the brackets of the centers with at most one
+    other point.  Coordinate i of ``cramer(br, centers, t)`` is zero iff p_t
+    lies on the plane through the centers other than c_{i+1}.  Returns
+    ``(vectors, None)`` when (*) holds, vectors[t] being that Cramer vector,
+    and otherwise ``(None, witness)``, the first in ``star_violation``'s order.
+    """
+    idx = centers.indices
+    if br[idx] == 0:
         return None, StarViolation(plane=idx)
-    adj = adjugate4(a)
-    others = centers.complement(config.k)
-    vectors = {t: mat_vec(adj, config.point(t).coords) for t in others}
+    others = centers.complement(k)
+    vectors = {t: cramer(br, idx, t) for t in others}
     for i in (3, 2, 1, 0):  # coordinate 3 tests the plane (c1, c2, c3), which comes first
         for t in others:
             if vectors[t][i] == 0:
                 return None, StarViolation(plane=idx[:i] + idx[i + 1:], point=t)
     return vectors, None
+
+
+def _lone_frame(config: Configuration, centers: CenterSet):
+    """``cremona_frame`` from only the brackets it reads."""
+    k = config.k
+    idx = centers.within(k).indices
+    near = {sub for t in centers.complement(k)
+            for sub in itertools.combinations(sorted((*idx, t)), 4)}
+    return cremona_frame(brackets(config, near), centers, k)
 
 
 def star_violation(config: Configuration, centers: CenterSet) -> StarViolation | None:
@@ -209,7 +236,7 @@ def star_violation(config: Configuration, centers: CenterSet) -> StarViolation |
     planes (c1,c2,c3), (c1,c2,c4), (c1,c3,c4), (c2,c3,c4) of the sorted
     centers, each against the other points in ascending label order.
     """
-    return _cremona_frame(config, centers)[1]
+    return _lone_frame(config, centers)[1]
 
 
 def condition_star(config: Configuration, centers: CenterSet) -> bool:
@@ -235,12 +262,7 @@ def frame_transform(points) -> ProjectiveMap:
     for i in range(4):
         if c[i] == 0:
             raise FrameError(tuple(j for j in range(4) if j != i) + (4,))
-    scale = (
-        c[1] * c[2] * c[3],
-        c[0] * c[2] * c[3],
-        c[0] * c[1] * c[3],
-        c[0] * c[1] * c[2],
-    )
+    scale = _reciprocal(c)
     return ProjectiveMap.from_rows(
         tuple(tuple(scale[i] * v for v in adj[i]) for i in range(4))
     )
@@ -266,28 +288,34 @@ def permute_config(config: Configuration, perm) -> Configuration:
 # the Cremona move
 
 def cremona_at(config: Configuration, centers: CenterSet) -> Configuration:
-    """Cremona transformation centered at four configuration points.
+    """Cremona transformation centered at four configuration points (``cremona_image``).
 
-    Output is written in the Cremona frame: the coordinate change T = adj(A),
-    A the matrix whose columns are the sorted centers, puts the centers at the
-    coordinate vertices; every non-center point then maps to the
-    coordinate-wise reciprocal of its T-image, and each center to the vertex
-    it occupies (the image of the plane through the other three centers).
     Raises StarViolationError when condition (*) fails.
     """
-    vectors, viol = _cremona_frame(config, centers)
+    vectors, viol = _lone_frame(config, centers)
     if viol is not None:
         raise StarViolationError(viol)
+    return cremona_image(config, centers, vectors)
+
+
+def _reciprocal(y):
+    """(1/y0 : 1/y1 : 1/y2 : 1/y3), cleared of denominators."""
+    return (y[1] * y[2] * y[3], y[0] * y[2] * y[3], y[0] * y[1] * y[3], y[0] * y[1] * y[2])
+
+
+def cremona_image(config: Configuration, centers: CenterSet, vectors) -> Configuration:
+    """The Cremona move at the centers, from the vectors of ``cremona_frame``.
+
+    Output is written in the Cremona frame: T = adj(A), A the matrix whose
+    columns are the sorted centers, puts the centers at the coordinate
+    vertices.  Each center maps to the vertex it occupies (the image of the
+    plane through the other three centers), and every other point p_t to the
+    coordinate-wise reciprocal of its T-image, a multiple of ``vectors[t]``.
+    """
     vertex = dict(zip(centers.indices, _VERTICES))
-    out = []
-    for label in range(1, config.k + 1):
-        if label in vertex:
-            out.append(vertex[label])
-        else:
-            y = vectors[label]
-            rec = (y[1] * y[2] * y[3], y[0] * y[2] * y[3], y[0] * y[1] * y[3], y[0] * y[1] * y[2])
-            out.append(ProjectivePoint(_primitive(rec)))
-    return Configuration(tuple(out))
+    return Configuration(tuple(
+        vertex[t] if t in vertex else ProjectivePoint(_primitive(_reciprocal(vectors[t])))
+        for t in range(1, config.k + 1)))
 
 
 # ---------------------------------------------------------------------------

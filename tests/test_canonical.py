@@ -220,7 +220,7 @@ def test_cramer_matches_adjugate():
                 w = mat_vec(adj, cfg.point(t).coords)
                 g = math.gcd(*w)
                 w = tuple(v // g for v in w)
-                assert canonical._cramer(br, base, t) in (w, tuple(-v for v in w))
+                assert co.projective.cramer(br, base, t) in (w, tuple(-v for v in w))
                 checked += 1
     assert checked > 1000
 

@@ -97,19 +97,35 @@ def test_iteration_validates_arguments():
         co.coxeter_iterate(co.random_config(1, 6), 0)
 
 
-def test_iteration_star_violation_carries_partial_report():
+@pytest.mark.parametrize("steps", [2, 10**9])
+def test_iteration_star_violation_carries_partial_report(steps):
+    # a huge step count must fail at once: nothing is computed ahead of the moves
     cfg = cfg_from_rows(
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
          (1, 1, 1, 0), (1, 2, 3, 4), (1, 1, 2, 3), (3, 1, 1, 2)]
     )
     with pytest.raises(co.StarViolationError) as err:
-        co.coxeter_iterate(cfg, 2)
+        co.coxeter_iterate(cfg, steps)
     assert err.value.step == 0
     partial = err.value.partial_report
     assert partial is not None
     assert partial.steps_completed == 0
     assert partial.star_ok == (False,)
     assert partial.truncated
+
+
+def test_one_bracket_table_per_configuration(monkeypatch):
+    cfg = co.random_config(7, 10)  # drawn before counting: random_config uses adjugate4
+    calls = {"det4": 0, "adjugate4": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(co.projective, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(co.projective, name, counted)
+    report = co.coxeter_iterate(cfg, 3)
+    assert calls == {"det4": 4 * 70, "adjugate4": 0}
+    assert co.consistency_check(report)
+    assert calls == {"det4": 8 * 70, "adjugate4": 0}
 
 
 def test_consistency_check_detects_corruption():
