@@ -142,8 +142,9 @@ def cmd_iterate(args) -> int:
         raise
     _write(args, "iterate", params, serialize.report_to_obj(report), report.degrees)
     ok = consistency_check(report)
-    print("completed %d steps; %d stored configurations; consistency %s"
-          % (report.steps_completed, len(report.configs), "OK" if ok else "FAILED"))
+    print("completed %d steps; pairwise inequivalent: %s; consistency %s"
+          % (report.steps_completed, "yes" if report.all_pairwise_inequivalent else "no",
+             "OK" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 

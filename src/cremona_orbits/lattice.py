@@ -247,16 +247,20 @@ def iterate_class(v: DivisorClass, n: int) -> list[DivisorClass]:
 class JordanCertificate:
     """Eigenvalue-1 structure of an integer matrix, certified by exact ranks.
 
-    ``ranks[j-1]`` is the rank of (M - I)^j over Q, j = 1..4.
+    ``ranks[j-1]`` is the rank of (M - I)^j over Q, j = 1..4.  Only the ranks
+    and the characteristic polynomial are stored; the rest is read from them.
     """
 
-    multiplicity_of_one: int
     ranks: tuple[int, int, int, int]
     charpoly: tuple[int, ...]
 
     def __post_init__(self):
         if list(self.ranks) != sorted(self.ranks, reverse=True):
             raise ValueError("ranks must be weakly decreasing: %r" % (self.ranks,))
+
+    @property
+    def multiplicity_of_one(self) -> int:
+        return linalg.multiplicity_at_one(self.charpoly)
 
     @property
     def stabilized(self) -> bool:
@@ -279,38 +283,45 @@ class JordanCertificate:
 def jordan_certificate(M: LatticeMap) -> JordanCertificate:
     """Exact characteristic polynomial plus the ranks of (M - I)^j, j = 1..4."""
     mat = M.entries
-    coeffs = linalg.charpoly(mat)
     n = linalg.mat_sub(mat, linalg.identity(len(mat)))
     powers = [n]
     for _ in range(3):
         powers.append(linalg.mat_mul(powers[-1], n))
-    return JordanCertificate(
-        multiplicity_of_one=linalg.multiplicity_at_one(coeffs),
-        ranks=tuple(linalg.rank(p) for p in powers),
-        charpoly=coeffs,
-    )
+    return JordanCertificate(tuple(linalg.rank(p) for p in powers), linalg.charpoly(mat))
 
 
 @dataclass(frozen=True, slots=True)
 class DistinctnessReport:
     """Exact-iteration evidence that the orbit of a class is injective up to N.
 
-    ``trailing_min`` pairs (t, min degree over steps t..N) demonstrate degree
-    growth.  The checkpoints are t = N * i // 10 for i = 0..9 without
-    repeats, so N < 10 gives t = 0..N-1; ``degree_growth`` records that the
-    last trailing minimum exceeds the first.  ``quadratic_part_nonzero``
-    records (M - I)^2 v != 0, i.e. the class meets the rank-3 Jordan block so
-    its degree growth is quadratic.
+    Only the data the verdicts are read from is stored; the verdicts are
+    properties.  ``trailing_min`` pairs (t, min degree over steps t..N)
+    demonstrate degree growth.  The checkpoints are t = N * i // 10 for
+    i = 0..9 without repeats, so N < 10 gives t = 0..N-1; ``degree_growth``
+    says that the last trailing minimum exceeds the first.
+    ``quadratic_part_nonzero`` records (M - I)^2 v != 0, i.e. the class meets
+    the rank-3 Jordan block so its degree growth is quadratic.
     """
 
     N: int
     start: DivisorClass
-    all_distinct: bool
     first_collision: tuple[int, int] | None
     degrees: tuple[int, ...]
-    trailing_min: tuple[tuple[int, int], ...]
-    degree_growth: bool
     quadratic_part_nonzero: bool
+
+    @property
+    def all_distinct(self) -> bool:
+        return self.first_collision is None
+
+    @property
+    def trailing_min(self) -> tuple[tuple[int, int], ...]:
+        checkpoints = sorted({self.N * i // 10 for i in range(10)})
+        return tuple((t, min(self.degrees[t:])) for t in checkpoints)
+
+    @property
+    def degree_growth(self) -> bool:
+        trailing = self.trailing_min
+        return trailing[-1][1] > trailing[0][1]
 
 
 def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
@@ -328,19 +339,7 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
             first_collision = (seen[key], n)
             break
         seen[key] = n
-    degrees = tuple(c.d for c in orbit)
-    checkpoints = sorted({N * i // 10 for i in range(10)})
-    trailing = tuple((t, min(degrees[t:])) for t in checkpoints)
-    return DistinctnessReport(
-        N=N,
-        start=v,
-        all_distinct=first_collision is None,
-        first_collision=first_collision,
-        degrees=degrees,
-        trailing_min=trailing,
-        degree_growth=trailing[-1][1] > trailing[0][1],
-        quadratic_part_nonzero=any(quad),
-    )
+    return DistinctnessReport(N, v, first_collision, tuple(c.d for c in orbit), any(quad))
 
 
 # ---------------------------------------------------------------------------

@@ -113,20 +113,16 @@ def jordan_to_obj(cert: JordanCertificate) -> dict:
         "multiplicity_of_one": cert.multiplicity_of_one,
         "ranks": list(cert.ranks),
         "charpoly": list(cert.charpoly),
-        "stabilized": cert.stabilized,
         "eigenvalue_one_block_sizes": list(cert.eigenvalue_one_block_sizes()),
     }
 
 
 def distinctness_to_obj(rep: DistinctnessReport) -> dict:
     return {
-        "N": rep.N,
         "start": divisor_to_obj(rep.start),
         "all_distinct": rep.all_distinct,
         "first_collision": list(rep.first_collision) if rep.first_collision else None,
         "degrees": list(rep.degrees),
-        "trailing_min": [[t, d] for t, d in rep.trailing_min],
-        "degree_growth": rep.degree_growth,
         "quadratic_part_nonzero": rep.quadratic_part_nonzero,
     }
 
@@ -136,18 +132,13 @@ def distinctness_to_obj(rep: DistinctnessReport) -> dict:
 
 def report_to_obj(report: IterationReport) -> dict:
     return {
-        "k": report.k,
         "steps_requested": report.steps_requested,
-        "steps_completed": report.steps_completed,
-        "truncated": report.truncated,
         "star_ok": list(report.star_ok),
         "degrees": list(report.degrees),
         "tracked": [divisor_to_obj(c) for c in report.tracked],
         "coplanar_tuples": [[list(t) for t in step] for step in report.coplanar_tuples],
-        "bit_lengths": list(report.bit_lengths),
         "configurations": [config_to_obj(c) for c in report.configs],
         "canonical_forms": [f.decode("ascii") for f in report.canonical_forms],
-        "inequivalent": [list(row) for row in report.inequivalent],
         "all_pairwise_inequivalent": report.all_pairwise_inequivalent,
     }
 

@@ -66,12 +66,14 @@ def test_cremona_coplanar_centers_exit_3(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # iterate
 
-def test_iterate_writes_report_and_degree_table(tmp_path):
+def test_iterate_writes_report_and_degree_table(tmp_path, capsys):
     src = write_config(tmp_path / "p.json", co.random_config(7, 10))
     out = tmp_path / "report.json"
     assert run(["iterate", src, "--steps", 6, "--out", out]) == 0
+    assert capsys.readouterr().out == (
+        "completed 6 steps; pairwise inequivalent: yes; consistency OK\n")
     report = json.loads(out.read_text())
-    assert report["steps_completed"] == 6
+    assert len(report["configurations"]) - 1 == 6
     assert len(report["configurations"]) == 7
     assert report["all_pairwise_inequivalent"] is True
     expected = [c.d for c in co.iterate_class(co.plane_through_last_four(8), 6)]
@@ -91,7 +93,7 @@ def test_iterate_star_violation_writes_partial_report(tmp_path, capsys):
     assert run(["iterate", src, "--steps", 2, "--out", out]) == 3
     err = capsys.readouterr().err
     assert "plane" in err and "partial report" in err
-    assert json.loads(out.read_text())["steps_completed"] == 0
+    assert len(json.loads(out.read_text())["configurations"]) - 1 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +212,7 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     (["orbit", "P", "--max-depth", 1],
      "109acfeca7a27b85811c65fb9b279e4830fb58d83d0e61001209db7a3d3fc452"),
     (["iterate", "P", "--steps", 8],
-     "23d7ae8e4d739edfcf343f2b3d89dd6363367e75d45bbc1c78bdb81a61fae075"),
+     "0df7bcc859a9395e04583bd144518797755e765773f3236aa7303a18ef1eef92"),
 ], ids=["orbit-depth1", "iterate-steps8"])
 def test_canonical_bytes_are_pinned(tmp_path, argv, digest):
     # both outputs carry canonical forms: any change to the chosen candidate shows here
@@ -221,6 +223,17 @@ def test_canonical_bytes_are_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_iterate_canonical_forms_are_pinned(tmp_path):
+    # the forms alone, so a change of the canonical bytes shows apart from the report schema
+    src = tmp_path / "p.json"
+    assert run(["gen", "--seed", 7, "--height", 10, "--out", src]) == 0
+    out = tmp_path / "out.json"
+    assert run(["iterate", src, "--steps", 8, "--out", out]) == 0
+    forms = "\n".join(json.loads(out.read_text())["canonical_forms"])
+    assert hashlib.sha256(forms.encode("ascii")).hexdigest() == (
+        "0e8e1856048070b6be776a6749d83bc3d1d901e7ec498c50ace549f9fb1d4ffd")
+
+
 # ---------------------------------------------------------------------------
 # lattice-cert
 
@@ -228,6 +241,12 @@ def test_lattice_cert_k8(tmp_path):
     out = tmp_path / "cert.json"
     assert run(["lattice-cert", "--k", 8, "--N", 40, "--out", out]) == 0
     cert = json.loads(out.read_text())
+    assert set(cert) == {"k", "N", "coxeter_matrix", "jordan", "distinctness",
+                         "coxeter_relations", "coxeter_relations_all_hold"}
+    assert set(cert["jordan"]) == {"multiplicity_of_one", "ranks", "charpoly",
+                                   "eigenvalue_one_block_sizes"}
+    assert set(cert["distinctness"]) == {"start", "first_collision", "all_distinct", "degrees",
+                                         "quadratic_part_nonzero"}
     assert cert["coxeter_matrix"] == [list(r) for r in co.coxeter_element(8).entries]
     assert cert["jordan"]["multiplicity_of_one"] == 3
     assert cert["jordan"]["ranks"] == [8, 7, 6, 6]
@@ -246,12 +265,12 @@ def test_lattice_cert_k9_relations(tmp_path):
 
 
 @pytest.mark.parametrize("k, digest", [
-    (8, "ddc166bf6afeda89e088f40c57d4f101dbd2be21ca91f8c836c860181d155a82"),
-    (12, "c87e9242061efb0f5ec899e5117c880088bcd0432c93b3306e3fcfb3680bb159"),
-    (16, "87a3055d9721411cb34a6984cedef53e69c33ad6ade83102429396b1ec77c584"),
-    (20, "fb3e5b9b3436b41205759a50391cf1233e4ff60b8f30156bcd310d20714716db"),
-    (24, "878412cfb9a1b683e3f4cf4648e62a384e0a4b6ef23fa1d856f8e82f655e0015"),
-])
+    (8, "8aa824049e0dfa3ac40e76d86846e98f82dd250a35ed38e09a2d8ea7eba41e0e"),
+    (12, "07d1e01ce929de43d74a6a177db574afd8acc8c30a70386747f004035ca8fc92"),
+    (16, "8633565145f0d53a68c2332b12dea97890e93458c542b8f55bc655789f31873b"),
+    (20, "fe27e5b48c9c7c948c3a6b4c2adf9ae58de20c10ed435b1166b79dd5a0088e04"),
+    (24, "97e31ce57f4bd59c0be602b8373a43063734d4300485391c068e1dc3e80d033c"),
+], ids=["k8", "k12", "k16", "k20", "k24"])
 def test_lattice_cert_bytes_are_pinned(tmp_path, k, digest):
     out = tmp_path / "cert.json"
     assert run(["lattice-cert", "--k", k, "--N", 100, "--out", out]) == 0

@@ -131,8 +131,8 @@ def test_one_bracket_table_per_configuration(monkeypatch):
 def test_consistency_check_detects_corruption():
     report = co.coxeter_iterate(co.random_config(7, 10), 2)
     assert co.consistency_check(report)
-    bad_degrees = dataclasses.replace(report, degrees=(9,) + report.degrees[1:])
-    assert not co.consistency_check(bad_degrees)
+    bad_star = dataclasses.replace(report, star_ok=(False,) + report.star_ok[1:])
+    assert not co.consistency_check(bad_star)
     bad_tracked = dataclasses.replace(
         report, tracked=(co.hyperplane_class(8),) + report.tracked[1:]
     )

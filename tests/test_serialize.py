@@ -148,7 +148,9 @@ def test_divisor_reader_rejects_floats_and_bools(obj):
 def test_report_object_shape():
     report = co.coxeter_iterate(special_coplanar_config(0), 1)
     obj = serialize.report_to_obj(report)
-    assert obj["steps_completed"] == 1
+    assert set(obj) == {"steps_requested", "configurations", "star_ok", "coplanar_tuples",
+                        "tracked", "degrees", "canonical_forms", "all_pairwise_inequivalent"}
+    assert len(obj["configurations"]) - 1 == 1
     assert obj["degrees"] == [1, 3]
     assert obj["coplanar_tuples"] == [[[5, 6, 7, 8]], []]
     assert obj["tracked"][0] == {"d": 1, "m": [0, 0, 0, 0, 1, 1, 1, 1]}
