@@ -3,7 +3,9 @@
 A divisor class d*H - sum(m_i * E_i) is stored as (d, m).  Matrices act on
 coefficient vectors in the (H, E_1..E_k) basis, where the E_i-coefficient
 of d*H - sum(m_i E_i) is -m_i; ``_to_vector`` / ``_from_vector`` own that
-sign convention, nothing else converts by hand.
+sign convention, nothing else converts by hand.  Every class action steps
+through the two generators, ``cremona_pushforward`` and ``permute_class``;
+``class_map`` builds the dense matrix of such an action when one is needed.
 """
 
 from __future__ import annotations
@@ -80,19 +82,10 @@ class LatticeMap:
     def k(self) -> int:
         return len(self.entries) - 1
 
-    @classmethod
-    def identity(cls, k: int) -> "LatticeMap":
-        return cls(linalg.identity(k + 1))
-
     def apply(self, c: DivisorClass) -> DivisorClass:
         if c.k != self.k:
             raise DimensionError("class has k=%d, map has k=%d" % (c.k, self.k))
         return _from_vector(linalg.mat_vec(self.entries, _to_vector(c)))
-
-    def __matmul__(self, other: "LatticeMap") -> "LatticeMap":
-        if self.k != other.k:
-            raise DimensionError("cannot compose maps with k=%d and k=%d" % (self.k, other.k))
-        return LatticeMap(linalg.mat_mul(self.entries, other.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +158,18 @@ def cyclic_shift(k: int) -> tuple[int, ...]:
     return tuple(range(2, k + 1)) + (1,)
 
 
-def _class_map(k: int, image) -> LatticeMap:
-    """The lattice map whose column j is the vector of image(basis class j)."""
+def class_map(k: int, image) -> LatticeMap:
+    """The lattice map of a linear class action: column j is the vector of image(basis class j)."""
     cols = [_to_vector(image(_from_vector(e))) for e in linalg.identity(k + 1)]
     return LatticeMap(tuple(zip(*cols)))
 
 
 def cremona_map(k: int, centers) -> LatticeMap:
-    return _class_map(k, lambda c: cremona_pushforward(c, centers))
+    return class_map(k, lambda c: cremona_pushforward(c, centers))
 
 
 def permutation_map(k: int, perm) -> LatticeMap:
-    return _class_map(k, lambda c: permute_class(c, perm))
+    return class_map(k, lambda c: permute_class(c, perm))
 
 
 def _check_rank(k: int) -> None:
@@ -185,7 +178,7 @@ def _check_rank(k: int) -> None:
         raise UsageError("need k >= 8, got %d" % k)
 
 
-def _coxeter_step(c: DivisorClass) -> DivisorClass:
+def coxeter_step(c: DivisorClass) -> DivisorClass:
     """The Coxeter element on one class: Cremona at {1,2,3,4}, then the cyclic shift."""
     return permute_class(cremona_pushforward(c, (1, 2, 3, 4)), cyclic_shift(c.k))
 
@@ -193,7 +186,7 @@ def _coxeter_step(c: DivisorClass) -> DivisorClass:
 def coxeter_element(k: int = 8) -> LatticeMap:
     """Cremona at {1,2,3,4} followed by the cyclic shift, as one lattice map."""
     _check_rank(k)
-    return _class_map(k, _coxeter_step)
+    return class_map(k, coxeter_step)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +232,7 @@ def iterate_class(v: DivisorClass, n: int) -> list[DivisorClass]:
     _check_rank(v.k)
     out = [v]
     for _ in range(n):
-        out.append(_coxeter_step(out[-1]))
+        out.append(coxeter_step(out[-1]))
     return out
 
 

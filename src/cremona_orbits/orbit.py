@@ -3,13 +3,15 @@
 ``coxeter_iterate`` runs the degree-growth iteration (Cremona at the first
 four points, then the cyclic shift) while cross-checking geometry against the
 tracked divisor class; ``orbit_bfs`` explores the full orbit under all center
-choices with canonical-form deduplication.  Each driver computes one bracket
-table per configuration it examines and reads the canonical form, the
-coplanar 4-tuples, condition (*) and the Cremona moves from it.
+choices with canonical-form deduplication.  Both read everything from one
+bracket table per configuration, except that ``orbit_bfs`` builds each
+expanded node's table twice: for its canonical form (in a worker, past the
+root) and again in the parent process for the expansion.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -17,10 +19,10 @@ from dataclasses import dataclass
 
 from .canonical import bracket_form, canonical_form
 from .errors import NoFrameError, StarViolationError, UsageError
-from .lattice import (DivisorClass, LatticeMap, cremona_map, cremona_pushforward, cyclic_shift,
-                      iterate_class, permutation_map, permute_class, plane_through_last_four)
-from .projective import (CenterSet, Configuration, brackets, cremona_at, cremona_frame,
-                         cremona_image, permute_config)
+from .lattice import (DivisorClass, class_map, coxeter_step, cremona_pushforward, cyclic_shift,
+                      iterate_class, permute_class, plane_through_last_four)
+from .projective import (CenterSet, Configuration, brackets, cremona_at, cremona_image,
+                         permute_config, star_witness)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,27 +53,31 @@ class CremonaWord:
         return cls((CremonaMove(CenterSet((1, 2, 3, 4))), PermuteMove(cyclic_shift(k))))
 
 
+def _class_step(c: DivisorClass, move) -> DivisorClass:
+    """One move of a word on a divisor class, through the lattice's two generators."""
+    if isinstance(move, CremonaMove):
+        return cremona_pushforward(c, move.centers.indices)
+    return permute_class(c, move.perm)
+
+
 def apply_word(config: Configuration, word: CremonaWord):
     """Apply the word; return the final configuration and the composite lattice map.
 
-    The shadow multiplies on the left move by move, so the result sends a
-    class on the input to its strict transform on the output.  Fails
-    atomically on the first condition-(*) violation, reporting the step.
+    The shadow sends a class on the input to its strict transform on the
+    output: its columns are the basis classes H, E_1..E_k stepped through
+    the word's moves in order.  Fails atomically on the first condition-(*)
+    violation, reporting the step.
     """
-    k = config.k
     cur = config
-    shadow = LatticeMap.identity(k)
     for step, move in enumerate(word.moves):
         if isinstance(move, CremonaMove):
             try:
                 cur = cremona_at(cur, move.centers)
             except StarViolationError as e:
                 raise StarViolationError(e.violation, step=step) from None
-            shadow = cremona_map(k, move.centers.indices) @ shadow
         else:
             cur = permute_config(cur, move.perm)
-            shadow = permutation_map(k, move.perm) @ shadow
-    return cur, shadow
+    return cur, class_map(config.k, lambda c: functools.reduce(_class_step, word.moves, c))
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +155,12 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     rows = []
     while True:
         br = brackets(cfg)
-        vectors, viol = cremona_frame(br, centers, 8)
+        viol = star_witness(br, centers, 8)
         rows.append((cfg, viol is None, _zero_brackets(br), cls, bracket_form(8, br)))
         if len(rows) > steps or viol is not None:
             break
-        cfg = permute_config(cremona_image(cfg, centers, vectors), shift)
-        cls = permute_class(cremona_pushforward(cls, centers.indices), shift)
+        cfg = permute_config(cremona_image(cfg, centers, br), shift)
+        cls = coxeter_step(cls)
     report = IterationReport(steps, *zip(*rows))  # each row holds one step's fields in order
     if report.truncated:
         err = StarViolationError(viol, step=report.steps_completed)
@@ -179,7 +185,7 @@ def consistency_check(report: IterationReport) -> bool:
         br = brackets(cfg)
         found = report.coplanar_tuples[i]
         if (_zero_brackets(br) != found
-                or (cremona_frame(br, centers, report.k)[1] is None) != report.star_ok[i]):
+                or (star_witness(br, centers, report.k) is None) != report.star_ok[i]):
             return False
         if found:
             cls = report.tracked[i]
@@ -212,8 +218,8 @@ class OrbitGraph:
 
 
 def _expand_edge(task):
-    parent_canon, cfg, centers, vectors = task
-    child = cremona_image(cfg, centers, vectors)
+    parent_canon, cfg, centers, br = task
+    child = cremona_image(cfg, centers, br)
     try:
         return parent_canon, centers, child, canonical_form(child)
     except NoFrameError:
@@ -241,11 +247,11 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
               workers: int | None = None) -> OrbitGraph:
     """Breadth-first orbit exploration with canonical-form deduplication.
 
-    From each node every admissible center set is tried; the node's one
-    bracket table decides condition (*) and gives each child's task its
-    Cremona-frame vectors.  Results are
-    level-synchronous and sorted before insertion, so the node and edge sets
-    do not depend on worker count or scheduling.  ``workers`` defaults to the
+    From each node every admissible center set is tried; the node's bracket
+    table, built again here after its canonical form built it, decides
+    condition (*) and goes into each child's task, which reads the child off
+    it.  Results are level-synchronous and sorted before insertion, so the
+    node and edge sets do not depend on worker count or scheduling.  ``workers`` defaults to the
     CREMONA_ORBITS_WORKERS environment variable (1 if unset, UsageError if
     not an integer); each level starts ``worker_count(workers, tasks)``
     processes.  Every node outside the final frontier has been expanded.
@@ -269,9 +275,8 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
             br = brackets(cfg)
             for sub in itertools.combinations(range(1, cfg.k + 1), 4):
                 centers = CenterSet(sub)
-                vectors = cremona_frame(br, centers, cfg.k)[0]
-                if vectors is not None:
-                    tasks.append((canon, cfg, centers, vectors))
+                if star_witness(br, centers, cfg.k) is None:
+                    tasks.append((canon, cfg, centers, br))
         nworkers = worker_count(requested, len(tasks))
         if nworkers > 1:
             with ProcessPoolExecutor(max_workers=nworkers) as pool:

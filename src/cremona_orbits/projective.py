@@ -4,10 +4,10 @@ Points are canonical integer 4-tuples (gcd 1, first nonzero coordinate
 positive), so equality of points is equality of tuples.  All predicates are
 exact integer decisions; floats are rejected outright.
 
-Condition (*), the Cremona move, the coplanar scan and the canonical form read
-the bracket table (``brackets``) through one Cramer rule (``cramer``).  A driver
-computes one table per configuration; a lone ``cremona_at`` or
-``star_violation`` computes only the 1 + 4(k - 4) brackets around its centers.
+Condition (*) and the coplanar scan read the bracket table (``brackets``); the
+Cremona image and the canonical form read it through one Cramer rule
+(``cramer``).  A lone ``cremona_at`` or ``star_violation`` computes only the
+1 + 4(k - 4) brackets around its centers.
 """
 
 from __future__ import annotations
@@ -197,34 +197,32 @@ def cramer(br, base, t):
     return tuple(x // g for x in v)
 
 
-def cremona_frame(br, centers: CenterSet, k: int):
-    """Condition (*) and the Cremona-frame vectors of the non-centers, from brackets.
+def star_witness(br, centers: CenterSet, k: int) -> StarViolation | None:
+    """``star_violation`` read from ``br``, which holds each bracket of the centers plus one point.
 
-    ``br`` holds (at least) the brackets of the centers with at most one
-    other point.  Coordinate i of ``cramer(br, centers, t)`` is zero iff p_t
-    lies on the plane through the centers other than c_{i+1}.  Returns
-    ``(vectors, None)`` when (*) holds, vectors[t] being that Cramer vector,
-    and otherwise ``(None, witness)``, the first in ``star_violation``'s order.
+    The bracket of the centers with p_t in place of c_{i+1}, coordinate i of
+    ``cramer(br, centers, t)`` up to sign, is zero iff p_t lies on the plane
+    through the other three centers.
     """
     idx = centers.indices
     if br[idx] == 0:
-        return None, StarViolation(plane=idx)
+        return StarViolation(plane=idx)
     others = centers.complement(k)
-    vectors = {t: cramer(br, idx, t) for t in others}
-    for i in (3, 2, 1, 0):  # coordinate 3 tests the plane (c1, c2, c3), which comes first
+    for i in (3, 2, 1, 0):  # dropping c4 leaves the plane (c1, c2, c3), which comes first
+        plane = idx[:i] + idx[i + 1:]
         for t in others:
-            if vectors[t][i] == 0:
-                return None, StarViolation(plane=idx[:i] + idx[i + 1:], point=t)
-    return vectors, None
+            if br[tuple(sorted((*plane, t)))] == 0:
+                return StarViolation(plane=plane, point=t)
+    return None
 
 
-def _lone_frame(config: Configuration, centers: CenterSet):
-    """``cremona_frame`` from only the brackets it reads."""
+def _lone_brackets(config: Configuration, centers: CenterSet):
+    """The 1 + 4(k - 4) brackets that ``star_witness`` and ``cremona_image`` read."""
     k = config.k
     idx = centers.within(k).indices
     near = {sub for t in centers.complement(k)
             for sub in itertools.combinations(sorted((*idx, t)), 4)}
-    return cremona_frame(brackets(config, near), centers, k)
+    return brackets(config, near)
 
 
 def star_violation(config: Configuration, centers: CenterSet) -> StarViolation | None:
@@ -236,7 +234,7 @@ def star_violation(config: Configuration, centers: CenterSet) -> StarViolation |
     planes (c1,c2,c3), (c1,c2,c4), (c1,c3,c4), (c2,c3,c4) of the sorted
     centers, each against the other points in ascending label order.
     """
-    return _lone_frame(config, centers)[1]
+    return star_witness(_lone_brackets(config, centers), centers, config.k)
 
 
 def condition_star(config: Configuration, centers: CenterSet) -> bool:
@@ -292,10 +290,11 @@ def cremona_at(config: Configuration, centers: CenterSet) -> Configuration:
 
     Raises StarViolationError when condition (*) fails.
     """
-    vectors, viol = _lone_frame(config, centers)
+    br = _lone_brackets(config, centers)
+    viol = star_witness(br, centers, config.k)
     if viol is not None:
         raise StarViolationError(viol)
-    return cremona_image(config, centers, vectors)
+    return cremona_image(config, centers, br)
 
 
 def _reciprocal(y):
@@ -303,18 +302,19 @@ def _reciprocal(y):
     return (y[1] * y[2] * y[3], y[0] * y[2] * y[3], y[0] * y[1] * y[3], y[0] * y[1] * y[2])
 
 
-def cremona_image(config: Configuration, centers: CenterSet, vectors) -> Configuration:
-    """The Cremona move at the centers, from the vectors of ``cremona_frame``.
+def cremona_image(config: Configuration, centers: CenterSet, br) -> Configuration:
+    """The Cremona move at centers where (*) holds, from the brackets ``star_witness`` reads.
 
     Output is written in the Cremona frame: T = adj(A), A the matrix whose
     columns are the sorted centers, puts the centers at the coordinate
     vertices.  Each center maps to the vertex it occupies (the image of the
     plane through the other three centers), and every other point p_t to the
-    coordinate-wise reciprocal of its T-image, a multiple of ``vectors[t]``.
+    coordinate-wise reciprocal of its T-image, a multiple of ``cramer(br, centers, t)``.
     """
-    vertex = dict(zip(centers.indices, _VERTICES))
+    idx = centers.indices
+    vertex = dict(zip(idx, _VERTICES))
     return Configuration(tuple(
-        vertex[t] if t in vertex else ProjectivePoint(_primitive(_reciprocal(vectors[t])))
+        vertex[t] if t in vertex else ProjectivePoint(_primitive(_reciprocal(cramer(br, idx, t))))
         for t in range(1, config.k + 1)))
 
 

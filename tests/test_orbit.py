@@ -1,12 +1,14 @@
 """Orbit drivers: words, the Cremona-then-shift iteration, BFS exploration."""
 
 import dataclasses
+import random
 
 import pytest
 
 import cremona_orbits as co
+from cremona_orbits import linalg
 from cremona_orbits import orbit as orbit_mod
-from helpers import cfg_from_rows, special_coplanar_config
+from helpers import cfg_from_rows, rand_permutation, special_coplanar_config
 
 CENTERS = co.CenterSet((1, 2, 3, 4))
 
@@ -18,14 +20,14 @@ def test_empty_word_is_identity():
     cfg = co.random_config(50, 8)
     out, shadow = co.apply_word(cfg, co.CremonaWord(()))
     assert out == cfg
-    assert shadow == co.LatticeMap.identity(8)
+    assert shadow.entries == linalg.identity(9)
 
 
 def test_cremona_twice_word():
     cfg = co.random_config(51, 8)
     word = co.CremonaWord((co.CremonaMove(CENTERS), co.CremonaMove(CENTERS)))
     out, shadow = co.apply_word(cfg, word)
-    assert shadow == co.LatticeMap.identity(8)
+    assert shadow.entries == linalg.identity(9)
     assert co.equivalent(out, cfg)
 
 
@@ -44,7 +46,31 @@ def test_shadow_is_multiplicative():
     out, s2 = co.apply_word(mid, w2)
     both, s12 = co.apply_word(cfg, co.CremonaWord(w1.moves + w2.moves))
     assert both == out
-    assert s12 == s2 @ s1  # later moves multiply on the left
+    assert s12.entries == linalg.mat_mul(s2.entries, s1.entries)  # later moves on the left
+
+
+def _dense_shadow(k, word):
+    """The product of the dense maps of the word's moves, later moves on the left."""
+    prod = linalg.identity(k + 1)
+    for mv in word.moves:
+        step = (co.cremona_map(k, mv.centers.indices) if isinstance(mv, co.CremonaMove)
+                else co.permutation_map(k, mv.perm))
+        prod = linalg.mat_mul(step.entries, prod)
+    return prod
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_shadow_equals_dense_product(k):
+    # seeded so that every word satisfies (*) at each of its Cremona moves
+    rng = random.Random(10 * k)
+    cfg = co.random_config(10 * k, 10, k=k)
+    for _ in range(20):
+        word = co.CremonaWord(
+            co.CremonaMove(co.CenterSet(tuple(rng.sample(range(1, k + 1), 4))))
+            if rng.random() < 0.5 else co.PermuteMove(rand_permutation(rng, k))
+            for _ in range(rng.randint(1, 6)))
+        _, shadow = co.apply_word(cfg, word)
+        assert shadow.entries == _dense_shadow(k, word)
 
 
 def test_word_reports_violating_step():
@@ -126,6 +152,28 @@ def test_one_bracket_table_per_configuration(monkeypatch):
     assert calls == {"det4": 4 * 70, "adjugate4": 0}
     assert co.consistency_check(report)
     assert calls == {"det4": 8 * 70, "adjugate4": 0}
+
+
+def test_condition_star_reads_brackets_without_cramer(monkeypatch):
+    generic, special = co.random_config(7, 10), special_coplanar_config(0)
+    report = co.coxeter_iterate(generic, 3)  # built before counting: its moves use cramer
+    calls = {"cramer": 0}
+    real = co.projective.cramer
+
+    def counted(*args):
+        calls["cramer"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(co.projective, "cramer", counted)
+    assert co.star_violation(generic, CENTERS) is None
+    assert co.condition_star(generic, CENTERS)
+    witness = co.StarViolation(plane=(5, 6, 7), point=8)
+    assert co.star_violation(special, co.CenterSet((1, 5, 6, 7))) == witness
+    assert not co.condition_star(special, co.CenterSet((1, 5, 6, 7)))
+    assert co.consistency_check(report)
+    assert calls["cramer"] == 0
+    co.cremona_at(generic, CENTERS)
+    assert calls["cramer"] == 8 - 4
 
 
 def test_consistency_check_detects_corruption():
