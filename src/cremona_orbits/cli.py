@@ -138,7 +138,7 @@ def cmd_iterate(args) -> int:
     except StarViolationError as e:
         partial = e.partial_report
         _write(args, "iterate", params, serialize.report_to_obj(partial), partial.degrees)
-        print("wrote partial report to %s" % args.out, file=sys.stderr)
+        e.args = ("%s; wrote partial report to %s" % (e, args.out),)  # main prints one line
         raise
     _write(args, "iterate", params, serialize.report_to_obj(report), report.degrees)
     ok = consistency_check(report)

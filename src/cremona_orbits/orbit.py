@@ -4,9 +4,7 @@
 four points, then the cyclic shift) while cross-checking geometry against the
 tracked divisor class; ``orbit_bfs`` explores the full orbit under all center
 choices with canonical-form deduplication.  Both read everything from one
-bracket table per configuration, except that ``orbit_bfs`` builds each
-expanded node's table twice: for its canonical form (in a worker, past the
-root) and again in the parent process for the expansion.
+bracket table per configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .canonical import bracket_form, canonical_form
+from .canonical import bracket_form
 from .errors import NoFrameError, StarViolationError, UsageError
 from .lattice import (DivisorClass, class_map, coxeter_step, cremona_pushforward, cyclic_shift,
                       iterate_class, permute_class, plane_through_last_four)
@@ -217,13 +215,22 @@ class OrbitGraph:
     degenerate: tuple
 
 
-def _expand_edge(task):
-    parent_canon, cfg, centers, br = task
-    child = cremona_image(cfg, centers, br)
+def _visit(config: Configuration):
+    """A configuration's canonical form and bracket table; (None, None) if it has no frame."""
+    br = brackets(config)
     try:
-        return parent_canon, centers, child, canonical_form(child)
+        return bracket_form(config.k, br), br
     except NoFrameError:
-        return parent_canon, centers, None, None
+        return None, None
+
+
+def _visit_all(configs, nworkers: int):
+    """``_visit`` of each configuration in order, as it comes, on ``nworkers`` processes."""
+    if nworkers == 1:
+        yield from map(_visit, configs)
+    else:
+        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+            yield from pool.map(_visit, configs)
 
 
 def env_workers() -> int:
@@ -247,48 +254,45 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
               workers: int | None = None) -> OrbitGraph:
     """Breadth-first orbit exploration with canonical-form deduplication.
 
-    From each node every admissible center set is tried; the node's bracket
-    table, built again here after its canonical form built it, decides
-    condition (*) and goes into each child's task, which reads the child off
-    it.  Results are level-synchronous and sorted before insertion, so the
-    node and edge sets do not depend on worker count or scheduling.  ``workers`` defaults to the
-    CREMONA_ORBITS_WORKERS environment variable (1 if unset, UsageError if
-    not an integer); each level starts ``worker_count(workers, tasks)``
-    processes.  Every node outside the final frontier has been expanded.
+    Each configuration's bracket table is built once, the root's here and
+    every other one next to its form by ``_visit``; a node to be expanded
+    keeps it.  The table decides condition (*) at each center set and gives
+    each admissible child, and the workers receive only the children.
+    Results are level-synchronous and sorted before insertion, so the node
+    and edge sets do not depend on worker count or scheduling.  ``workers``
+    defaults to the CREMONA_ORBITS_WORKERS environment variable (1 if unset,
+    UsageError if not an integer); each level starts
+    ``worker_count(workers, tasks)`` processes.  Every node outside the final
+    frontier has been expanded.
     """
     if max_depth < 0:
         raise UsageError("max_depth must be >= 0")
     if max_nodes < 1:
         raise UsageError("max_nodes must be >= 1")
     requested = env_workers() if workers is None else workers
-    root_canon = canonical_form(config)
+    root_br = brackets(config)
+    root_canon = bracket_form(config.k, root_br)
     nodes = {root_canon: OrbitNode(root_canon, config, 0, None)}
     edges = []
     degenerate = []
     truncated = False
-    frontier = [root_canon]
+    frontier = [(root_canon, config, root_br)]
+    center_sets = [CenterSet(sub) for sub in itertools.combinations(range(1, config.k + 1), 4)]
     depth = 0
     while frontier and depth < max_depth and not truncated:
-        tasks = []
-        for canon in frontier:
-            cfg = nodes[canon].representative
-            br = brackets(cfg)
-            for sub in itertools.combinations(range(1, cfg.k + 1), 4):
-                centers = CenterSet(sub)
-                if star_witness(br, centers, cfg.k) is None:
-                    tasks.append((canon, cfg, centers, br))
-        nworkers = worker_count(requested, len(tasks))
-        if nworkers > 1:
-            with ProcessPoolExecutor(max_workers=nworkers) as pool:
-                results = list(pool.map(_expand_edge, tasks))
-        else:
-            results = [_expand_edge(t) for t in tasks]
+        tasks = [(canon, centers, cremona_image(cfg, centers, br))
+                 for canon, cfg, br in frontier for centers in center_sets
+                 if star_witness(br, centers, config.k) is None]
+        results = _visit_all([child for *_, child in tasks], worker_count(requested, len(tasks)))
         hits = []
-        for parent_canon, centers, child, canon in results:
-            if child is None:
+        tables = {}  # tasks come in (parent form, centers) order: a form's first child sorts first
+        for (parent_canon, centers, child), (canon, br) in zip(tasks, results, strict=True):
+            if canon is None:
                 degenerate.append((parent_canon, centers))
             else:
                 hits.append((canon, parent_canon, centers, child))
+                if depth + 1 < max_depth and canon not in nodes:
+                    tables.setdefault(canon, br)
         hits.sort(key=lambda r: (r[0], r[1], r[2].indices))
         degenerate.sort(key=lambda r: (r[0], r[1].indices))
         frontier = []
@@ -298,13 +302,8 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
                     truncated = True
                     continue  # node budget exhausted: drop node and edge
                 nodes[canon] = OrbitNode(canon, child, depth + 1, (parent_canon, centers))
-                frontier.append(canon)
+                frontier.append((canon, child, tables.get(canon)))
             edges.append((parent_canon, canon, centers))
         depth += 1
-    return OrbitGraph(
-        nodes=nodes,
-        edges=tuple(edges),
-        truncated=truncated,
-        frontier_remaining=len(frontier),
-        degenerate=tuple(degenerate),
-    )
+    return OrbitGraph(nodes=nodes, edges=tuple(edges), truncated=truncated,
+                      frontier_remaining=len(frontier), degenerate=tuple(degenerate))

@@ -91,8 +91,10 @@ def test_iterate_star_violation_writes_partial_report(tmp_path, capsys):
     src = write_config(tmp_path / "p.json", cfg)
     out = tmp_path / "r.json"
     assert run(["iterate", src, "--steps", 2, "--out", out]) == 3
-    err = capsys.readouterr().err
-    assert "plane" in err and "partial report" in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "plane" in err[0]
+    assert err[0].endswith("wrote partial report to %s" % out)
     assert len(json.loads(out.read_text())["configurations"]) - 1 == 0
 
 

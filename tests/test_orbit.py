@@ -152,6 +152,9 @@ def test_one_bracket_table_per_configuration(monkeypatch):
     assert calls == {"det4": 4 * 70, "adjugate4": 0}
     assert co.consistency_check(report)
     assert calls == {"det4": 8 * 70, "adjugate4": 0}
+    graph = co.orbit_bfs(cfg, 1, 1000, workers=1)
+    assert len(graph.nodes) == 71
+    assert calls == {"det4": (8 + 71) * 70, "adjugate4": 0}
 
 
 def test_condition_star_reads_brackets_without_cramer(monkeypatch):
@@ -288,17 +291,17 @@ def test_orbit_bfs_starts_capped_pool(monkeypatch):
 
 def test_orbit_records_degenerate_children(monkeypatch):
     cfg = co.random_config(58, 8)
-    real = orbit_mod.canonical_form
-    root = real(cfg)
+    real = orbit_mod.bracket_form
+    root = co.canonical_form(cfg)
     calls = {"n": 0}
 
-    def flaky(config):
-        if config is not cfg and calls["n"] < 2:
-            calls["n"] += 1
+    def flaky(k, br):
+        calls["n"] += 1
+        if calls["n"] in (2, 3):  # call 1 is the root
             raise co.NoFrameError("synthetic degenerate child")
-        return real(config)
+        return real(k, br)
 
-    monkeypatch.setattr(orbit_mod, "canonical_form", flaky)
+    monkeypatch.setattr(orbit_mod, "bracket_form", flaky)
     graph = co.orbit_bfs(cfg, 1, 1000, workers=1)
     assert len(graph.degenerate) == 2
     assert all(parent == root for parent, _ in graph.degenerate)
