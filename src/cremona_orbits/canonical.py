@@ -5,6 +5,8 @@ frame (send it to e0, e1, e2, e3, (1:1:1:1)) and sorts the resulting
 canonical points; of these candidates it keeps the least in the order of
 integer point tuples and writes it as ``k|x0,x1,x2,x3;...`` in decimal.  Two
 configurations are equivalent iff their canonical forms agree.
+``normalized_at`` gives the same configuration in the frame of one base and
+unit point of its own, read from the brackets around that base.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import operator
 
 from .digits import int_to_decimal
 from .errors import NoFrameError
-from .projective import Configuration, brackets, cramer
+from .projective import _VERTICES, Configuration, ProjectivePoint, brackets, cramer
 
 # the 24 orders of the four frame vertices as coordinate getters, grouped by
 # the coordinate they put first
@@ -141,6 +143,40 @@ def bracket_form(k: int, br) -> bytes:
     if best is None:
         raise NoFrameError("no 5 points of the configuration form a projective frame")
     return serialize_points(k, sorted(_FRAME_IMAGES + tuple(best)))
+
+
+def normalized_at(config: Configuration, br, base) -> Configuration | None:
+    """``config`` moved by the map sending ``base`` to e0..e3 and a unit point to (1:1:1:1).
+
+    ``br`` holds the brackets of the sorted labels ``base`` plus one point,
+    such as ``projective._lone_brackets`` returns.  The unit point u is the
+    label outside the base whose images are shortest in total bit length,
+    ties going to the lower label; every other point p_t becomes
+    (w_i / c_i) for w, c the Cramer vectors of t and u, as in
+    ``canonical_form``.  None if base + u is a frame for no u.  The copy is
+    PGL(4)-equivalent to ``config`` with the same labels, so it has the same
+    canonical form and the same zero brackets, and its heights do not depend
+    on the frame the configuration is written in.
+    """
+    if br[base] == 0:
+        return None
+    others = [t for t in range(1, config.k + 1) if t not in base]
+    vecs = {t: cramer(br, base, t) for t in others}
+    best = None
+    for u in others:
+        if not all(vecs[u]):
+            continue  # u lies on a plane of three base points
+        images = {t: _oriented(_quotient(vecs[t], vecs[u])) for t in others if t != u}
+        size = sum(abs(v).bit_length() for y in images.values() for v in y)
+        if best is None or size < best[0]:
+            best = size, u, images
+    if best is None:
+        return None
+    _, u, images = best
+    points = dict(zip(base, _VERTICES))
+    points[u] = ProjectivePoint((1, 1, 1, 1))
+    points.update((t, ProjectivePoint(y)) for t, y in images.items())
+    return Configuration(tuple(points[t] for t in range(1, config.k + 1)))
 
 
 def equivalent(a: Configuration, b: Configuration) -> bool:

@@ -3,8 +3,12 @@
 ``coxeter_iterate`` runs the degree-growth iteration (Cremona at the first
 four points, then the cyclic shift) while cross-checking geometry against the
 tracked divisor class; ``orbit_bfs`` explores the full orbit under all center
-choices with canonical-form deduplication.  Both read everything from one
-bracket table per configuration.
+choices with canonical-form deduplication.  ``orbit_bfs`` reads everything
+from one bracket table per configuration.  ``coxeter_iterate`` reads
+condition (*) and the next move from the 17 brackets around the centers, and
+the canonical form and the coplanar scan from the 70-bracket table of a
+frame-normalized copy; ``consistency_check`` rescans the full table of every
+stored configuration.
 """
 
 from __future__ import annotations
@@ -15,12 +19,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .canonical import bracket_form
+from .canonical import bracket_form, normalized_at
 from .errors import NoFrameError, StarViolationError, UsageError
 from .lattice import (DivisorClass, class_map, coxeter_step, cremona_pushforward, cyclic_shift,
                       iterate_class, permute_class, plane_through_last_four)
-from .projective import (CenterSet, Configuration, brackets, cremona_at, cremona_image,
-                         permute_config, star_witness)
+from .projective import (CenterSet, Configuration, _lone_brackets, brackets, cremona_at,
+                         cremona_image, permute_config, star_witness)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,11 +141,22 @@ class IterationReport:
 def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     """Iterate (Cremona at the first four points, then cyclic shift).
 
-    Each configuration's one bracket table gives its canonical form, its
-    coplanar 4-tuples, condition (*) at {1,2,3,4} and the next move; the
-    tracked class takes the same two steps alongside.  When condition (*)
-    fails before the last step, a StarViolationError carries the step index
-    and the partial report of the configurations reached.
+    The 1 + 4 * 4 brackets of each configuration around {1,2,3,4} give
+    condition (*) there and the next move, so the stored configurations are
+    the ones the whole table would give.  The same brackets give the copy of
+    the configuration normalized at base (1,2,3,4) (``normalized_at``), and
+    the copy's table gives the canonical form and the coplanar 4-tuples.  The
+    copy is T applied to the points with T in PGL(4), each point rescaled, so
+    each of its brackets is the stored one times det(T) and the four point
+    scales, all nonzero: the zero brackets are the same, and so is the form.
+    The stored points carry the height of the Cremona frame they are written
+    in: at step 17 of ``random_config(7, 10)`` they are 15.9k bits tall, the
+    copy 2.3k bits.  Without a unit point for that base ([1234] = 0, or every
+    other point on a plane of three centers) condition (*) fails, and the
+    last step reads the full table of the stored points.  The tracked class
+    takes the same two steps alongside.  When condition (*) fails before the
+    last step, a StarViolationError carries the step index and the partial
+    report of the configurations reached.
     """
     if config.k != 8:
         raise UsageError("iteration is defined for k = 8, got k = %d" % config.k)
@@ -152,9 +167,11 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     cfg, cls = config, plane_through_last_four(8)
     rows = []
     while True:
-        br = brackets(cfg)
+        br = _lone_brackets(cfg, centers)
         viol = star_witness(br, centers, 8)
-        rows.append((cfg, viol is None, _zero_brackets(br), cls, bracket_form(8, br)))
+        short = normalized_at(cfg, br, centers.indices)
+        table = brackets(cfg if short is None else short)
+        rows.append((cfg, viol is None, _zero_brackets(table), cls, bracket_form(8, table)))
         if len(rows) > steps or viol is not None:
             break
         cfg = permute_config(cremona_image(cfg, centers, br), shift)
@@ -170,7 +187,8 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
 def consistency_check(report: IterationReport) -> bool:
     """Recompute the lattice prediction and the geometric scans; compare.
 
-    The scans of each configuration come from one fresh bracket table.
+    The scans of each configuration come from one fresh bracket table of its
+    stored points, independent of the normalized copies the iterate scanned.
 
     Coplanar 4-tuples may only occur where the tracked class is a plane class
     H - E_a - E_b - E_c - E_d, and then only at exactly {a,b,c,d}.

@@ -8,6 +8,9 @@ import pytest
 import cremona_orbits as co
 from cremona_orbits import linalg
 from cremona_orbits import orbit as orbit_mod
+from cremona_orbits import serialize
+from cremona_orbits.canonical import normalized_at
+from cremona_orbits.projective import _lone_brackets
 from helpers import cfg_from_rows, rand_permutation, special_coplanar_config
 
 CENTERS = co.CenterSet((1, 2, 3, 4))
@@ -149,12 +152,39 @@ def test_one_bracket_table_per_configuration(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(co.projective, name, counted)
     report = co.coxeter_iterate(cfg, 3)
-    assert calls == {"det4": 4 * 70, "adjugate4": 0}
+    # per configuration: the 17 brackets around the centers, the 70 of its normalized copy
+    iterate = 4 * (17 + 70)
+    assert calls == {"det4": iterate, "adjugate4": 0}
     assert co.consistency_check(report)
-    assert calls == {"det4": 8 * 70, "adjugate4": 0}
+    assert calls == {"det4": iterate + 4 * 70, "adjugate4": 0}
     graph = co.orbit_bfs(cfg, 1, 1000, workers=1)
     assert len(graph.nodes) == 71
-    assert calls == {"det4": (8 + 71) * 70, "adjugate4": 0}
+    assert calls == {"det4": iterate + (4 + 71) * 70, "adjugate4": 0}
+
+
+def test_iterate_scans_from_normalized_copy_match_full_tables():
+    # oracles: canonical_form and coplanar_scan build the full table of the stored points
+    unit_not_5 = cfg_from_rows(
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+         (1, 1, 1, 0), (1, 2, 3, 4), (1, 1, 2, 3), (3, 1, 1, 2)]
+    )
+    no_base = co.permute_config(special_coplanar_config(0), (5, 6, 7, 8, 1, 2, 3, 4))
+    short = normalized_at(unit_not_5, _lone_brackets(unit_not_5, CENTERS), CENTERS.indices)
+    assert short is not None and short.point(5).coords != (1, 1, 1, 1)
+    # [1234] = 0: the iterate falls back to the full table
+    assert normalized_at(no_base, _lone_brackets(no_base, CENTERS), CENTERS.indices) is None
+    reports = [co.coxeter_iterate(co.random_config(7, 10), 12),
+               co.coxeter_iterate(special_coplanar_config(0), 1)]
+    for bad in (unit_not_5, no_base):
+        with pytest.raises(co.StarViolationError) as err:
+            co.coxeter_iterate(bad, 1)
+        reports.append(err.value.partial_report)
+    for report in reports:
+        for i, cfg in enumerate(report.configs):
+            assert report.canonical_forms[i] == co.canonical_form(cfg)
+            assert report.coplanar_tuples[i] == co.coplanar_scan(cfg)
+    assert reports[1].coplanar_tuples[0] == ((5, 6, 7, 8),)
+    assert reports[3].coplanar_tuples[0] == ((1, 2, 3, 4),)
 
 
 def test_condition_star_reads_brackets_without_cramer(monkeypatch):
@@ -223,6 +253,23 @@ def test_orbit_depth_one_counts_and_parents():
             assert node.canonical_form == co.canonical_form(node.representative)
     assert graph.frontier_remaining == 70
     assert not graph.truncated
+
+
+def test_orbit_depth_two_counts_and_workers(tmp_path):
+    # points 2 and 4..8 on the plane X3 = 0: every depth-1 node is expanded in 0.8 s
+    cfg = cfg_from_rows(
+        [(3, 4, -8, -1), (7, 6, 3, 0), (6, 2, 9, -3), (7, -5, 0, 0),
+         (6, 1, -8, 0), (0, 6, 7, 0), (3, 4, -3, 0), (4, 1, -3, 0)]
+    )
+    graph = co.orbit_bfs(cfg, 2, 1000, workers=1)
+    depths = [node.depth for node in graph.nodes.values()]
+    assert (len(graph.nodes), len(graph.edges), len(graph.degenerate)) == (31, 240, 0)
+    assert (depths.count(1), depths.count(2)) == (15, 15)
+    assert graph.frontier_remaining == 15 and not graph.truncated
+    paths = [tmp_path / "orbit-1.json", tmp_path / "orbit-2.json"]
+    serialize.dump_json(paths[0], serialize.orbit_to_obj(graph))
+    serialize.dump_json(paths[1], serialize.orbit_to_obj(co.orbit_bfs(cfg, 2, 1000, workers=2)))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_orbit_node_budget_truncates_deterministically():
