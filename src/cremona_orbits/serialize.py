@@ -3,16 +3,18 @@
 Point coordinates are emitted as decimal strings so downstream consumers
 never overflow a 64-bit integer; the reader accepts plain ints as well and
 re-canonicalizes every point.  Integers of any size are converted by
-``digits``, past Python's int/str digit cap.  Floats and booleans are
-rejected, never truncated.  All JSON is dumped sorted with a trailing
-newline, so reruns are byte-identical.
+``digits``, past Python's int/str digit cap, in both directions and in the
+JSON integers and CSV cells written too.  Floats and booleans are rejected,
+never truncated.  All JSON is dumped as ``json.dumps(obj, indent=2,
+sort_keys=True)`` lays it out, with a trailing newline, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
+from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
 from .digits import decimal_to_int, int_to_decimal
@@ -23,9 +25,41 @@ from .projective import Configuration, normalize_point
 
 
 def dump_json(path, obj) -> None:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, for ints of any size."""
+    chunks = []
+    _json_chunks(obj, "\n", chunks)
+    chunks.append("\n")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True))
-        fh.write("\n")
+        fh.write("".join(chunks))
+
+
+def _json_chunks(obj, indent: str, out: list) -> None:
+    """Append the text of obj to out, laid out as ``json.dumps`` with indent=2 and sorted keys."""
+    if isinstance(obj, dict) and obj:
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_chunks(value, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = indent + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            if type(value) is int:  # inlined: degree lists hold thousands of them
+                out.append(int_to_decimal(value))
+            else:
+                _json_chunks(value, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif type(obj) is int:
+        out.append(int_to_decimal(obj))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    else:
+        out.append(json.dumps(obj))  # true, false, null, floats, empty containers
 
 
 def load_json(path):
@@ -178,11 +212,10 @@ def orbit_to_obj(graph: OrbitGraph) -> dict:
 # degree tables and manifests
 
 def write_degree_csv(path, degrees) -> None:
+    """The rows ``step,degree``, then ``n,degrees[n]``, with CRLF line ends as ``csv`` writes."""
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "degree"])
-        for n, d in enumerate(degrees):
-            writer.writerow([n, d])
+        fh.write("step,degree\r\n")
+        fh.write("".join(["%d,%s\r\n" % (n, int_to_decimal(d)) for n, d in enumerate(degrees)]))
 
 
 def manifest_path(out_path) -> str:

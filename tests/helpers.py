@@ -6,6 +6,8 @@ import itertools
 import random
 
 import cremona_orbits as co
+from cremona_orbits import linalg
+from cremona_orbits.lattice import _from_vector, _to_vector
 
 
 def cfg_from_rows(rows) -> co.Configuration:
@@ -109,3 +111,47 @@ def brute_force_canonical_bytes(config) -> bytes:
     if best is None:
         raise co.NoFrameError("no frame among the test points")
     return best
+
+
+# ---------------------------------------------------------------------------
+# earlier lattice algorithms, kept as differential oracles
+
+def _coxeter_step_by_generators(c) -> co.DivisorClass:
+    return co.permute_class(co.cremona_pushforward(c, (1, 2, 3, 4)), co.cyclic_shift(c.k))
+
+
+def distinctness_by_dict(v, N) -> co.DistinctnessReport:
+    """The distinctness report from the whole orbit, every class hashed into a dict.
+
+    The orbit steps through the public generators, one validated call each.
+    """
+    orbit = [v]
+    for _ in range(max(N, 2)):
+        orbit.append(_coxeter_step_by_generators(orbit[-1]))
+    quad = [c - 2 * b + a for a, b, c in zip(*map(_to_vector, orbit[:3]))]
+    orbit = orbit[: N + 1]
+    seen = {}
+    first_collision = None
+    for n, c in enumerate(orbit):
+        key = (c.d, c.m)
+        if key in seen:
+            first_collision = (seen[key], n)
+            break
+        seen[key] = n
+    return co.DistinctnessReport(N, v, first_collision, tuple(c.d for c in orbit), any(quad))
+
+
+def word_fixes_basis(k, word, power) -> bool:
+    """True iff (word)^power returns each basis class H, E_1..E_k to itself.
+
+    Letters as in ``lattice._word_is_identity``: 0 is the Cremona move at
+    {1,2,3,4}, i >= 1 swaps multiplicities i and i+1; the last letter acts
+    first.  By linearity, fixing the basis is the matrix identity.
+    """
+    def act(c):
+        for g in reversed(word * power):
+            c = (co.cremona_pushforward(c, (1, 2, 3, 4)) if g == 0
+                 else co.DivisorClass(c.d, c.m[:g - 1] + (c.m[g], c.m[g - 1]) + c.m[g + 1:]))
+        return c
+
+    return all(_to_vector(act(_from_vector(e))) == e for e in linalg.identity(k + 1))

@@ -294,14 +294,15 @@ def test_lattice_cert_bytes_are_pinned(tmp_path, k, digest):
     (["lattice-cert", "--k", 0], None, "need k >= 8, got 0"),
     (["lattice-cert", "--k", -5], None, "need k >= 8, got -5"),
     (["lattice-cert", "--N", 0], None, "N must be >= 1"),
+    (["lattice-cert", "--k", 24, "--N", 50001], None, "N must be <= 50000"),
     (["cremona", "P8", "--centers", 1, 1, 3, 4], None, "need exactly 4 distinct labels"),
     (["cremona", "P8", "--centers", 1, 2, 3, 9], None, "(1, 2, 3, 9) out of range 1..8"),
     (["gen", "--seed", 1, "--k", "abc"], None, "argument --k: invalid int value: 'abc'"),
     (["gen", "--height", 10], None, "the following arguments are required: --seed"),
 ], ids=["gen-k7", "gen-height1", "iterate-steps0", "iterate-k9", "orbit-depth-1",
         "orbit-nodes0", "orbit-workers-abc", "lattice-cert-k7", "lattice-cert-k0",
-        "lattice-cert-k-5", "lattice-cert-N0", "cremona-repeated", "cremona-out-of-range",
-        "gen-k-abc", "gen-no-seed"])
+        "lattice-cert-k-5", "lattice-cert-N0", "lattice-cert-N-over-cap", "cremona-repeated",
+        "cremona-out-of-range", "gen-k-abc", "gen-no-seed"])
 def test_argument_out_of_range_is_one_usage_line(tmp_path, capsys, monkeypatch,
                                                  argv, workers, message):
     inputs = {"P8": write_config(tmp_path / "p8.json", co.random_config(7, 10)),

@@ -9,7 +9,7 @@ import sympy
 import cremona_orbits as co
 from cremona_orbits import linalg
 from cremona_orbits.lattice import _from_vector, _to_vector, _word_is_identity
-from helpers import rand_divisor, rand_permutation
+from helpers import distinctness_by_dict, rand_divisor, rand_permutation, word_fixes_basis
 
 # closed form of the Coxeter element for k = 8 (Cremona at {1,2,3,4}, then the
 # shift moving label 1 last), derivable by hand from the pushforward formulas
@@ -336,6 +336,30 @@ def test_distinctness_detects_fixed_class():
     assert not rep.degree_growth
 
 
+# classes of period 4 and 3 under the k = 8 Coxeter element (E_7 - E_1, E_6 - E_2)
+PERIODIC_K8 = {4: co.DivisorClass(0, (1, 0, 0, 0, 0, 0, -1, 0)),
+               3: co.DivisorClass(0, (0, 1, 0, 0, 0, -1, 0, 0))}
+
+
+@pytest.mark.parametrize("k", [8, 9, 12, 24])
+def test_distinctness_matches_dict_oracle(k):
+    starts = [co.plane_through_last_four(k), co.hyperplane_class(k), co.exceptional_class(1, k),
+              co.anticanonical_class(k), co.DivisorClass(2, (1,) * k)]
+    if k == 8:
+        starts += PERIODIC_K8.values()
+    for v in starts:
+        for N in (1, 2, 5, 13, 400):
+            rep = co.distinctness_certificate(v, N)
+            assert rep == distinctness_by_dict(v, N), (str(v), N)
+            assert rep.first_collision is None or rep.first_collision[1] <= N
+
+
+def test_distinctness_reports_the_first_return():
+    for period, v in PERIODIC_K8.items():
+        assert co.distinctness_certificate(v, period - 1).all_distinct
+        assert co.distinctness_certificate(v, 50).first_collision == (0, period)
+
+
 # ---------------------------------------------------------------------------
 # Coxeter relations
 
@@ -378,6 +402,29 @@ def test_word_checker_rejects_non_relations(word, power):
     assert not _word_is_identity(8, word, power)
     letters = ["r" if g == 0 else "s%d" % g for g in word]
     assert sympy_word(8, letters, power) != sympy.eye(9)
+
+
+def relation_word(name):
+    """(word, power) of a relation name such as "(r s4)^3 = 1", with r as 0 and s_i as i."""
+    m = re.fullmatch(r"\(?(r|s\d+)(?: (s\d+))?\)?\^(\d+) = 1", name)
+    return tuple(0 if g == "r" else int(g[1:]) for g in m.group(1, 2) if g), int(m.group(3))
+
+
+NON_RELATIONS = [((0, 4), 2), ((0, 3), 3), ((1, 2), 2), ((0,), 1)]
+
+
+@pytest.mark.parametrize("k", [8, 9, 10, 11, 12])
+def test_packed_class_matches_basis_oracle(k):
+    for name, ok in co.coxeter_relations(k):
+        assert ok and word_fixes_basis(k, *relation_word(name)), name
+    for word, power in NON_RELATIONS:
+        assert not _word_is_identity(k, word, power)
+        assert not word_fixes_basis(k, word, power)
+    rng = random.Random(k)
+    for _ in range(40):
+        word = tuple(rng.randrange(k) for _ in range(rng.randint(1, 4)))
+        power = rng.randint(1, 3)
+        assert _word_is_identity(k, word, power) == word_fixes_basis(k, word, power), word
 
 
 def test_relation_list_is_complete_for_k8():

@@ -1,5 +1,7 @@
 """JSON round trips, schema validation, manifests, CSV."""
 
+import csv
+import io
 import json
 import random
 
@@ -195,3 +197,52 @@ def test_manifest_and_degree_csv(tmp_path):
     csv_path = tmp_path / "deg.csv"
     serialize.write_degree_csv(csv_path, (1, 3, 2))
     assert csv_path.read_text().splitlines() == ["step,degree", "0,1", "1,3", "2,2"]
+
+
+def test_degree_csv_matches_csv_writer(tmp_path):
+    # degrees on both sides of the 1920-bit split in digits.int_to_decimal
+    rng = random.Random(5)
+    degrees = [0, 1, -7]
+    degrees += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (64, 1919, 1920, 1921, 4000)]
+    path = tmp_path / "deg.csv"
+    serialize.write_degree_csv(path, degrees)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["step", "degree"])
+    writer.writerows(enumerate(degrees))
+    assert path.read_bytes() == want.getvalue().encode("ascii")
+    text = want.getvalue()
+    assert text.startswith("step,degree\r\n") and text.count("\r\n") == len(degrees) + 1
+    assert text.count("\n") == len(degrees) + 1
+
+
+def test_json_writer_matches_json_dumps(tmp_path):
+    cfg = co.random_config(7, 10)
+    objs = [
+        serialize.report_to_obj(co.coxeter_iterate(cfg, 3)),
+        serialize.orbit_to_obj(co.orbit_bfs(cfg, 1, 100, workers=1)),
+        {"k": 8, "empty": [], "none": {}, "t": (1, (2, 3)), "flags": [True, False, None],
+         "x": 1.5, "text": "caf\u00e9 \"q\"\n", "neg": -3, "nested": [[], [{}], {"a": [1]}]},
+        [],
+        "plain",
+    ]
+    path = tmp_path / "out.json"
+    for obj in objs:
+        serialize.dump_json(path, obj)
+        assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_distinctness_past_the_digit_cap(tmp_path):
+    # degrees past Python's 4300-digit int/str cap, as lattice-cert reaches near N = 30000
+    degrees = (1, 3, 10 ** 4999 + 7, -(10 ** 4999))
+    rep = co.DistinctnessReport(3, co.plane_through_last_four(8), None, degrees, True)
+    path = tmp_path / "cert.json"
+    serialize.dump_json(path, serialize.distinctness_to_obj(rep))
+    obj = serialize.load_json(path)
+    assert tuple(obj["degrees"]) == degrees
+    assert serialize.divisor_from_obj(obj["start"]) == rep.start
+    csv_path = tmp_path / "cert.json.degrees.csv"
+    serialize.write_degree_csv(csv_path, rep.degrees)
+    rows = csv_path.read_text().splitlines()
+    assert rows[0] == "step,degree"
+    assert [tuple(map(decimal_to_int, row.split(","))) for row in rows[1:]] == list(enumerate(degrees))
