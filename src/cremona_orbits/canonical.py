@@ -4,7 +4,9 @@
 frame (send it to e0, e1, e2, e3, (1:1:1:1)) and sorts the resulting
 canonical points; of these candidates it keeps the least in the order of
 integer point tuples and writes it as ``k|x0,x1,x2,x3;...`` in decimal.  Two
-configurations are equivalent iff their canonical forms agree.
+configurations are equivalent iff their canonical forms agree; ``equivalent``
+decides this without building either form, by looking for one candidate of
+the first configuration among the candidates of the second.
 ``normalized_at`` gives the same configuration in the frame of one base and
 unit point of its own, read from the brackets around that base.
 """
@@ -26,8 +28,13 @@ _ORDERS_BY_LEAD = tuple(
     for lead in range(4)
 )
 
+# the same 24 getters in one tuple
+_ORDERS = tuple(itertools.chain.from_iterable(_ORDERS_BY_LEAD))
+
 # images of the frame points themselves, shared by every candidate
 _FRAME_IMAGES = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1))
+
+_NO_FRAME = "no 5 points of the configuration form a projective frame"
 
 
 def serialize_points(k, pts) -> bytes:
@@ -120,8 +127,30 @@ def canonical_form(config: Configuration) -> bytes:
 
 def bracket_form(k: int, br) -> bytes:
     """``canonical_form`` of a k-point configuration, from its bracket table ``br``."""
-    labels = range(1, k + 1)
     best = None
+    for ys in _image_sets(k, br):
+        lows = [min(map(abs, col)) for col in zip(*ys)]
+        for lead, orders in enumerate(_ORDERS_BY_LEAD):
+            if best is not None and lows[lead] > best[0][0]:
+                continue
+            for order in orders:
+                cand = sorted([_oriented(order(y)) for y in ys])
+                if best is None or cand < best:
+                    best = cand
+    if best is None:
+        raise NoFrameError(_NO_FRAME)
+    return serialize_points(k, sorted(_FRAME_IMAGES + tuple(best)))
+
+
+def _image_sets(k: int, br):
+    """The image set of every frame of a k-point configuration, in the candidate order.
+
+    For each base of labels below k with a nonzero bracket, and each unit
+    point u above its last label that makes base + u a frame, this yields the
+    k - 5 other points reduced in that frame, then the same list under each
+    of the four unit swaps.  ``bracket_form`` and ``equivalent`` both read it.
+    """
+    labels = range(1, k + 1)
     for base in itertools.combinations(range(1, k), 4):
         if br[base] == 0:
             continue
@@ -131,18 +160,9 @@ def bracket_form(k: int, br) -> bytes:
             if not all(vecs[u]):
                 continue  # base + u is no frame: u lies on a plane of three base points
             reduced = [_quotient(vecs[t], vecs[u]) for t in others if t != u]
-            for ys in (reduced, *([_swap_unit(y, j) for y in reduced] for j in range(4))):
-                lows = [min(map(abs, col)) for col in zip(*ys)]
-                for lead, orders in enumerate(_ORDERS_BY_LEAD):
-                    if best is not None and lows[lead] > best[0][0]:
-                        continue
-                    for order in orders:
-                        cand = sorted([_oriented(order(y)) for y in ys])
-                        if best is None or cand < best:
-                            best = cand
-    if best is None:
-        raise NoFrameError("no 5 points of the configuration form a projective frame")
-    return serialize_points(k, sorted(_FRAME_IMAGES + tuple(best)))
+            yield reduced
+            for j in range(4):
+                yield [_swap_unit(y, j) for y in reduced]
 
 
 def normalized_at(config: Configuration, br, base) -> Configuration | None:
@@ -180,7 +200,39 @@ def normalized_at(config: Configuration, br, base) -> Configuration | None:
 
 
 def equivalent(a: Configuration, b: Configuration) -> bool:
-    """True iff some relabeling plus a projective map carries b onto a."""
+    """True iff some relabeling plus a projective map carries b onto a.
+
+    The target is one candidate of ``a`` (``canonical_form``): its first
+    image set, read in the given vertex order.  The candidate multiset is
+    invariant under PGL(4) x S_k, so if a ~ b the target is a candidate of
+    ``b``.  Conversely, a candidate of ``b`` equal to it comes from frames F
+    of a and F' of b with T_F(a) = T_F'(b) as point sets, so T_F'^{-1} T_F
+    carries a onto b up to relabeling.  So the image sets of ``b`` are
+    scanned until one of their 24 orders gives the target.  Reordering the
+    vertices and orienting and sorting the images leave the multiset of
+    |coordinates| of an image set as it is, so an image set whose multiset
+    differs from the target's is skipped.
+    """
     if a.k != b.k:
         return False
-    return canonical_form(a) == canonical_form(b)
+    first = next(_image_sets(a.k, brackets(a)), None)
+    if first is None:
+        raise NoFrameError(_NO_FRAME)
+    target = sorted([_oriented(y) for y in first])
+    profile = _abs_profile(target)
+    framed = False
+    for ys in _image_sets(b.k, brackets(b)):
+        framed = True
+        if _abs_profile(ys) != profile:
+            continue
+        for order in _ORDERS:
+            if sorted([_oriented(order(y)) for y in ys]) == target:
+                return True
+    if not framed:
+        raise NoFrameError(_NO_FRAME)
+    return False
+
+
+def _abs_profile(ys):
+    """The sorted |coordinates| of all images in ``ys``."""
+    return sorted(map(abs, itertools.chain.from_iterable(ys)))

@@ -17,6 +17,7 @@ reproducible bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import serialize
@@ -53,6 +54,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cremona-orbits",

@@ -30,7 +30,7 @@ def dump_json(path, obj) -> None:
     _json_chunks(obj, "\n", chunks)
     chunks.append("\n")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join(chunks))
+        fh.writelines(chunks)
 
 
 def _json_chunks(obj, indent: str, out: list) -> None:
@@ -213,9 +213,10 @@ def orbit_to_obj(graph: OrbitGraph) -> dict:
 
 def write_degree_csv(path, degrees) -> None:
     """The rows ``step,degree``, then ``n,degrees[n]``, with CRLF line ends as ``csv`` writes."""
+    rows = ["step,degree\r\n"]
+    rows += ["%d,%s\r\n" % (n, int_to_decimal(d)) for n, d in enumerate(degrees)]
     with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write("step,degree\r\n")
-        fh.write("".join(["%d,%s\r\n" % (n, int_to_decimal(d)) for n, d in enumerate(degrees)]))
+        fh.writelines(rows)
 
 
 def manifest_path(out_path) -> str:

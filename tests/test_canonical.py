@@ -159,12 +159,95 @@ def test_equivalence_is_transitive_on_a_chain():
     assert co.equivalent(a, b) and co.equivalent(b, c) and co.equivalent(a, c)
 
 
-def test_equivalence_iff_canonical_forms_agree():
+# eight points on the plane X3 = 0: no 4-subset spans P^3, so there is no frame
+_PLANAR = cfg_from_rows(
+    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0),
+     (1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0), (1, 2, 3, 0)]
+)
+
+# the standard frame and the three points (1:+-1:+-1:+-1) with two minus signs:
+# every permutation of the coordinates maps the set onto itself, and so does the
+# standard Cremona move at {1, 2, 3, 4}
+_SYMMETRIC = cfg_from_rows(
+    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+     (1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)]
+)
+
+# the 272 canonical points with coordinates in -2..2: random picks are full of
+# coplanar 4-tuples
+_TINY_POINTS = sorted(
+    {co.normalize_point(p).coords for p in itertools.product(range(-2, 3), repeat=4) if any(p)}
+)
+
+
+def _equivalence_corpus():
+    """Seeded pairs of configurations with the same k, equivalent or not, some frameless."""
     rng = random.Random(35)
-    a = co.random_config(1200, 8)
-    pairs = [(a, scrambled(a, rng)), (a, co.random_config(1300, 8))]
-    for x, y in pairs:
-        assert co.equivalent(x, y) == (co.canonical_form(x) == co.canonical_form(y))
+    pairs = []
+    for k in (8, 9, 10, 11):
+        for height in (10, 3):
+            g = co.random_config(1200 + 10 * k + height, height, k)
+            pairs += [(g, scrambled(g, rng)), (scrambled(g, rng), scrambled(g, rng)),
+                      (g, scrambled(co.cremona_at(g, CENTERS), rng)),
+                      (g, co.random_config(1300 + 10 * k + height, height, k))]
+    for k in (8, 9, 10):
+        t = cfg_from_rows(rng.sample(_TINY_POINTS, k))
+        pairs += [(t, scrambled(t, rng)), (t, cfg_from_rows(rng.sample(_TINY_POINTS, k)))]
+    for seed in (4, 5):
+        s = special_coplanar_config(seed)
+        pairs += [(s, scrambled(s, rng)), (s, scrambled(co.cremona_at(s, CENTERS), rng)),
+                  (s, special_coplanar_config(seed + 2))]
+    moved = cfg_from_rows([p.coords for p in _SYMMETRIC.points[:7]] + [(1, -1, -1, 2)])
+    pairs += [(_SYMMETRIC, scrambled(_SYMMETRIC, rng)),
+              (_SYMMETRIC, scrambled(co.cremona_at(_SYMMETRIC, CENTERS), rng)),
+              (_SYMMETRIC, moved)]
+    g = co.random_config(1400, 8)
+    twice = co.cremona_at(co.cremona_at(g, CENTERS), co.CenterSet((5, 6, 7, 8)))
+    pairs += [(g, twice), (twice, scrambled(twice, rng))]
+    pairs += [(g, _PLANAR), (_PLANAR, _PLANAR)]
+    return pairs
+
+
+def _verdict(decide, x, y):
+    try:
+        return decide(x, y)
+    except co.NoFrameError as e:
+        return "NoFrameError: %s" % e
+
+
+def test_equivalence_iff_canonical_forms_agree():
+    # the forms are the oracle; each pair is asked in both orders
+    forms = {}
+
+    def by_forms(x, y):
+        for c in (x, y):
+            if id(c) not in forms:
+                forms[id(c)] = co.canonical_form(c)
+        return forms[id(x)] == forms[id(y)]
+
+    corpus = _equivalence_corpus()
+    verdicts = []
+    for x, y in corpus:
+        for p, q in ((x, y), (y, x)):
+            want = _verdict(by_forms, p, q)
+            assert _verdict(co.equivalent, p, q) == want, (corpus.index((x, y)), p is y)
+            verdicts.append(want)
+    assert (verdicts.count(True), verdicts.count(False)) == (48, 50)
+    assert verdicts.count("NoFrameError: " + canonical._NO_FRAME) == 4
+
+
+def test_equivalent_builds_no_canonical_form(monkeypatch):
+    rng = random.Random(39)
+    a = co.random_config(1900, 10, k=9)
+    positive, negative = scrambled(a, rng), scrambled(co.cremona_at(a, CENTERS), rng)
+
+    def refuse(*args):
+        raise AssertionError("equivalent built a full canonical form")
+
+    monkeypatch.setattr(canonical, "bracket_form", refuse)
+    monkeypatch.setattr(canonical, "canonical_form", refuse)
+    assert co.equivalent(a, positive)
+    assert not co.equivalent(a, negative)
 
 
 def test_different_k_is_inequivalent():
@@ -172,14 +255,12 @@ def test_different_k_is_inequivalent():
 
 
 def test_no_frame_error():
-    planar = cfg_from_rows(
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0),
-         (1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0), (1, 2, 3, 0)]
-    )
+    framed = co.random_config(1800, 8)
     with pytest.raises(co.NoFrameError):
-        co.canonical_form(planar)
-    with pytest.raises(co.NoFrameError):
-        co.equivalent(planar, planar)
+        co.canonical_form(_PLANAR)
+    for a, b in ((_PLANAR, _PLANAR), (framed, _PLANAR), (_PLANAR, framed)):
+        with pytest.raises(co.NoFrameError):
+            co.equivalent(a, b)
 
 
 def test_form_is_ascii_and_starts_with_k():

@@ -14,6 +14,12 @@ from helpers import cfg_from_rows, special_coplanar_config
 
 GOOD = ["--seed", "7", "--height", "50", "--k", "8"]
 
+# eight points on the plane X3 = 0: no 5 of them form a frame
+PLANAR = cfg_from_rows(
+    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0),
+     (1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0), (1, 2, 3, 0)]
+)
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -184,22 +190,22 @@ def test_equiv_float_coordinates_are_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["equiv", "A", "A"],
+    ["equiv", "G", "A"],
     ["iterate", "A", "--steps", 2, "--out", "OUT"],
     ["orbit", "A", "--max-depth", 1, "--out", "OUT"],
-], ids=["equiv", "iterate", "orbit"])
+], ids=["equiv", "equiv-framed-first", "iterate", "orbit"])
 def test_no_frame_is_input_error(tmp_path, capsys, argv):
     # iterate fails at step 0 before any report exists: (*) at {1,2,3,4}
     # would make {1,2,3,4,5} a frame
-    planar = cfg_from_rows(
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0),
-         (1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0), (1, 2, 3, 0)]
-    )
-    a = write_config(tmp_path / "a.json", planar)
-    names = {"A": a, "OUT": tmp_path / "out.json"}
+    names = {"A": write_config(tmp_path / "a.json", PLANAR),
+             "G": write_config(tmp_path / "g.json", co.random_config(7, 10)),
+             "OUT": tmp_path / "out.json"}
     assert run([names.get(x, x) for x in argv]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("input error:") and "frame" in err[0]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "g.json"]
 
 
 def test_deeply_nested_json_is_input_error(tmp_path, capsys):
