@@ -19,7 +19,15 @@ import operator
 
 from .digits import int_to_decimal
 from .errors import NoFrameError
-from .projective import _VERTICES, Configuration, ProjectivePoint, brackets, cramer
+from .projective import (
+    _VERTICES,
+    CenterSet,
+    Configuration,
+    ProjectivePoint,
+    _lone_brackets,
+    brackets,
+    cramer,
+)
 
 # the 24 orders of the four frame vertices as coordinate getters, grouped by
 # the coordinate they put first
@@ -43,18 +51,27 @@ def serialize_points(k, pts) -> bytes:
     return text.encode("ascii")
 
 
-def _quotient(w, c):
-    """Primitive integer representative of the point (w0/c0 : .. : w3/c3)."""
-    nums = []
-    dens = []
-    for wi, ci in zip(w, c):
-        g = math.gcd(wi, ci)
-        nums.append(wi // g)
-        dens.append(ci // g)
-    lcm = math.lcm(*dens)
-    y = [n * (lcm // d) for n, d in zip(nums, dens)]
-    g = math.gcd(*y)
-    return tuple(v // g for v in y)
+def _reduce(ws, c):
+    """The primitive integer points (w0/c0 : .. : w3/c3), one for each primitive w in ``ws``.
+
+    c is the Cramer vector of the unit point, w those of the other points.
+    Each coordinate is cancelled on its own, w_i/c_i = n_i/d_i with
+    g_i = gcd(w_i, c_i), and the point is n_i * (m / d_i) for m the lcm of
+    the d_i.  That is already primitive: a prime dividing m misses the
+    coordinate whose d_i holds its full power in m, and any other common
+    prime divides every n_i, hence every w_i, and w is primitive.  No c_i
+    may be zero.
+    """
+    c0, c1, c2, c3 = c
+    gcd = math.gcd
+    out = []
+    for w0, w1, w2, w3 in ws:
+        g0, g1, g2, g3 = gcd(w0, c0), gcd(w1, c1), gcd(w2, c2), gcd(w3, c3)
+        d0, d1, d2, d3 = c0 // g0, c1 // g1, c2 // g2, c3 // g3
+        m = math.lcm(d0, d1, d2, d3)
+        out.append((w0 // g0 * (m // d0), w1 // g1 * (m // d1),
+                    w2 // g2 * (m // d2), w3 // g3 * (m // d3)))
+    return out
 
 
 def _oriented(p):
@@ -62,17 +79,20 @@ def _oriented(p):
     return p if p > (0, 0, 0, 0) else tuple(-v for v in p)
 
 
-def _swap_unit(y, j):
-    """M_j y, where M_j trades the frame vertex e_j with the unit point.
+def _swap_unit(ys, j):
+    """M_j y for each image y in ``ys``, where M_j trades the frame vertex e_j with the unit point.
 
     (M_j y)_i = y_i - y_j for i != j and (M_j y)_j = -y_j.  M_j fixes e_i for
     i != j, sends e_j to -(1:1:1:1) and (1:1:1:1) to -e_j; it is an integer
     involution of determinant -1.
     """
-    yj = y[j]
-    z = [v - yj for v in y]
-    z[j] = -yj
-    return tuple(z)
+    if j == 0:
+        return [(-a, b - a, c - a, d - a) for a, b, c, d in ys]
+    if j == 1:
+        return [(a - b, -b, c - b, d - b) for a, b, c, d in ys]
+    if j == 2:
+        return [(a - c, b - c, -c, d - c) for a, b, c, d in ys]
+    return [(a - d, b - d, c - d, -d) for a, b, c, d in ys]
 
 
 def canonical_form(config: Configuration) -> bytes:
@@ -102,15 +122,28 @@ def canonical_form(config: Configuration) -> bytes:
     image, so each unordered 5-subset and choice of u yields one image set
     and 24 coordinate orders.
 
-    Unit points.  Each frame S is reduced once, with u its largest label, so
-    no base containing label k is used.  For the frame with b_j as unit point
-    and u as vertex j, the normalizing map is M_j T: M_j (``_swap_unit``)
-    fixes e_i for i != j and swaps e_j with (1:1:1:1) up to sign, so M_j T
-    sends this ordered frame to the standard one, and a projective map is
-    fixed by the images of a frame.  M_j is an integer matrix of determinant
-    -1, so a primitive image stays primitive and only its sign is left to
-    fix.  The five unit points of S thus give exactly the candidates of every
-    (base, u) with base + u = S.
+    Unit points.  Each 5-subset S is reduced in one frame only, with u its
+    largest label, so no base containing label k is used.  For the frame
+    with b_j as unit point and u as vertex j, the normalizing map is M_j T:
+    M_j (``_swap_unit``) fixes e_i for i != j and swaps e_j with (1:1:1:1)
+    up to sign, so M_j T sends this ordered frame to the standard one, and a
+    projective map is fixed by the images of a frame.  M_j is an integer
+    matrix of determinant -1, so a primitive image stays primitive and only
+    its sign is left to fix.  The five unit points of S thus give exactly the
+    candidates of every (base, u) with base + u = S.
+
+    Kernel.  Per base, ``cramer`` gives the vector of each other point once,
+    its four signed brackets looked up by label.  Per frame, ``_reduce``
+    turns all k - 5 vectors into images in one call, cancelling each
+    coordinate w_i / c_i by gcd(w_i, c_i) and scaling by the lcm of the
+    reduced denominators, so the images come out primitive with no further
+    gcd; cancelling per coordinate keeps the products short on tall
+    configurations, where gcd(w_i, c_i) is large.  ``_swap_unit`` applies
+    M_j to a whole image set in one comprehension.
+
+    Cost.  C(k, 5) five-subsets times 5 unit points give 280, 630 and 1260
+    image sets of k - 5 images at k = 8, 9 and 10; the prune below leaves
+    all but a few of them before any vertex order is sorted.
 
     Selection.  The five frame images are in every candidate and differ from
     every other image, so comparing candidates is comparing the sorted images
@@ -119,8 +152,9 @@ def canonical_form(config: Configuration) -> bytes:
     (``_oriented``: a tuple exceeds zero iff its first nonzero entry is
     positive), and the results are sorted.  The first coordinate of the least
     of them is min_t |T(p_t)_{sigma_0}|; one bound per image set and leading
-    coordinate prunes the six orders whose lead already exceeds the best.
-    Only the winner is encoded.
+    coordinate prunes the six orders whose lead already exceeds the best,
+    and an image set whose every |coordinate| exceeds it is skipped before
+    the four bounds are taken.  Only the winner is encoded.
     """
     return bracket_form(config.k, brackets(config))
 
@@ -129,6 +163,8 @@ def bracket_form(k: int, br) -> bytes:
     """``canonical_form`` of a k-point configuration, from its bracket table ``br``."""
     best = None
     for ys in _image_sets(k, br):
+        if best is not None and min(map(abs, itertools.chain.from_iterable(ys))) > best[0][0]:
+            continue  # every lead exceeds the best
         lows = [min(map(abs, col)) for col in zip(*ys)]
         for lead, orders in enumerate(_ORDERS_BY_LEAD):
             if best is not None and lows[lead] > best[0][0]:
@@ -142,27 +178,31 @@ def bracket_form(k: int, br) -> bytes:
     return serialize_points(k, sorted(_FRAME_IMAGES + tuple(best)))
 
 
-def _image_sets(k: int, br):
+def _image_sets(k: int, br, bases=None):
     """The image set of every frame of a k-point configuration, in the candidate order.
 
-    For each base of labels below k with a nonzero bracket, and each unit
-    point u above its last label that makes base + u a frame, this yields the
-    k - 5 other points reduced in that frame, then the same list under each
-    of the four unit swaps.  ``bracket_form`` and ``equivalent`` both read it.
+    For each base of labels below k with a nonzero bracket, in lexicographic
+    order, and each unit point u above its last label that makes base + u a
+    frame, this yields the k - 5 other points reduced in that frame, then
+    the same list under each of the four unit swaps.  ``bracket_form`` and
+    ``equivalent`` both read it.  ``bases`` restricts the scan to the given
+    bases, for which ``br`` need only hold the brackets of base plus one point.
     """
-    labels = range(1, k + 1)
-    for base in itertools.combinations(range(1, k), 4):
+    if bases is None:
+        bases = itertools.combinations(range(1, k), 4)
+    for base in bases:
         if br[base] == 0:
             continue
-        others = [t for t in labels if t not in base]
-        vecs = {t: cramer(br, base, t) for t in others}
-        for u in range(base[3] + 1, k + 1):
-            if not all(vecs[u]):
+        others = [t for t in range(1, k + 1) if t not in base]
+        vecs = [cramer(br, base, t) for t in others]
+        for n in range(base[3] - 4, k - 4):  # others[n] = u runs over base[3] + 1 .. k
+            c = vecs[n]
+            if not all(c):
                 continue  # base + u is no frame: u lies on a plane of three base points
-            reduced = [_quotient(vecs[t], vecs[u]) for t in others if t != u]
+            reduced = _reduce(vecs[:n] + vecs[n + 1:], c)
             yield reduced
             for j in range(4):
-                yield [_swap_unit(y, j) for y in reduced]
+                yield _swap_unit(reduced, j)
 
 
 def normalized_at(config: Configuration, br, base) -> Configuration | None:
@@ -181,12 +221,13 @@ def normalized_at(config: Configuration, br, base) -> Configuration | None:
     if br[base] == 0:
         return None
     others = [t for t in range(1, config.k + 1) if t not in base]
-    vecs = {t: cramer(br, base, t) for t in others}
+    vecs = [cramer(br, base, t) for t in others]
     best = None
-    for u in others:
-        if not all(vecs[u]):
+    for n, u in enumerate(others):
+        if not all(vecs[n]):
             continue  # u lies on a plane of three base points
-        images = {t: _oriented(_quotient(vecs[t], vecs[u])) for t in others if t != u}
+        rest = others[:n] + others[n + 1:]
+        images = dict(zip(rest, map(_oriented, _reduce(vecs[:n] + vecs[n + 1:], vecs[n]))))
         size = sum(abs(v).bit_length() for y in images.values() for v in y)
         if best is None or size < best[0]:
             best = size, u, images
@@ -203,21 +244,19 @@ def equivalent(a: Configuration, b: Configuration) -> bool:
     """True iff some relabeling plus a projective map carries b onto a.
 
     The target is one candidate of ``a`` (``canonical_form``): its first
-    image set, read in the given vertex order.  The candidate multiset is
-    invariant under PGL(4) x S_k, so if a ~ b the target is a candidate of
-    ``b``.  Conversely, a candidate of ``b`` equal to it comes from frames F
-    of a and F' of b with T_F(a) = T_F'(b) as point sets, so T_F'^{-1} T_F
-    carries a onto b up to relabeling.  So the image sets of ``b`` are
-    scanned until one of their 24 orders gives the target.  Reordering the
-    vertices and orienting and sorting the images leave the multiset of
-    |coordinates| of an image set as it is, so an image set whose multiset
-    differs from the target's is skipped.
+    image set (``_first_image_set``), read in the given vertex order.  The
+    candidate multiset is invariant under PGL(4) x S_k, so if a ~ b the
+    target is a candidate of ``b``.  Conversely, a candidate of ``b`` equal
+    to it comes from frames F of a and F' of b with T_F(a) = T_F'(b) as
+    point sets, so T_F'^{-1} T_F carries a onto b up to relabeling.  So the
+    image sets of ``b`` are scanned until one of their 24 orders gives the
+    target.  Reordering the vertices and orienting and sorting the images
+    leave the multiset of |coordinates| of an image set as it is, so an
+    image set whose multiset differs from the target's is skipped.
     """
     if a.k != b.k:
         return False
-    first = next(_image_sets(a.k, brackets(a)), None)
-    if first is None:
-        raise NoFrameError(_NO_FRAME)
+    first = _first_image_set(a)
     target = sorted([_oriented(y) for y in first])
     profile = _abs_profile(target)
     framed = False
@@ -231,6 +270,23 @@ def equivalent(a: Configuration, b: Configuration) -> bool:
     if not framed:
         raise NoFrameError(_NO_FRAME)
     return False
+
+
+def _first_image_set(config: Configuration):
+    """The first image set of ``_image_sets`` on the full bracket table of ``config``.
+
+    When [1234] is nonzero and some u in 5..k makes 1234 + u a frame, it is
+    read from the 1 + 4(k - 4) brackets around base (1,2,3,4); otherwise
+    from the full table.  Raises NoFrameError if ``config`` has no frame.
+    """
+    base = (1, 2, 3, 4)
+    near = _lone_brackets(config, CenterSet(base))
+    first = next(_image_sets(config.k, near, (base,)), None)
+    if first is None:
+        first = next(_image_sets(config.k, brackets(config)), None)
+        if first is None:
+            raise NoFrameError(_NO_FRAME)
+    return first
 
 
 def _abs_profile(ys):

@@ -180,6 +180,36 @@ def brackets(config: Configuration, subsets=None) -> dict[tuple[int, int, int, i
     return {sub: det4((pts[sub[0]], pts[sub[1]], pts[sub[2]], pts[sub[3]])) for sub in subsets}
 
 
+# the signs (-1)^r of the four positions r != j of a sorted 5-subset
+_DROP_SIGNS = tuple(tuple((-1) ** r for r in range(5) if r != j) for j in range(5))
+
+
+def _signed_drops(base, t):
+    """The four 4-subsets S - S_r that ``cramer`` reads, then their signs (-1)^r.
+
+    S = sorted(base + t), and r runs over the positions of the base labels
+    in S.  When no label exceeds ``_DROPS_LABELS`` the result is kept in
+    ``_DROPS``, its 4-subsets shared through ``_SUBSETS``.
+    """
+    s = sorted((*base, t))
+    subs = reversed(list(itertools.combinations(s, 4)))  # S - S_r for r = 0..4
+    kept = s[4] <= _DROPS_LABELS
+    drops = (*(_SUBSETS.setdefault(sub, sub) if kept else sub
+               for label, sub in zip(s, subs) if label != t),
+             _DROP_SIGNS[s.index(t)])
+    if kept:
+        _DROPS[base, t] = drops
+    return drops
+
+
+# _signed_drops by (base, t) for labels up to 12 (at most C(12, 4) * 8 = 3960
+# entries), filled on first use, and the 4-subsets its entries share.  Built at
+# import, the table would take its memory in every process, used or not.
+_DROPS = {}
+_SUBSETS = {}
+_DROPS_LABELS = 12
+
+
 def cramer(br, base, t):
     """adj(A) p_t up to a common sign, divided by its gcd: the signed 5-subset rule.
 
@@ -189,12 +219,13 @@ def cramer(br, base, t):
     position j and base[i] at position r: sorting that column order takes
     r + j + 1 transpositions mod 2, so (adj(A) p_t)_i = (-1)^(r+j+1) [S - S_r].
     The common sign (-1)^(j+1) is dropped.  The vector is nonzero if [base] is.
+    The signed drops depend on the labels only, so they are kept in a table
+    bounded by the largest label.
     """
-    s = sorted((*base, t))
-    drops = zip(s, reversed(list(itertools.combinations(s, 4))))  # (S_r, S - S_r)
-    v = [(-1) ** r * br[sub] for r, (label, sub) in enumerate(drops) if label != t]
-    g = math.gcd(*v)
-    return tuple(x // g for x in v)
+    s0, s1, s2, s3, (e0, e1, e2, e3) = _DROPS.get((base, t)) or _signed_drops(base, t)
+    v0, v1, v2, v3 = e0 * br[s0], e1 * br[s1], e2 * br[s2], e3 * br[s3]
+    g = math.gcd(v0, v1, v2, v3)
+    return v0 // g, v1 // g, v2 // g, v3 // g
 
 
 def star_witness(br, centers: CenterSet, k: int) -> StarViolation | None:

@@ -6,7 +6,7 @@ import itertools
 import random
 
 import cremona_orbits as co
-from cremona_orbits import linalg
+from cremona_orbits import canonical, linalg
 from cremona_orbits.lattice import _from_vector, _to_vector
 
 
@@ -111,6 +111,24 @@ def brute_force_canonical_bytes(config) -> bytes:
     if best is None:
         raise co.NoFrameError("no frame among the test points")
     return best
+
+
+def unpruned_form(config) -> bytes:
+    """``canonical_form`` with its selection done the long way.
+
+    The least candidate over every image set of ``canonical._image_sets`` and
+    all 24 vertex orders, with no prune.  Cheaper than the two references
+    above at k = 10, it checks the selection, not the image sets.
+    """
+    best = None
+    for ys in canonical._image_sets(config.k, co.brackets(config)):
+        for sigma in itertools.permutations(range(4)):
+            cand = sorted(_signed(y, sigma) for y in ys)
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        raise co.NoFrameError("no frame among the test points")
+    return _encode(config.k, sorted(canonical._FRAME_IMAGES + tuple(best)))
 
 
 # ---------------------------------------------------------------------------

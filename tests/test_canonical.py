@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from helpers import (
     rand_invertible_map,
     rand_permutation,
     special_coplanar_config,
+    unpruned_form,
 )
 
 CENTERS = co.CenterSet((1, 2, 3, 4))
@@ -68,17 +70,105 @@ def test_matches_brute_force_k9(make):
 
 @pytest.mark.parametrize("j", range(4))
 def test_unit_swap_is_unimodular_involution_of_the_frame(j):
+    # _swap_unit maps a whole image set at once, in order
     frame = set(canonical._FRAME_IMAGES)
     basis = [tuple(int(i == c) for i in range(4)) for c in range(4)]
-    columns = [canonical._swap_unit(e, j) for e in basis]
+    columns = canonical._swap_unit(basis, j)
     assert det4(columns) in (1, -1)
-    for y in basis + [(3, -1, 4, -1), (0, 5, -9, 2)]:
-        assert canonical._swap_unit(canonical._swap_unit(y, j), j) == y
-    images = {co.normalize_point(canonical._swap_unit(y, j)).coords for y in frame}
+    ys = basis + [(3, -1, 4, -1), (0, 5, -9, 2)]
+    assert canonical._swap_unit(canonical._swap_unit(ys, j), j) == ys
+    images = {co.normalize_point(y).coords for y in canonical._swap_unit(list(frame), j)}
     assert images == frame
     unit = (1, 1, 1, 1)
-    assert co.normalize_point(canonical._swap_unit(unit, j)).coords == basis[j]
-    assert co.normalize_point(canonical._swap_unit(basis[j], j)).coords == unit
+    assert [co.normalize_point(y).coords for y in canonical._swap_unit([unit, basis[j]], j)] == [
+        basis[j], unit]
+
+
+def _frames(cfg):
+    """(ws, c) for every frame base + u of cfg: the Cramer vectors of the other points and of u."""
+    br = co.brackets(cfg)
+    for base in itertools.combinations(range(1, cfg.k + 1), 4):
+        if br[base] == 0:
+            continue
+        vecs = {t: co.projective.cramer(br, base, t) for t in range(1, cfg.k + 1) if t not in base}
+        for u, c in vecs.items():
+            if all(c):
+                yield [w for t, w in vecs.items() if t != u], c
+
+
+def _coxeter_word(steps):
+    return co.CremonaWord(co.CremonaWord.coxeter_step(8).moves * steps)
+
+
+def test_frame_reduction_matches_exact_fractions():
+    # steps 12 and 17 of random_config(7, 10), as the iterate stores them (in
+    # the Cremona frame), cancel thousands of bits per coordinate; in the
+    # special configuration the brackets through {5,6,7,8} give zero coordinates
+    step12, _ = co.apply_word(co.random_config(7, 10), _coxeter_word(12))
+    step17, _ = co.apply_word(step12, _coxeter_word(5))
+    cancelled = zeros = 0
+    for cfg in (step12, step17, special_coplanar_config(3)):
+        for ws, c in _frames(cfg):
+            images = canonical._reduce(ws, c)
+            assert len(images) == len(ws) == cfg.k - 5
+            for w, y in zip(ws, images):
+                want = co.normalize_point(tuple(Fraction(a, b) for a, b in zip(w, c)))
+                assert canonical._oriented(y) == want.coords
+                cancelled = max(cancelled, *(math.gcd(a, b).bit_length() for a, b in zip(w, c)))
+                zeros += w.count(0)
+    assert cancelled > 5000 and zeros > 0
+
+
+def _selection_corpus(k):
+    rng = random.Random(40 + k)
+    cfgs = [co.random_config(2000 + k, 6, k=k), co.random_config(2100 + k, 3, k=k)]
+    cfgs += [co.cremona_at(c, CENTERS) for c in cfgs]
+    cfgs.append(_small_config(rng, k))
+    if k == 8:
+        cfgs += [special_coplanar_config(3), co.cremona_at(special_coplanar_config(4), CENTERS)]
+    return cfgs
+
+
+@pytest.mark.parametrize("k", (8, 9, 10))
+def test_selection_matches_unpruned_oracle(k):
+    # every image set read in all 24 orders: the prunes must not lose the winner
+    for cfg in _selection_corpus(k):
+        assert co.canonical_form(cfg) == unpruned_form(cfg)
+
+
+def _on_planes(seed, planes):
+    """random_config(seed, 6) with each point t moved onto the plane of the labels planes[t]."""
+    rng = random.Random(seed)
+    pts = [p.coords for p in co.random_config(seed, 6).points]
+    for t, plane in planes.items():
+        coeffs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in plane]
+        pts[t - 1] = tuple(sum(a * pts[i - 1][j] for a, i in zip(coeffs, plane)) for j in range(4))
+    return cfg_from_rows(pts)
+
+
+@pytest.mark.parametrize("make, lone", [
+    (lambda: co.random_config(2200, 10), True),
+    (lambda: co.random_config(2201, 10, k=9), True),
+    (lambda: co.random_config(2202, 10, k=10), True),
+    (lambda: special_coplanar_config(3), True),
+    (lambda: _on_planes(2203, {4: (1, 2, 3)}), False),
+    (lambda: _on_planes(2204, {5: (1, 2, 3), 6: (1, 2, 4), 7: (1, 3, 4), 8: (2, 3, 4)}), False),
+], ids=["k8", "k9", "k10", "special", "1234-coplanar", "no-unit-for-1234"])
+def test_equivalence_target_from_the_brackets_around_1234(make, lone, monkeypatch):
+    # the target is the first image set of the full table; with a frame
+    # 1234 + u it comes from the 1 + 4(k - 4) brackets around 1234 alone
+    a = make()
+    near = co.projective._lone_brackets(a, CENTERS)
+    assert len(near) == 1 + 4 * (a.k - 4)
+    restricted = next(canonical._image_sets(a.k, near, (CENTERS.indices,)), None)
+    assert (restricted is not None) == lone
+    want = next(canonical._image_sets(a.k, co.brackets(a)))
+    if lone:
+        def refuse(*args):
+            raise AssertionError("the full bracket table was built")
+
+        monkeypatch.setattr(canonical, "brackets", refuse)
+    assert canonical._first_image_set(a) == want
 
 
 def test_verdicts_match_byte_order_oracle():
@@ -282,9 +372,10 @@ def _small_config(rng, k):
 
 
 def test_cramer_matches_adjugate():
-    # the signed 5-subset rule against the adjugate itself, up to sign
+    # the signed 5-subset rule against the adjugate itself, up to sign; at
+    # k = 13 some labels lie above the bound of the table of signed drops
     rng = random.Random(38)
-    cfgs = [co.random_config(1700, 6, k=k) for k in (8, 9, 10)]
+    cfgs = [co.random_config(1700, 6, k=k) for k in (8, 9, 10, 13)]
     cfgs += [_small_config(rng, k) for k in (8, 9, 10) for _ in range(3)]
     checked = 0
     for cfg in cfgs:
