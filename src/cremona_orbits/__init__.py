@@ -14,7 +14,6 @@ from .errors import (
     DegeneratePointError,
     DimensionError,
     FormatError,
-    FrameError,
     GenerationError,
     NoFrameError,
     StarViolation,
@@ -65,16 +64,12 @@ from .orbit import (
 from .projective import (
     CenterSet,
     Configuration,
-    ProjectiveMap,
     ProjectivePoint,
     brackets,
-    condition_star,
     coplanar,
     cremona_at,
-    frame_transform,
     normalize_point,
     permute_config,
     random_config,
     star_violation,
-    transform_config,
 )

@@ -9,19 +9,6 @@ class DegeneratePointError(ValueError):
     """Homogeneous coordinates are all zero."""
 
 
-class FrameError(ValueError):
-    """A 5-tuple meant to be a projective frame has a coplanar 4-subset.
-
-    ``positions`` are 0-based positions into the offending 5-tuple.
-    """
-
-    def __init__(self, positions):
-        self.positions = tuple(positions)
-        super().__init__(
-            "degenerate frame: points at positions %s are coplanar" % (self.positions,)
-        )
-
-
 class NoFrameError(ValueError):
     """No 5 points of the configuration form a projective frame."""
 

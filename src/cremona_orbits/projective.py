@@ -20,13 +20,12 @@ from fractions import Fraction
 
 from .errors import (
     DegeneratePointError,
-    FrameError,
     GenerationError,
     StarViolation,
     StarViolationError,
     UsageError,
 )
-from .linalg import adjugate4, det4, mat_mul, mat_vec
+from .linalg import adjugate4, det4
 
 
 def _primitive(v):
@@ -37,19 +36,6 @@ def _primitive(v):
     if next(x for x in v if x) < 0:
         g = -g
     return tuple(x // g for x in v)
-
-
-def _clear_denominators(values, n):
-    """The primitive integer vector proportional to n ints or Fractions; floats are rejected."""
-    vals = []
-    for v in values:
-        if isinstance(v, float):
-            raise TypeError("floating point coordinates are not allowed: %r" % (v,))
-        vals.append(v if isinstance(v, (int, Fraction)) else Fraction(v))
-    if len(vals) != n:
-        raise ValueError("expected %d coordinates, got %d" % (n, len(vals)))
-    lcm = math.lcm(*(v.denominator for v in vals))
-    return _primitive(tuple(int(v * lcm) for v in vals))
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -72,8 +58,16 @@ _VERTICES = tuple(ProjectivePoint(tuple(int(i == j) for j in range(4))) for i in
 
 
 def normalize_point(raw) -> ProjectivePoint:
-    """Canonical representative of a 4-tuple of rationals (ints or Fractions)."""
-    return ProjectivePoint(_clear_denominators(raw, 4))
+    """Canonical representative of a 4-tuple of ints or Fractions; floats are rejected."""
+    vals = []
+    for v in raw:
+        if isinstance(v, float):
+            raise TypeError("floating point coordinates are not allowed: %r" % (v,))
+        vals.append(v if isinstance(v, (int, Fraction)) else Fraction(v))
+    if len(vals) != 4:
+        raise ValueError("expected 4 coordinates, got %d" % len(vals))
+    lcm = math.lcm(*(v.denominator for v in vals))
+    return ProjectivePoint(_primitive(tuple(int(v * lcm) for v in vals)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,42 +90,6 @@ class Configuration:
 
     def point(self, label: int) -> ProjectivePoint:
         return self.points[label - 1]
-
-
-@dataclass(frozen=True, slots=True)
-class ProjectiveMap:
-    """An element of PGL(4), stored as its canonical primitive integer matrix.
-
-    The matrix is defined up to a nonzero scalar; the stored representative
-    has coprime entries and positive first nonzero entry (row-major), so
-    dataclass equality is exactly equality in PGL(4).
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        flat = tuple(v for r in rows for v in r)
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
-            raise ValueError("need a 4x4 matrix")
-        if flat != _primitive(flat):
-            raise ValueError("non-canonical matrix representative")
-        if det4(rows) == 0:
-            raise ValueError("projective map must be invertible")
-
-    @classmethod
-    def from_rows(cls, rows) -> "ProjectiveMap":
-        """Build from any 4x4 of ints/Fractions, clearing scale canonically."""
-        flat = _clear_denominators([v for r in rows for v in r], 16)
-        return cls(tuple(flat[i: i + 4] for i in range(0, 16, 4)))
-
-    def apply(self, p: ProjectivePoint) -> ProjectivePoint:
-        return ProjectivePoint(_primitive(mat_vec(self.rows, p.coords)))
-
-    def compose(self, other: "ProjectiveMap") -> "ProjectiveMap":
-        """self after other (matrix product self @ other)."""
-        return ProjectiveMap.from_rows(mat_mul(self.rows, other.rows))
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,38 +226,8 @@ def star_violation(config: Configuration, centers: CenterSet) -> StarViolation |
     return star_witness(_lone_brackets(config, centers), centers, config.k)
 
 
-def condition_star(config: Configuration, centers: CenterSet) -> bool:
-    return star_violation(config, centers) is None
-
-
 # ---------------------------------------------------------------------------
-# frames and maps
-
-def frame_transform(points) -> ProjectiveMap:
-    """The unique map sending five frame points to e0, e1, e2, e3, (1:1:1:1).
-
-    The five points must be a projective frame: every 4-subset spans P^3.
-    """
-    pts = tuple(points)
-    if len(pts) != 5:
-        raise ValueError("a frame consists of 5 points, got %d" % len(pts))
-    a = tuple(tuple(pts[j].coords[i] for j in range(4)) for i in range(4))
-    if det4(a) == 0:
-        raise FrameError((0, 1, 2, 3))
-    adj = adjugate4(a)
-    c = mat_vec(adj, pts[4].coords)
-    for i in range(4):
-        if c[i] == 0:
-            raise FrameError(tuple(j for j in range(4) if j != i) + (4,))
-    scale = _reciprocal(c)
-    return ProjectiveMap.from_rows(
-        tuple(tuple(scale[i] * v for v in adj[i]) for i in range(4))
-    )
-
-
-def transform_config(config: Configuration, pmap: ProjectiveMap) -> Configuration:
-    return Configuration(tuple(pmap.apply(p) for p in config.points))
-
+# relabeling
 
 def check_permutation(perm, k: int) -> None:
     """Raise ValueError unless perm lists each label 1..k exactly once."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import cremona_orbits as co
@@ -14,13 +15,37 @@ def cfg_from_rows(rows) -> co.Configuration:
     return co.Configuration(tuple(co.normalize_point(tuple(r)) for r in rows))
 
 
-def rand_invertible_map(rng, bound=9) -> co.ProjectiveMap:
+def rand_invertible_map(rng, bound=9):
+    """The rows of a random invertible 4x4 integer matrix, an element of PGL(4)."""
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(4)] for _ in range(4)]
-        try:
-            return co.ProjectiveMap.from_rows(rows)
-        except ValueError:
-            continue
+        if linalg.det4(rows) != 0:
+            return rows
+
+
+def moved(config, rows) -> co.Configuration:
+    """The configuration with each point p sent to the point of rows @ p."""
+    return co.Configuration(tuple(co.normalize_point(linalg.mat_vec(rows, p.coords))
+                                  for p in config.points))
+
+
+def frame_matrix(points):
+    """Rows of the map sending five points to e0, e1, e2, e3, (1:1:1:1), or None for a non-frame.
+
+    With A the matrix whose columns are the first four points and u the
+    fifth, adj(A) sends them to multiples of e0..e3 and u to c = adj(A) u;
+    row i rescaled by 1 / c_i, cleared of denominators, fixes the scales.
+    The points are a frame iff det(A) and every c_i are nonzero.
+    """
+    a = tuple(tuple(p.coords[i] for p in points[:4]) for i in range(4))
+    if linalg.det4(a) == 0:
+        return None
+    adj = linalg.adjugate4(a)
+    c = linalg.mat_vec(adj, points[4].coords)
+    if 0 in c:
+        return None
+    scale = math.prod(c)
+    return tuple(tuple(scale // ci * v for v in row) for ci, row in zip(c, adj))
 
 
 def rand_permutation(rng, k) -> tuple[int, ...]:
@@ -69,17 +94,16 @@ def _encode(k, pts) -> bytes:
 def brute_force_canonical(config) -> bytes:
     """Reference canonical form, straight from the definition.
 
-    Normalize by every ordered 5-point frame via the public frame_transform,
-    sort the canonical points, keep the least outcome in the order of integer
-    point tuples, and serialize it.
+    Normalize by every ordered 5-point frame through an explicit matrix
+    (``frame_matrix``), sort the canonical points, keep the least outcome in
+    the order of integer point tuples, and serialize it.
     """
     best = None
     for order in itertools.permutations(range(config.k), 5):
-        try:
-            t = co.frame_transform([config.points[i] for i in order])
-        except co.FrameError:
+        t = frame_matrix([config.points[i] for i in order])
+        if t is None:
             continue
-        pts = sorted(t.apply(p).coords for p in config.points)
+        pts = sorted(p.coords for p in moved(config, t).points)
         if best is None or pts < best:
             best = pts
     if best is None:
@@ -91,7 +115,7 @@ def brute_force_canonical_bytes(config) -> bytes:
     """The earlier reference: the same candidates, the byte-least serialization kept.
 
     It picks other winners than ``brute_force_canonical`` but must decide
-    equivalence the same way.  For speed it calls frame_transform once per
+    equivalence the same way.  For speed it builds ``frame_matrix`` once per
     5-subset and unit point: reordering the four vertices b_i -> e_i only
     permutes the coordinates of every image.
     """
@@ -99,11 +123,10 @@ def brute_force_canonical_bytes(config) -> bytes:
     for frame in itertools.combinations(range(config.k), 5):
         for unit in frame:
             order = [i for i in frame if i != unit] + [unit]
-            try:
-                t = co.frame_transform([config.points[i] for i in order])
-            except co.FrameError:
+            t = frame_matrix([config.points[i] for i in order])
+            if t is None:
                 continue
-            images = [t.apply(p).coords for p in config.points]
+            images = [p.coords for p in moved(config, t).points]
             for sigma in itertools.permutations(range(4)):
                 blob = _encode(config.k, sorted(_signed(y, sigma) for y in images))
                 if best is None or blob < best:

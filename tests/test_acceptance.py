@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import cremona_orbits as co
 from cremona_orbits import linalg
-from helpers import rand_invertible_map, rand_permutation, special_coplanar_config
+from helpers import moved, rand_invertible_map, rand_permutation, special_coplanar_config
 from test_lattice import COXETER_MATRIX_K8
 
 
@@ -117,7 +117,7 @@ def test_08_equivalence_decision_soundness():
         for trial in range(100):
             rng = random.Random(10_000 + trial)
             cfg = co.random_config(20_000 + trial, 10)
-            image = co.transform_config(
+            image = moved(
                 co.permute_config(cfg, rand_permutation(rng, 8)),
                 rand_invertible_map(rng),
             )

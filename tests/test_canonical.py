@@ -15,6 +15,7 @@ from helpers import (
     brute_force_canonical,
     brute_force_canonical_bytes,
     cfg_from_rows,
+    moved,
     rand_invertible_map,
     rand_permutation,
     special_coplanar_config,
@@ -26,13 +27,11 @@ CENTERS = co.CenterSet((1, 2, 3, 4))
 
 def scrambled(cfg, rng):
     """A random relabeling of cfg hit by a random invertible map."""
-    return co.transform_config(
-        co.permute_config(cfg, rand_permutation(rng, cfg.k)), rand_invertible_map(rng)
-    )
+    return moved(co.permute_config(cfg, rand_permutation(rng, cfg.k)), rand_invertible_map(rng))
 
 
 def test_matches_brute_force_enumeration():
-    # independent route: every ordered frame through the public frame_transform
+    # independent route: every ordered frame through helpers.frame_matrix
     for seed in (1, 2):
         cfg = co.random_config(500 + seed, 5)
         assert co.canonical_form(cfg) == brute_force_canonical(cfg)
@@ -43,6 +42,23 @@ def test_matches_brute_force_with_coplanar_four_tuple():
     # some images have zero coordinates
     cfg = special_coplanar_config(3)
     assert co.canonical_form(cfg) == brute_force_canonical(cfg)
+
+
+def test_brute_force_oracles_share_no_rule_with_the_form(monkeypatch):
+    # the references reach every frame through helpers.frame_matrix, so they
+    # must run with the form's Cramer rule and image sets out of action
+    cfg = special_coplanar_config(3)
+    form = co.canonical_form(cfg)
+    image = scrambled(cfg, random.Random(5))
+
+    def broken(*args):
+        raise AssertionError("the oracle reached the rule it checks")
+
+    for module, name in ((co.projective, "cramer"), (canonical, "cramer"),
+                         (canonical, "_image_sets")):
+        monkeypatch.setattr(module, name, broken)
+    assert brute_force_canonical(cfg) == form
+    assert brute_force_canonical_bytes(cfg) == brute_force_canonical_bytes(image)
 
 
 def _coplanar_with_last_label(seed):

@@ -49,6 +49,15 @@ def test_gen_roundtrips_through_reader(tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
+def test_gen_gives_up_with_exit_3(tmp_path, capsys):
+    # 14 points in general position at height 2 exhaust the sampler's budget
+    out = tmp_path / "cfg.json"
+    assert run(["gen", "--seed", 1, "--k", 14, "--height", 2, "--out", out]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: could not sample")
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # cremona
 
@@ -139,13 +148,11 @@ def test_orbit_depth_one_node_count(tmp_path, monkeypatch):
 
 def test_equiv_against_scrambled_self(tmp_path, capsys):
     import random
-    from helpers import rand_invertible_map, rand_permutation
+    from helpers import moved, rand_invertible_map, rand_permutation
 
     rng = random.Random(71)
     cfg = co.random_config(6, 9)
-    image = co.transform_config(
-        co.permute_config(cfg, rand_permutation(rng, 8)), rand_invertible_map(rng)
-    )
+    image = moved(co.permute_config(cfg, rand_permutation(rng, 8)), rand_invertible_map(rng))
     a = write_config(tmp_path / "a.json", cfg)
     b = write_config(tmp_path / "b.json", image)
     assert run(["equiv", a, b]) == 0
@@ -373,3 +380,27 @@ def test_readme_library_example_runs():
     code = code.split("```", 1)[0]
     assert "import cremona_orbits" in code
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_public_names_are_pinned():
+    # a name may leave or join the package only with this list
+    import types
+
+    names = sorted(name for name, value in vars(co).items()
+                   if not name.startswith("__") and not isinstance(value, types.ModuleType))
+    assert names == [
+        "CenterSet", "Configuration", "CremonaMove", "CremonaWord", "CurveClass",
+        "DegeneratePointError", "DimensionError", "DistinctnessReport", "DivisorClass",
+        "FormatError", "GenerationError", "IterationReport", "JordanCertificate",
+        "LatticeMap", "NoFrameError", "OrbitGraph", "OrbitNode", "PermuteMove",
+        "ProjectivePoint", "StarViolation", "StarViolationError", "UsageError",
+        "anticanonical_class", "apply_word", "brackets", "canonical_form",
+        "consistency_check", "coplanar", "coplanar_scan", "coxeter_element",
+        "coxeter_iterate", "coxeter_relations", "coxeter_relations_check", "cremona_at",
+        "cremona_map", "cremona_pushforward", "cyclic_shift", "distinctness_certificate",
+        "equivalent", "exceptional_class", "exceptional_curve", "flopped_curve_classes",
+        "hyperplane_class", "intersect", "is_root_class", "iterate_class",
+        "jordan_certificate", "line_curve", "normalize_point", "orbit_bfs",
+        "permutation_map", "permute_class", "permute_config", "plane_through_last_four",
+        "quartic_curve_class", "random_config", "star_violation",
+    ]

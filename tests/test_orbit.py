@@ -199,10 +199,8 @@ def test_condition_star_reads_brackets_without_cramer(monkeypatch):
 
     monkeypatch.setattr(co.projective, "cramer", counted)
     assert co.star_violation(generic, CENTERS) is None
-    assert co.condition_star(generic, CENTERS)
     witness = co.StarViolation(plane=(5, 6, 7), point=8)
     assert co.star_violation(special, co.CenterSet((1, 5, 6, 7))) == witness
-    assert not co.condition_star(special, co.CenterSet((1, 5, 6, 7)))
     assert co.consistency_check(report)
     assert calls["cramer"] == 0
     co.cremona_at(generic, CENTERS)

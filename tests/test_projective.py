@@ -1,4 +1,4 @@
-"""Exact projective geometry: canonical points, frames, condition (*), Cremona."""
+"""Exact projective geometry: points, condition (*), Cremona, and the oracle's frame matrix."""
 
 import itertools
 import random
@@ -8,7 +8,8 @@ import pytest
 import sympy
 
 import cremona_orbits as co
-from helpers import cfg_from_rows, rand_invertible_map, rand_permutation
+from cremona_orbits import linalg
+from helpers import cfg_from_rows, frame_matrix, moved, rand_invertible_map, rand_permutation
 
 E0, E1, E2, E3 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 ONES = (1, 1, 1, 1)
@@ -72,55 +73,37 @@ def test_coplanar_examples():
 
 
 # ---------------------------------------------------------------------------
-# frame_transform
+# the explicit frame matrix of the brute-force oracle (helpers.frame_matrix)
 
-def test_frame_transform_identity():
-    t = co.frame_transform([pt(*E0), pt(*E1), pt(*E2), pt(*E3), pt(*ONES)])
-    assert t == co.ProjectiveMap.from_rows([E0, E1, E2, E3])
-
-
-def test_frame_transform_swap():
-    t = co.frame_transform([pt(*E1), pt(*E0), pt(*E2), pt(*E3), pt(*ONES)])
-    assert t == co.ProjectiveMap.from_rows([E1, E0, E2, E3])
-
-
-def test_frame_transform_diagonal():
-    t = co.frame_transform([pt(*E0), pt(*E1), pt(*E2), pt(*E3), pt(1, 2, 3, 4)])
-    want = co.ProjectiveMap.from_rows(
-        [[1, 0, 0, 0],
-         [0, Fraction(1, 2), 0, 0],
-         [0, 0, Fraction(1, 3), 0],
-         [0, 0, 0, Fraction(1, 4)]]
-    )
-    assert t == want
+def proportional(m, n):
+    """True iff the 4x4 matrices m and n are nonzero multiples of each other."""
+    a = [v for row in m for v in row]
+    b = [v for row in n for v in row]
+    i = next(i for i, v in enumerate(a) if v)
+    return b[i] != 0 and all(x * b[i] == y * a[i] for x, y in zip(a, b))
 
 
 def test_frame_transform_sends_frame_to_reference():
-    rng = random.Random(12)
     targets = [pt(*E0), pt(*E1), pt(*E2), pt(*E3), pt(*ONES)]
-    for seed in range(5):
-        cfg = co.random_config(100 + seed, 9)
-        five = cfg.points[:5]
-        t = co.frame_transform(five)
-        for p, want in zip(five, targets):
-            assert t.apply(p) == want
-        # uniqueness in PGL(4): composing with a random rescaling changes nothing
-        lam = rng.randint(2, 7)
-        assert co.ProjectiveMap.from_rows(
-            [[lam * v for v in row] for row in t.rows]
-        ) == t
-
-
-def test_frame_transform_names_coplanar_first_four():
-    with pytest.raises(co.FrameError) as err:
-        co.frame_transform([pt(*E0), pt(*E1), pt(*E2), pt(1, 1, 0, 0), pt(*ONES)])
-    assert err.value.positions == (0, 1, 2, 3)
-
-
-def test_frame_transform_names_coplanar_subset_with_unit():
-    with pytest.raises(co.FrameError) as err:
-        co.frame_transform([pt(*E0), pt(*E1), pt(*E2), pt(*E3), pt(1, 1, 1, 0)])
-    assert err.value.positions == (0, 1, 2, 4)
+    # hand frames with their maps, which are unique up to scale
+    cases = [
+        ([E0, E1, E2, E3, ONES], [E0, E1, E2, E3]),
+        ([E1, E0, E2, E3, ONES], [E1, E0, E2, E3]),
+        ([E0, E1, E2, E3, (1, 2, 3, 4)],
+         [[1, 0, 0, 0],
+          [0, Fraction(1, 2), 0, 0],
+          [0, 0, Fraction(1, 3), 0],
+          [0, 0, 0, Fraction(1, 4)]]),
+    ]
+    cases += [([p.coords for p in co.random_config(100 + seed, 9).points[:5]], None)
+              for seed in range(5)]
+    for five, want in cases:
+        t = frame_matrix([pt(*p) for p in five])
+        assert [co.normalize_point(linalg.mat_vec(t, p)) for p in five] == targets
+        assert want is None or proportional(t, want)
+    # a coplanar 4-subset, without and with the fifth point, is no frame
+    assert frame_matrix([pt(*E0), pt(*E1), pt(*E2), pt(1, 1, 0, 0), pt(*ONES)]) is None
+    assert frame_matrix([pt(*E0), pt(*E1), pt(*E2), pt(*E3), pt(1, 1, 1, 0)]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +117,13 @@ def vertex_config(fifth=(1, 1, 1, 1)):
 
 def test_condition_star_generic_true():
     cfg = vertex_config()
-    assert co.condition_star(cfg, co.CenterSet((1, 2, 3, 4)))
+    assert co.star_violation(cfg, co.CenterSet((1, 2, 3, 4))) is None
 
 
 def test_condition_star_point_on_plane():
     cfg = vertex_config(fifth=(1, 1, 1, 0))
     centers = co.CenterSet((1, 2, 3, 4))
-    assert not co.condition_star(cfg, centers)
+    assert co.star_violation(cfg, centers) is not None
     viol = co.star_violation(cfg, centers)
     assert viol.plane == (1, 2, 3) and viol.point == 5
     assert repr(viol) == "StarViolation(plane=(1, 2, 3), point=5)"
@@ -151,7 +134,7 @@ def test_condition_star_coplanar_centers():
         [E0, E1, E2, (1, 1, 0, 0), E3, (1, 2, 3, 4), (1, 1, 2, 3), (3, 1, 1, 2)]
     )
     centers = co.CenterSet((1, 2, 3, 4))
-    assert not co.condition_star(cfg, centers)
+    assert co.star_violation(cfg, centers) is not None
     viol = co.star_violation(cfg, centers)
     assert viol.plane == (1, 2, 3, 4) and viol.point is None
 
@@ -161,9 +144,9 @@ def test_condition_star_invariant_under_maps_and_center_fixing_relabeling():
     for seed in range(4):
         cfg = co.random_config(200 + seed, 8)
         centers = co.CenterSet(tuple(sorted(rng.sample(range(1, 9), 4))))
-        base = co.condition_star(cfg, centers)
-        moved = co.transform_config(cfg, rand_invertible_map(rng))
-        assert co.condition_star(moved, centers) == base
+        base = co.star_violation(cfg, centers)
+        image = moved(cfg, rand_invertible_map(rng))
+        assert co.star_violation(image, centers) == base
         # relabel within the centers and within the complement
         inside = list(centers.indices)
         outside = list(centers.complement(8))
@@ -174,7 +157,8 @@ def test_condition_star_invariant_under_maps_and_center_fixing_relabeling():
             perm[new - 1] = old
         for new, old in zip(centers.complement(8), outside):
             perm[new - 1] = old
-        assert co.condition_star(co.permute_config(cfg, tuple(perm)), centers) == base
+        assert (co.star_violation(co.permute_config(cfg, tuple(perm)), centers) is None) == (
+            base is None)
 
 
 def brute_force_star_violation(cfg, centers):
@@ -292,7 +276,7 @@ def test_random_config_general_position():
     cfg = co.random_config(5, 12)
     assert co.coplanar_scan(cfg) == ()
     for sub in itertools.combinations(range(1, 9), 4):
-        assert co.condition_star(cfg, co.CenterSet(sub))
+        assert co.star_violation(cfg, co.CenterSet(sub)) is None
 
 
 def test_random_config_height_bound_and_k():
@@ -327,7 +311,7 @@ def test_random_config_small_height_still_succeeds():
 
 
 # ---------------------------------------------------------------------------
-# configuration and map plumbing
+# configuration plumbing
 
 def test_configuration_rejects_duplicates_and_small_k():
     with pytest.raises(ValueError):
@@ -341,11 +325,3 @@ def test_permute_config_convention():
     shifted = co.permute_config(cfg, co.cyclic_shift(8))
     assert shifted.points[:7] == cfg.points[1:]
     assert shifted.points[7] == cfg.points[0]
-
-
-def test_projective_map_composition_matches_apply():
-    rng = random.Random(14)
-    a = rand_invertible_map(rng)
-    b = rand_invertible_map(rng)
-    p = pt(1, 2, 3, 4)
-    assert a.compose(b).apply(p) == a.apply(b.apply(p))

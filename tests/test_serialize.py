@@ -10,7 +10,7 @@ import pytest
 import cremona_orbits as co
 from cremona_orbits import serialize
 from cremona_orbits.digits import decimal_to_int, int_to_decimal
-from helpers import special_coplanar_config
+from helpers import moved, special_coplanar_config
 
 
 def test_config_roundtrip(tmp_path):
@@ -98,7 +98,7 @@ def test_tall_coordinates_roundtrip(tmp_path):
     rng = random.Random(4)
     big = 10 ** 4400
     rows = [[big * (i == j) + rng.randint(-9, 9) for j in range(4)] for i in range(4)]
-    tall = co.transform_config(small, co.ProjectiveMap.from_rows(rows))
+    tall = moved(small, rows)
     assert max(abs(v).bit_length() for p in tall.points for v in p.coords) > 14300
     path = tmp_path / "tall.json"
     serialize.dump_config(path, tall)
