@@ -21,10 +21,9 @@ from .digits import int_to_decimal
 from .errors import NoFrameError
 from .projective import (
     _VERTICES,
-    CenterSet,
+    BracketTable,
     Configuration,
     ProjectivePoint,
-    _lone_brackets,
     brackets,
     cramer,
 )
@@ -156,13 +155,13 @@ def canonical_form(config: Configuration) -> bytes:
     and an image set whose every |coordinate| exceeds it is skipped before
     the four bounds are taken.  Only the winner is encoded.
     """
-    return bracket_form(config.k, brackets(config))
+    return bracket_form(brackets(config))
 
 
-def bracket_form(k: int, br) -> bytes:
-    """``canonical_form`` of a k-point configuration, from its bracket table ``br``."""
+def bracket_form(br: BracketTable) -> bytes:
+    """``canonical_form`` of a configuration, from its bracket table ``br``."""
     best = None
-    for ys in _image_sets(k, br):
+    for ys in _image_sets(br):
         if best is not None and min(map(abs, itertools.chain.from_iterable(ys))) > best[0][0]:
             continue  # every lead exceeds the best
         lows = [min(map(abs, col)) for col in zip(*ys)]
@@ -175,76 +174,78 @@ def bracket_form(k: int, br) -> bytes:
                     best = cand
     if best is None:
         raise NoFrameError(_NO_FRAME)
-    return serialize_points(k, sorted(_FRAME_IMAGES + tuple(best)))
+    return serialize_points(br.k, sorted(_FRAME_IMAGES + tuple(best)))
 
 
-def _image_sets(k: int, br, bases=None):
-    """The image set of every frame of a k-point configuration, in the candidate order.
+def _frames(br: BracketTable, base, first):
+    """u and the images of the other k - 5 points for each frame base + u with u >= first.
 
-    For each base of labels below k with a nonzero bracket, in lexicographic
-    order, and each unit point u above its last label that makes base + u a
-    frame, this yields the k - 5 other points reduced in that frame, then
-    the same list under each of the four unit swaps.  ``bracket_form`` and
-    ``equivalent`` both read it.  ``bases`` restricts the scan to the given
-    bases, for which ``br`` need only hold the brackets of base plus one point.
+    ``base`` is a sorted 4-subset of labels and u runs upward over the other
+    labels; the images (``_reduce``, in label order) are in the frame sending
+    the base to e0..e3 and u to (1:1:1:1).  Only the brackets of base plus
+    one point are read.
     """
-    if bases is None:
-        bases = itertools.combinations(range(1, k), 4)
-    for base in bases:
-        if br[base] == 0:
-            continue
-        others = [t for t in range(1, k + 1) if t not in base]
-        vecs = [cramer(br, base, t) for t in others]
-        for n in range(base[3] - 4, k - 4):  # others[n] = u runs over base[3] + 1 .. k
-            c = vecs[n]
-            if not all(c):
-                continue  # base + u is no frame: u lies on a plane of three base points
-            reduced = _reduce(vecs[:n] + vecs[n + 1:], c)
+    if br[base] == 0:
+        return
+    others = [t for t in range(1, br.k + 1) if t not in base]
+    vecs = [cramer(br, base, t) for t in others]
+    for n, u in enumerate(others):
+        c = vecs[n]
+        if u < first or not all(c):
+            continue  # below first, or a zero c_i: u lies on a plane of three base points
+        yield u, _reduce(vecs[:n] + vecs[n + 1:], c)
+
+
+def _image_sets(br: BracketTable):
+    """The image set of every frame of a configuration, in the candidate order.
+
+    For each base of labels below k, in lexicographic order, and each unit
+    point u above its last label that makes base + u a frame (``_frames``),
+    this yields the k - 5 other points reduced in that frame, then the same
+    list under each of the four unit swaps.  ``bracket_form`` and
+    ``equivalent`` both read it; a reader that stops early has read only the
+    brackets around the bases scanned so far.
+    """
+    for base in itertools.combinations(range(1, br.k), 4):
+        for _, reduced in _frames(br, base, base[3] + 1):
             yield reduced
             for j in range(4):
                 yield _swap_unit(reduced, j)
 
 
-def normalized_at(config: Configuration, br, base) -> Configuration | None:
-    """``config`` moved by the map sending ``base`` to e0..e3 and a unit point to (1:1:1:1).
+def normalized_at(br: BracketTable, base) -> Configuration | None:
+    """The configuration of ``br`` moved by the map sending ``base`` to e0..e3 and u to (1:1:1:1).
 
-    ``br`` holds the brackets of the sorted labels ``base`` plus one point,
-    such as ``projective._lone_brackets`` returns.  The unit point u is the
-    label outside the base whose images are shortest in total bit length,
-    ties going to the lower label; every other point p_t becomes
-    (w_i / c_i) for w, c the Cramer vectors of t and u, as in
+    Only the brackets of the sorted labels ``base`` plus one point are read.
+    The unit point u is the label whose images (``_frames``) are shortest in
+    total bit length, ties going to the lower label; every other point p_t
+    becomes (w_i / c_i) for w, c the Cramer vectors of t and u, as in
     ``canonical_form``.  None if base + u is a frame for no u.  The copy is
-    PGL(4)-equivalent to ``config`` with the same labels, so it has the same
-    canonical form and the same zero brackets, and its heights do not depend
-    on the frame the configuration is written in.
+    PGL(4)-equivalent to the configuration with the same labels, so it has
+    the same canonical form and the same zero brackets, and its heights do
+    not depend on the frame the configuration is written in.
     """
-    if br[base] == 0:
-        return None
-    others = [t for t in range(1, config.k + 1) if t not in base]
-    vecs = [cramer(br, base, t) for t in others]
     best = None
-    for n, u in enumerate(others):
-        if not all(vecs[n]):
-            continue  # u lies on a plane of three base points
-        rest = others[:n] + others[n + 1:]
-        images = dict(zip(rest, map(_oriented, _reduce(vecs[:n] + vecs[n + 1:], vecs[n]))))
-        size = sum(abs(v).bit_length() for y in images.values() for v in y)
+    for u, ys in _frames(br, base, 1):
+        size = sum(abs(v).bit_length() for y in ys for v in y)
         if best is None or size < best[0]:
-            best = size, u, images
+            best = size, u, ys
     if best is None:
         return None
-    _, u, images = best
+    _, u, ys = best
     points = dict(zip(base, _VERTICES))
     points[u] = ProjectivePoint((1, 1, 1, 1))
-    points.update((t, ProjectivePoint(y)) for t, y in images.items())
-    return Configuration(tuple(points[t] for t in range(1, config.k + 1)))
+    rest = [t for t in range(1, br.k + 1) if t not in points]
+    points.update((t, ProjectivePoint(_oriented(y))) for t, y in zip(rest, ys))
+    return Configuration(tuple(points[t] for t in range(1, br.k + 1)))
 
 
 def equivalent(a: Configuration, b: Configuration) -> bool:
     """True iff some relabeling plus a projective map carries b onto a.
 
     The target is one candidate of ``a`` (``canonical_form``): its first
-    image set (``_first_image_set``), read in the given vertex order.  The
+    image set, read in the given vertex order from a bracket table that is
+    filled only as far as the bases scanned up to the first frame.  The
     candidate multiset is invariant under PGL(4) x S_k, so if a ~ b the
     target is a candidate of ``b``.  Conversely, a candidate of ``b`` equal
     to it comes from frames F of a and F' of b with T_F(a) = T_F'(b) as
@@ -256,11 +257,13 @@ def equivalent(a: Configuration, b: Configuration) -> bool:
     """
     if a.k != b.k:
         return False
-    first = _first_image_set(a)
+    first = next(_image_sets(BracketTable(a)), None)
+    if first is None:
+        raise NoFrameError(_NO_FRAME)
     target = sorted([_oriented(y) for y in first])
     profile = _abs_profile(target)
     framed = False
-    for ys in _image_sets(b.k, brackets(b)):
+    for ys in _image_sets(brackets(b)):
         framed = True
         if _abs_profile(ys) != profile:
             continue
@@ -270,23 +273,6 @@ def equivalent(a: Configuration, b: Configuration) -> bool:
     if not framed:
         raise NoFrameError(_NO_FRAME)
     return False
-
-
-def _first_image_set(config: Configuration):
-    """The first image set of ``_image_sets`` on the full bracket table of ``config``.
-
-    When [1234] is nonzero and some u in 5..k makes 1234 + u a frame, it is
-    read from the 1 + 4(k - 4) brackets around base (1,2,3,4); otherwise
-    from the full table.  Raises NoFrameError if ``config`` has no frame.
-    """
-    base = (1, 2, 3, 4)
-    near = _lone_brackets(config, CenterSet(base))
-    first = next(_image_sets(config.k, near, (base,)), None)
-    if first is None:
-        first = next(_image_sets(config.k, brackets(config)), None)
-        if first is None:
-            raise NoFrameError(_NO_FRAME)
-    return first
 
 
 def _abs_profile(ys):

@@ -23,7 +23,7 @@ from .canonical import bracket_form, normalized_at
 from .errors import NoFrameError, StarViolationError, UsageError
 from .lattice import (DivisorClass, class_map, coxeter_step, cremona_pushforward, cyclic_shift,
                       iterate_class, permute_class, plane_through_last_four)
-from .projective import (CenterSet, Configuration, _lone_brackets, brackets, cremona_at,
+from .projective import (BracketTable, CenterSet, Configuration, brackets, cremona_at,
                          cremona_image, permute_config, star_witness)
 
 
@@ -85,8 +85,9 @@ def apply_word(config: Configuration, word: CremonaWord):
 # ---------------------------------------------------------------------------
 # the degree-growth iteration
 
-def _zero_brackets(br):
-    return tuple(sub for sub, d in br.items() if d == 0)
+def _zero_brackets(br: BracketTable):
+    """The sorted 4-subsets with a zero bracket, read from ``br`` in lexicographic order."""
+    return tuple(sub for sub in itertools.combinations(range(1, br.k + 1), 4) if br[sub] == 0)
 
 
 def coplanar_scan(config: Configuration) -> tuple[tuple[int, int, int, int], ...]:
@@ -141,9 +142,9 @@ class IterationReport:
 def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     """Iterate (Cremona at the first four points, then cyclic shift).
 
-    The 1 + 4 * 4 brackets of each configuration around {1,2,3,4} give
-    condition (*) there and the next move, so the stored configurations are
-    the ones the whole table would give.  The same brackets give the copy of
+    Condition (*) at {1,2,3,4} and the next move read only the 1 + 4 * 4
+    brackets around {1,2,3,4} from each configuration's table, which starts
+    empty.  The same brackets give the copy of
     the configuration normalized at base (1,2,3,4) (``normalized_at``), and
     the copy's table gives the canonical form and the coplanar 4-tuples.  The
     copy is T applied to the points with T in PGL(4), each point rescaled, so
@@ -153,7 +154,7 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     in: at step 17 of ``random_config(7, 10)`` they are 15.9k bits tall, the
     copy 2.3k bits.  Without a unit point for that base ([1234] = 0, or every
     other point on a plane of three centers) condition (*) fails, and the
-    last step reads the full table of the stored points.  The tracked class
+    last step reads the rest of the stored points' table.  The tracked class
     takes the same two steps alongside.  When condition (*) fails before the
     last step, a StarViolationError carries the step index and the partial
     report of the configurations reached.
@@ -167,14 +168,14 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     cfg, cls = config, plane_through_last_four(8)
     rows = []
     while True:
-        br = _lone_brackets(cfg, centers)
-        viol = star_witness(br, centers, 8)
-        short = normalized_at(cfg, br, centers.indices)
-        table = brackets(cfg if short is None else short)
-        rows.append((cfg, viol is None, _zero_brackets(table), cls, bracket_form(8, table)))
+        br = BracketTable(cfg)
+        viol = star_witness(br, centers)
+        short = normalized_at(br, centers.indices)
+        table = br if short is None else brackets(short)
+        rows.append((cfg, viol is None, _zero_brackets(table), cls, bracket_form(table)))
         if len(rows) > steps or viol is not None:
             break
-        cfg = permute_config(cremona_image(cfg, centers, br), shift)
+        cfg = permute_config(cremona_image(br, centers), shift)
         cls = coxeter_step(cls)
     report = IterationReport(steps, *zip(*rows))  # each row holds one step's fields in order
     if report.truncated:
@@ -201,7 +202,7 @@ def consistency_check(report: IterationReport) -> bool:
         br = brackets(cfg)
         found = report.coplanar_tuples[i]
         if (_zero_brackets(br) != found
-                or (star_witness(br, centers, report.k) is None) != report.star_ok[i]):
+                or (star_witness(br, centers) is None) != report.star_ok[i]):
             return False
         if found:
             cls = report.tracked[i]
@@ -237,7 +238,7 @@ def _visit(config: Configuration):
     """A configuration's canonical form and bracket table; (None, None) if it has no frame."""
     br = brackets(config)
     try:
-        return bracket_form(config.k, br), br
+        return bracket_form(br), br
     except NoFrameError:
         return None, None
 
@@ -274,8 +275,9 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
 
     Each configuration's bracket table is built once, the root's here and
     every other one next to its form by ``_visit``; a node to be expanded
-    keeps it.  The table decides condition (*) at each center set and gives
-    each admissible child, and the workers receive only the children.
+    keeps it, and the workers send the tables back with the forms.  The
+    table decides condition (*) at each center set and gives each
+    admissible child, and the workers receive only the children.
     Results are level-synchronous and sorted before insertion, so the node
     and edge sets do not depend on worker count or scheduling.  ``workers``
     defaults to the CREMONA_ORBITS_WORKERS environment variable (1 if unset,
@@ -289,18 +291,18 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
         raise UsageError("max_nodes must be >= 1")
     requested = env_workers() if workers is None else workers
     root_br = brackets(config)
-    root_canon = bracket_form(config.k, root_br)
+    root_canon = bracket_form(root_br)
     nodes = {root_canon: OrbitNode(root_canon, config, 0, None)}
     edges = []
     degenerate = []
     truncated = False
-    frontier = [(root_canon, config, root_br)]
+    frontier = [(root_canon, root_br)]
     center_sets = [CenterSet(sub) for sub in itertools.combinations(range(1, config.k + 1), 4)]
     depth = 0
     while frontier and depth < max_depth and not truncated:
-        tasks = [(canon, centers, cremona_image(cfg, centers, br))
-                 for canon, cfg, br in frontier for centers in center_sets
-                 if star_witness(br, centers, config.k) is None]
+        tasks = [(canon, centers, cremona_image(br, centers))
+                 for canon, br in frontier for centers in center_sets
+                 if star_witness(br, centers) is None]
         results = _visit_all([child for *_, child in tasks], worker_count(requested, len(tasks)))
         hits = []
         tables = {}  # tasks come in (parent form, centers) order: a form's first child sorts first
@@ -320,7 +322,7 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
                     truncated = True
                     continue  # node budget exhausted: drop node and edge
                 nodes[canon] = OrbitNode(canon, child, depth + 1, (parent_canon, centers))
-                frontier.append((canon, child, tables.get(canon)))
+                frontier.append((canon, tables.get(canon)))
             edges.append((parent_canon, canon, centers))
         depth += 1
     return OrbitGraph(nodes=nodes, edges=tuple(edges), truncated=truncated,

@@ -4,10 +4,12 @@ Points are canonical integer 4-tuples (gcd 1, first nonzero coordinate
 positive), so equality of points is equality of tuples.  All predicates are
 exact integer decisions; floats are rejected outright.
 
-Condition (*) and the coplanar scan read the bracket table (``brackets``); the
-Cremona image and the canonical form read it through one Cramer rule
-(``cramer``).  A lone ``cremona_at`` or ``star_violation`` computes only the
-1 + 4(k - 4) brackets around its centers.
+Every bracket comes from one table (``BracketTable``), which computes a
+bracket the first time it is read.  Condition (*) and the coplanar scan read
+it directly; the Cremona image and the canonical form read it through one
+Cramer rule (``cramer``).  ``brackets`` fills the table; a lone
+``cremona_at`` or ``star_violation`` reads only the 1 + 4(k - 4) brackets
+around its centers.
 """
 
 from __future__ import annotations
@@ -125,17 +127,33 @@ def coplanar(p1, p2, p3, p4) -> bool:
     return det4((p1.coords, p2.coords, p3.coords, p4.coords)) == 0
 
 
-def brackets(config: Configuration, subsets=None) -> dict[tuple[int, int, int, int], int]:
-    """The bracket [abcd] = det(p_a, p_b, p_c, p_d) of each sorted 4-subset of labels.
+class BracketTable(dict):
+    """The brackets [abcd] = det(p_a, p_b, p_c, p_d) of a configuration, by sorted 4-subset.
 
-    ``subsets`` defaults to all C(k, 4) of them, keyed in lexicographic order;
-    a bracket is zero iff its four points are coplanar.  It is the one source
-    of the configuration's brackets.
+    It starts empty and computes a bracket the first time it is read, so it
+    holds its keys in read order; a bracket is zero iff its four points are
+    coplanar.  It is the one source of the configuration's brackets.
     """
-    if subsets is None:
-        subsets = itertools.combinations(range(1, config.k + 1), 4)
-    pts = (None,) + tuple(p.coords for p in config.points)
-    return {sub: det4((pts[sub[0]], pts[sub[1]], pts[sub[2]], pts[sub[3]])) for sub in subsets}
+
+    __slots__ = ("k", "_pts")
+
+    def __init__(self, config: Configuration):
+        super().__init__()
+        self.k = config.k
+        self._pts = (None,) + tuple(p.coords for p in config.points)
+
+    def __missing__(self, sub):
+        pts = self._pts
+        value = self[sub] = det4((pts[sub[0]], pts[sub[1]], pts[sub[2]], pts[sub[3]]))
+        return value
+
+
+def brackets(config: Configuration) -> BracketTable:
+    """The bracket table of ``config``, filled: all C(k, 4) brackets in lexicographic order."""
+    br = BracketTable(config)
+    for sub in itertools.combinations(range(1, config.k + 1), 4):
+        br[sub]  # a miss: __missing__ computes it
+    return br
 
 
 # the signs (-1)^r of the four positions r != j of a sorted 5-subset
@@ -171,8 +189,8 @@ _DROPS_LABELS = 12
 def cramer(br, base, t):
     """adj(A) p_t up to a common sign, divided by its gcd: the signed 5-subset rule.
 
-    A has the points of the sorted labels ``base`` as columns; ``br`` holds
-    the brackets of base + t.  By Cramer's rule (adj(A) p_t)_i is the bracket
+    A has the points of the sorted labels ``base`` as columns; the brackets
+    of base + t are read from the table ``br``.  By Cramer's rule (adj(A) p_t)_i is the bracket
     of the base with p_t in column i.  Let S = sorted(base + t) hold t at
     position j and base[i] at position r: sorting that column order takes
     r + j + 1 transpositions mod 2, so (adj(A) p_t)_i = (-1)^(r+j+1) [S - S_r].
@@ -186,8 +204,8 @@ def cramer(br, base, t):
     return v0 // g, v1 // g, v2 // g, v3 // g
 
 
-def star_witness(br, centers: CenterSet, k: int) -> StarViolation | None:
-    """``star_violation`` read from ``br``, which holds each bracket of the centers plus one point.
+def star_witness(br: BracketTable, centers: CenterSet) -> StarViolation | None:
+    """``star_violation`` read from the bracket table ``br``, up to its first zero bracket.
 
     The bracket of the centers with p_t in place of c_{i+1}, coordinate i of
     ``cramer(br, centers, t)`` up to sign, is zero iff p_t lies on the plane
@@ -196,22 +214,13 @@ def star_witness(br, centers: CenterSet, k: int) -> StarViolation | None:
     idx = centers.indices
     if br[idx] == 0:
         return StarViolation(plane=idx)
-    others = centers.complement(k)
+    others = centers.complement(br.k)
     for i in (3, 2, 1, 0):  # dropping c4 leaves the plane (c1, c2, c3), which comes first
         plane = idx[:i] + idx[i + 1:]
         for t in others:
             if br[tuple(sorted((*plane, t)))] == 0:
                 return StarViolation(plane=plane, point=t)
     return None
-
-
-def _lone_brackets(config: Configuration, centers: CenterSet):
-    """The 1 + 4(k - 4) brackets that ``star_witness`` and ``cremona_image`` read."""
-    k = config.k
-    idx = centers.within(k).indices
-    near = {sub for t in centers.complement(k)
-            for sub in itertools.combinations(sorted((*idx, t)), 4)}
-    return brackets(config, near)
 
 
 def star_violation(config: Configuration, centers: CenterSet) -> StarViolation | None:
@@ -223,7 +232,7 @@ def star_violation(config: Configuration, centers: CenterSet) -> StarViolation |
     planes (c1,c2,c3), (c1,c2,c4), (c1,c3,c4), (c2,c3,c4) of the sorted
     centers, each against the other points in ascending label order.
     """
-    return star_witness(_lone_brackets(config, centers), centers, config.k)
+    return star_witness(BracketTable(config), centers.within(config.k))
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +258,11 @@ def cremona_at(config: Configuration, centers: CenterSet) -> Configuration:
 
     Raises StarViolationError when condition (*) fails.
     """
-    br = _lone_brackets(config, centers)
-    viol = star_witness(br, centers, config.k)
+    br = BracketTable(config)
+    viol = star_witness(br, centers.within(config.k))
     if viol is not None:
         raise StarViolationError(viol)
-    return cremona_image(config, centers, br)
+    return cremona_image(br, centers)
 
 
 def _reciprocal(y):
@@ -261,8 +270,8 @@ def _reciprocal(y):
     return (y[1] * y[2] * y[3], y[0] * y[2] * y[3], y[0] * y[1] * y[3], y[0] * y[1] * y[2])
 
 
-def cremona_image(config: Configuration, centers: CenterSet, br) -> Configuration:
-    """The Cremona move at centers where (*) holds, from the brackets ``star_witness`` reads.
+def cremona_image(br: BracketTable, centers: CenterSet) -> Configuration:
+    """The Cremona move at centers where (*) holds, read from the configuration's bracket table.
 
     Output is written in the Cremona frame: T = adj(A), A the matrix whose
     columns are the sorted centers, puts the centers at the coordinate
@@ -274,7 +283,7 @@ def cremona_image(config: Configuration, centers: CenterSet, br) -> Configuratio
     vertex = dict(zip(idx, _VERTICES))
     return Configuration(tuple(
         vertex[t] if t in vertex else ProjectivePoint(_primitive(_reciprocal(cramer(br, idx, t))))
-        for t in range(1, config.k + 1)))
+        for t in range(1, br.k + 1)))
 
 
 # ---------------------------------------------------------------------------

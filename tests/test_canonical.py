@@ -171,20 +171,44 @@ def _on_planes(seed, planes):
     (lambda: _on_planes(2204, {5: (1, 2, 3), 6: (1, 2, 4), 7: (1, 3, 4), 8: (2, 3, 4)}), False),
 ], ids=["k8", "k9", "k10", "special", "1234-coplanar", "no-unit-for-1234"])
 def test_equivalence_target_from_the_brackets_around_1234(make, lone, monkeypatch):
-    # the target is the first image set of the full table; with a frame
-    # 1234 + u it comes from the 1 + 4(k - 4) brackets around 1234 alone
+    # the target is the first image set of the full table, read from a table
+    # filled on demand; with a frame 1234 + u it reads the 1 + 4(k - 4)
+    # brackets around 1234 alone
     a = make()
-    near = co.projective._lone_brackets(a, CENTERS)
-    assert len(near) == 1 + 4 * (a.k - 4)
-    restricted = next(canonical._image_sets(a.k, near, (CENTERS.indices,)), None)
-    assert (restricted is not None) == lone
-    want = next(canonical._image_sets(a.k, co.brackets(a)))
-    if lone:
-        def refuse(*args):
-            raise AssertionError("the full bracket table was built")
+    tables = []
 
-        monkeypatch.setattr(canonical, "brackets", refuse)
-    assert canonical._first_image_set(a) == want
+    class Recorded(co.projective.BracketTable):
+        __slots__ = ()
+
+        def __init__(self, config):
+            super().__init__(config)
+            tables.append(self)
+
+    monkeypatch.setattr(canonical, "BracketTable", Recorded)
+    assert co.equivalent(a, a)
+    (read,) = tables
+    near = {sub for t in CENTERS.complement(a.k)
+            for sub in itertools.combinations(sorted((*CENTERS.indices, t)), 4)}
+    assert len(near) == 1 + 4 * (a.k - 4)
+    assert (set(read) == near) == lone
+    want = next(canonical._image_sets(co.brackets(a)))
+    assert next(canonical._image_sets(co.projective.BracketTable(a))) == want
+
+
+def test_equivalence_target_with_1234_coplanar_counts_det4(monkeypatch):
+    a = _on_planes(2203, {4: (1, 2, 3)})
+    calls = {"det4": 0}
+    real = co.projective.det4
+
+    def counted(*args):
+        calls["det4"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(co.projective, "det4", counted)
+    assert co.equivalent(a, a)
+    # the target: [1234] = 0, then [1235] and the 16 brackets of 1235 plus
+    # one point, [1234] among them; then the full table of the second argument
+    assert calls["det4"] == 17 + 70
 
 
 def test_verdicts_match_byte_order_oracle():

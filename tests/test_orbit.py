@@ -10,7 +10,7 @@ from cremona_orbits import linalg
 from cremona_orbits import orbit as orbit_mod
 from cremona_orbits import serialize
 from cremona_orbits.canonical import normalized_at
-from cremona_orbits.projective import _lone_brackets
+from cremona_orbits.projective import BracketTable
 from helpers import cfg_from_rows, rand_permutation, special_coplanar_config
 
 CENTERS = co.CenterSet((1, 2, 3, 4))
@@ -169,13 +169,19 @@ def test_iterate_scans_from_normalized_copy_match_full_tables():
          (1, 1, 1, 0), (1, 2, 3, 4), (1, 1, 2, 3), (3, 1, 1, 2)]
     )
     no_base = co.permute_config(special_coplanar_config(0), (5, 6, 7, 8, 1, 2, 3, 4))
-    short = normalized_at(unit_not_5, _lone_brackets(unit_not_5, CENTERS), CENTERS.indices)
+    # points 1..4 on X3 = 0 and 5..8 on X0 + X1 + X2 + X3 = 0: the scan must
+    # not follow the order in which the iterate's table read its brackets
+    two_planes = cfg_from_rows(
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 0),
+         (1, 2, -4, 1), (2, -1, 3, -4), (3, 1, -2, -2), (1, -3, 1, 1)]
+    )
+    short = normalized_at(BracketTable(unit_not_5), CENTERS.indices)
     assert short is not None and short.point(5).coords != (1, 1, 1, 1)
     # [1234] = 0: the iterate falls back to the full table
-    assert normalized_at(no_base, _lone_brackets(no_base, CENTERS), CENTERS.indices) is None
+    assert normalized_at(BracketTable(no_base), CENTERS.indices) is None
     reports = [co.coxeter_iterate(co.random_config(7, 10), 12),
                co.coxeter_iterate(special_coplanar_config(0), 1)]
-    for bad in (unit_not_5, no_base):
+    for bad in (unit_not_5, no_base, two_planes):
         with pytest.raises(co.StarViolationError) as err:
             co.coxeter_iterate(bad, 1)
         reports.append(err.value.partial_report)
@@ -185,6 +191,7 @@ def test_iterate_scans_from_normalized_copy_match_full_tables():
             assert report.coplanar_tuples[i] == co.coplanar_scan(cfg)
     assert reports[1].coplanar_tuples[0] == ((5, 6, 7, 8),)
     assert reports[3].coplanar_tuples[0] == ((1, 2, 3, 4),)
+    assert reports[4].coplanar_tuples[0] == ((1, 2, 3, 4), (1, 2, 7, 8), (2, 3, 5, 8), (5, 6, 7, 8))
 
 
 def test_condition_star_reads_brackets_without_cramer(monkeypatch):
@@ -340,11 +347,11 @@ def test_orbit_records_degenerate_children(monkeypatch):
     root = co.canonical_form(cfg)
     calls = {"n": 0}
 
-    def flaky(k, br):
+    def flaky(br):
         calls["n"] += 1
         if calls["n"] in (2, 3):  # call 1 is the root
             raise co.NoFrameError("synthetic degenerate child")
-        return real(k, br)
+        return real(br)
 
     monkeypatch.setattr(orbit_mod, "bracket_form", flaky)
     graph = co.orbit_bfs(cfg, 1, 1000, workers=1)

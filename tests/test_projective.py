@@ -1,6 +1,7 @@
 """Exact projective geometry: points, condition (*), Cremona, and the oracle's frame matrix."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -70,6 +71,36 @@ def test_coplanar_examples():
     assert not co.coplanar(pt(*E0), pt(*E1), pt(*E2), pt(*E3))
     assert co.coplanar(pt(*E0), pt(*E1), pt(*E2), pt(1, 1, 0, 0))
     assert not co.coplanar(pt(*E0), pt(*E1), pt(*E2), pt(*ONES))
+
+
+# ---------------------------------------------------------------------------
+# the bracket table
+
+def test_brackets_fill_every_subset_in_lexicographic_order():
+    cfg = co.random_config(11, 6, k=9)
+    br = co.brackets(cfg)
+    assert list(br) == list(itertools.combinations(range(1, 10), 4))
+    for sub, d in br.items():
+        assert d == linalg.det_bareiss([cfg.point(i).coords for i in sub])
+
+
+def test_bracket_table_survives_pickle_partly_filled():
+    # orbit_bfs workers send their tables back to the parent process
+    cfg = co.random_config(12, 6)
+    br = co.projective.BracketTable(cfg)
+    br[(1, 2, 3, 4)]
+    back = pickle.loads(pickle.dumps(br))
+    assert type(back) is co.projective.BracketTable and back.k == 8
+    assert dict(back) == {(1, 2, 3, 4): br[(1, 2, 3, 4)]}
+    assert back[(5, 6, 7, 8)] == co.brackets(cfg)[(5, 6, 7, 8)]
+    assert list(back) == [(1, 2, 3, 4), (5, 6, 7, 8)]
+
+
+@pytest.mark.parametrize("call", [co.star_violation, co.cremona_at])
+def test_center_labels_above_k_raise_usage_error(call):
+    # the check comes before any bracket of the missing point is read
+    with pytest.raises(co.UsageError, match=r"\(1, 2, 3, 9\) out of range 1..8"):
+        call(co.random_config(13, 6), co.CenterSet((1, 2, 3, 9)))
 
 
 # ---------------------------------------------------------------------------
