@@ -65,7 +65,6 @@ from .projective import (
     CenterSet,
     Configuration,
     ProjectivePoint,
-    brackets,
     coplanar,
     cremona_at,
     normalize_point,

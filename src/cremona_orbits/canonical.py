@@ -24,7 +24,6 @@ from .projective import (
     BracketTable,
     Configuration,
     ProjectivePoint,
-    brackets,
     cramer,
 )
 
@@ -155,7 +154,7 @@ def canonical_form(config: Configuration) -> bytes:
     and an image set whose every |coordinate| exceeds it is skipped before
     the four bounds are taken.  Only the winner is encoded.
     """
-    return bracket_form(brackets(config))
+    return bracket_form(BracketTable(config))
 
 
 def bracket_form(br: BracketTable) -> bytes:
@@ -244,8 +243,9 @@ def equivalent(a: Configuration, b: Configuration) -> bool:
     """True iff some relabeling plus a projective map carries b onto a.
 
     The target is one candidate of ``a`` (``canonical_form``): its first
-    image set, read in the given vertex order from a bracket table that is
-    filled only as far as the bases scanned up to the first frame.  The
+    image set, read in the given vertex order.  Each configuration's bracket
+    table starts empty and is filled only as far as the bases scanned, so a
+    verdict of True reads ``b``'s brackets only up to the match.  The
     candidate multiset is invariant under PGL(4) x S_k, so if a ~ b the
     target is a candidate of ``b``.  Conversely, a candidate of ``b`` equal
     to it comes from frames F of a and F' of b with T_F(a) = T_F'(b) as
@@ -253,17 +253,20 @@ def equivalent(a: Configuration, b: Configuration) -> bool:
     image sets of ``b`` are scanned until one of their 24 orders gives the
     target.  Reordering the vertices and orienting and sorting the images
     leave the multiset of |coordinates| of an image set as it is, so an
-    image set whose multiset differs from the target's is skipped.
+    image set whose multiset differs from the target's is skipped.  When
+    the sizes differ, only whether ``b`` has a frame is read: without one
+    the input is rejected, as at equal sizes.
     """
-    if a.k != b.k:
-        return False
     first = next(_image_sets(BracketTable(a)), None)
     if first is None:
         raise NoFrameError(_NO_FRAME)
     target = sorted([_oriented(y) for y in first])
     profile = _abs_profile(target)
+    sets = _image_sets(BracketTable(b))
+    if a.k != b.k:
+        sets = itertools.islice(sets, 1)  # no image set of b can match: only its frame is read
     framed = False
-    for ys in _image_sets(brackets(b)):
+    for ys in sets:
         framed = True
         if _abs_profile(ys) != profile:
             continue

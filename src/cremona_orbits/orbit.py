@@ -3,12 +3,13 @@
 ``coxeter_iterate`` runs the degree-growth iteration (Cremona at the first
 four points, then the cyclic shift) while cross-checking geometry against the
 tracked divisor class; ``orbit_bfs`` explores the full orbit under all center
-choices with canonical-form deduplication.  ``orbit_bfs`` reads everything
-from one bracket table per configuration.  ``coxeter_iterate`` reads
-condition (*) and the next move from the 17 brackets around the centers, and
-the canonical form and the coplanar scan from the 70-bracket table of a
-frame-normalized copy; ``consistency_check`` rescans the full table of every
-stored configuration.
+choices with canonical-form deduplication.  Every reader builds its own
+bracket table, empty at first: ``orbit_bfs`` reads each child's form from a
+table in the worker, and an expanded node's children from one in the parent.
+``coxeter_iterate`` reads condition (*) and the next move from the 17
+brackets around the centers, and the canonical form and the coplanar scan
+from the 70-bracket table of a frame-normalized copy; ``consistency_check``
+rescans the full table of every stored configuration.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .canonical import bracket_form, normalized_at
+from .canonical import bracket_form, canonical_form, normalized_at
 from .errors import NoFrameError, StarViolationError, UsageError
 from .lattice import (DivisorClass, class_map, coxeter_step, cremona_pushforward, cyclic_shift,
                       iterate_class, permute_class, plane_through_last_four)
-from .projective import (BracketTable, CenterSet, Configuration, brackets, cremona_at,
-                         cremona_image, permute_config, star_witness)
+from .projective import (BracketTable, CenterSet, Configuration, cremona_at, cremona_image,
+                         permute_config, star_witness)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +93,7 @@ def _zero_brackets(br: BracketTable):
 
 def coplanar_scan(config: Configuration) -> tuple[tuple[int, int, int, int], ...]:
     """All 4-subsets of labels (sorted) whose points lie on a common plane."""
-    return _zero_brackets(brackets(config))
+    return _zero_brackets(BracketTable(config))
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,7 +172,7 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
         br = BracketTable(cfg)
         viol = star_witness(br, centers)
         short = normalized_at(br, centers.indices)
-        table = br if short is None else brackets(short)
+        table = br if short is None else BracketTable(short)
         rows.append((cfg, viol is None, _zero_brackets(table), cls, bracket_form(table)))
         if len(rows) > steps or viol is not None:
             break
@@ -199,7 +200,7 @@ def consistency_check(report: IterationReport) -> bool:
     if tuple(expected) != report.tracked:
         return False
     for i, cfg in enumerate(report.configs):
-        br = brackets(cfg)
+        br = BracketTable(cfg)
         found = report.coplanar_tuples[i]
         if (_zero_brackets(br) != found
                 or (star_witness(br, centers) is None) != report.star_ok[i]):
@@ -235,12 +236,11 @@ class OrbitGraph:
 
 
 def _visit(config: Configuration):
-    """A configuration's canonical form and bracket table; (None, None) if it has no frame."""
-    br = brackets(config)
+    """A configuration's canonical form; None if it has no frame."""
     try:
-        return bracket_form(br), br
+        return canonical_form(config)
     except NoFrameError:
-        return None, None
+        return None
 
 
 def _visit_all(configs, nworkers: int):
@@ -273,11 +273,11 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
               workers: int | None = None) -> OrbitGraph:
     """Breadth-first orbit exploration with canonical-form deduplication.
 
-    Each configuration's bracket table is built once, the root's here and
-    every other one next to its form by ``_visit``; a node to be expanded
-    keeps it, and the workers send the tables back with the forms.  The
-    table decides condition (*) at each center set and gives each
-    admissible child, and the workers receive only the children.
+    A node to be expanded has a bracket table here: the root keeps the one
+    its form filled, and a node of a later level gets an empty one.  The
+    table decides condition (*) at each center set and gives each admissible
+    child.  The workers receive only the children and return only their
+    forms (``_visit``); a child's own table stays in its worker.
     Results are level-synchronous and sorted before insertion, so the node
     and edge sets do not depend on worker count or scheduling.  ``workers``
     defaults to the CREMONA_ORBITS_WORKERS environment variable (1 if unset,
@@ -290,7 +290,7 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
     if max_nodes < 1:
         raise UsageError("max_nodes must be >= 1")
     requested = env_workers() if workers is None else workers
-    root_br = brackets(config)
+    root_br = BracketTable(config)
     root_canon = bracket_form(root_br)
     nodes = {root_canon: OrbitNode(root_canon, config, 0, None)}
     edges = []
@@ -303,16 +303,13 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
         tasks = [(canon, centers, cremona_image(br, centers))
                  for canon, br in frontier for centers in center_sets
                  if star_witness(br, centers) is None]
-        results = _visit_all([child for *_, child in tasks], worker_count(requested, len(tasks)))
+        forms = _visit_all([child for *_, child in tasks], worker_count(requested, len(tasks)))
         hits = []
-        tables = {}  # tasks come in (parent form, centers) order: a form's first child sorts first
-        for (parent_canon, centers, child), (canon, br) in zip(tasks, results, strict=True):
+        for (parent_canon, centers, child), canon in zip(tasks, forms, strict=True):
             if canon is None:
                 degenerate.append((parent_canon, centers))
             else:
                 hits.append((canon, parent_canon, centers, child))
-                if depth + 1 < max_depth and canon not in nodes:
-                    tables.setdefault(canon, br)
         hits.sort(key=lambda r: (r[0], r[1], r[2].indices))
         degenerate.sort(key=lambda r: (r[0], r[1].indices))
         frontier = []
@@ -322,7 +319,7 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
                     truncated = True
                     continue  # node budget exhausted: drop node and edge
                 nodes[canon] = OrbitNode(canon, child, depth + 1, (parent_canon, centers))
-                frontier.append((canon, tables.get(canon)))
+                frontier.append((canon, BracketTable(child)))
             edges.append((parent_canon, canon, centers))
         depth += 1
     return OrbitGraph(nodes=nodes, edges=tuple(edges), truncated=truncated,

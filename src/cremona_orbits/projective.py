@@ -4,12 +4,12 @@ Points are canonical integer 4-tuples (gcd 1, first nonzero coordinate
 positive), so equality of points is equality of tuples.  All predicates are
 exact integer decisions; floats are rejected outright.
 
-Every bracket comes from one table (``BracketTable``), which computes a
-bracket the first time it is read.  Condition (*) and the coplanar scan read
-it directly; the Cremona image and the canonical form read it through one
-Cramer rule (``cramer``).  ``brackets`` fills the table; a lone
-``cremona_at`` or ``star_violation`` reads only the 1 + 4(k - 4) brackets
-around its centers.
+Every bracket comes from one table (``BracketTable``), which starts empty
+and computes a bracket the first time it is read.  Condition (*) and the
+coplanar scan read it directly; the Cremona image and the canonical form read
+it through one Cramer rule (``cramer``).  Each reader builds its own table
+and fills only what it reads: a lone ``cremona_at`` or ``star_violation``
+reads the 1 + 4(k - 4) brackets around its centers.
 """
 
 from __future__ import annotations
@@ -146,14 +146,6 @@ class BracketTable(dict):
         pts = self._pts
         value = self[sub] = det4((pts[sub[0]], pts[sub[1]], pts[sub[2]], pts[sub[3]]))
         return value
-
-
-def brackets(config: Configuration) -> BracketTable:
-    """The bracket table of ``config``, filled: all C(k, 4) brackets in lexicographic order."""
-    br = BracketTable(config)
-    for sub in itertools.combinations(range(1, config.k + 1), 4):
-        br[sub]  # a miss: __missing__ computes it
-    return br
 
 
 # the signs (-1)^r of the four positions r != j of a sorted 5-subset

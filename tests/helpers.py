@@ -144,7 +144,7 @@ def unpruned_form(config) -> bytes:
     above at k = 10, it checks the selection, not the image sets.
     """
     best = None
-    for ys in canonical._image_sets(co.brackets(config)):
+    for ys in canonical._image_sets(co.projective.BracketTable(config)):
         for sigma in itertools.permutations(range(4)):
             cand = sorted(_signed(y, sigma) for y in ys)
             if best is None or cand < best:

@@ -198,21 +198,25 @@ def test_equiv_float_coordinates_are_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["equiv", "A", "A"],
     ["equiv", "G", "A"],
+    ["equiv", "A", "G9"],
+    ["equiv", "G9", "A"],
     ["iterate", "A", "--steps", 2, "--out", "OUT"],
     ["orbit", "A", "--max-depth", 1, "--out", "OUT"],
-], ids=["equiv", "equiv-framed-first", "iterate", "orbit"])
+], ids=["equiv", "equiv-framed-first", "equiv-other-k", "equiv-other-k-framed-first",
+        "iterate", "orbit"])
 def test_no_frame_is_input_error(tmp_path, capsys, argv):
     # iterate fails at step 0 before any report exists: (*) at {1,2,3,4}
     # would make {1,2,3,4,5} a frame
     names = {"A": write_config(tmp_path / "a.json", PLANAR),
              "G": write_config(tmp_path / "g.json", co.random_config(7, 10)),
+             "G9": write_config(tmp_path / "g9.json", co.random_config(3, 10, k=9)),
              "OUT": tmp_path / "out.json"}
     assert run([names.get(x, x) for x in argv]) == 2
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("input error:") and "frame" in err[0]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "g.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "g.json", "g9.json"]
 
 
 def test_deeply_nested_json_is_input_error(tmp_path, capsys):
@@ -394,7 +398,7 @@ def test_public_names_are_pinned():
         "FormatError", "GenerationError", "IterationReport", "JordanCertificate",
         "LatticeMap", "NoFrameError", "OrbitGraph", "OrbitNode", "PermuteMove",
         "ProjectivePoint", "StarViolation", "StarViolationError", "UsageError",
-        "anticanonical_class", "apply_word", "brackets", "canonical_form",
+        "anticanonical_class", "apply_word", "canonical_form",
         "consistency_check", "coplanar", "coplanar_scan", "coxeter_element",
         "coxeter_iterate", "coxeter_relations", "coxeter_relations_check", "cremona_at",
         "cremona_map", "cremona_pushforward", "cyclic_shift", "distinctness_certificate",

@@ -260,13 +260,25 @@ def test_orbit_depth_one_counts_and_parents():
     assert not graph.truncated
 
 
-def test_orbit_depth_two_counts_and_workers(tmp_path):
+def test_orbit_depth_two_counts_and_workers(tmp_path, monkeypatch):
     # points 2 and 4..8 on the plane X3 = 0: every depth-1 node is expanded in 0.8 s
     cfg = cfg_from_rows(
         [(3, 4, -8, -1), (7, 6, 3, 0), (6, 2, 9, -3), (7, -5, 0, 0),
          (6, 1, -8, 0), (0, 6, 7, 0), (3, 4, -3, 0), (4, 1, -3, 0)]
     )
-    graph = co.orbit_bfs(cfg, 2, 1000, workers=1)
+    calls = {"det4": 0}
+    real = co.projective.det4
+
+    def counted(*args):
+        calls["det4"] += 1
+        return real(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(co.projective, "det4", counted)
+        graph = co.orbit_bfs(cfg, 2, 1000, workers=1)
+    # the root's table and the forms of 240 children, 70 brackets each; the
+    # 15 expanded depth-1 nodes read their children from a second table each
+    assert calls["det4"] == (1 + 240 + 15) * 70
     depths = [node.depth for node in graph.nodes.values()]
     assert (len(graph.nodes), len(graph.edges), len(graph.degenerate)) == (31, 240, 0)
     assert (depths.count(1), depths.count(2)) == (15, 15)
@@ -332,7 +344,10 @@ def test_orbit_bfs_starts_capped_pool(monkeypatch):
             return False
 
         def map(self, fn, tasks):
-            return map(fn, tasks)
+            results = list(map(fn, tasks))
+            # a worker sends back a form or None, never a bracket table
+            assert all(r is None or type(r) is bytes for r in results)
+            return results
 
     monkeypatch.setattr(orbit_mod, "ProcessPoolExecutor", Recording)
     monkeypatch.setattr(orbit_mod.os, "cpu_count", lambda: 2)
@@ -343,17 +358,17 @@ def test_orbit_bfs_starts_capped_pool(monkeypatch):
 
 def test_orbit_records_degenerate_children(monkeypatch):
     cfg = co.random_config(58, 8)
-    real = orbit_mod.bracket_form
+    real = orbit_mod.canonical_form
     root = co.canonical_form(cfg)
     calls = {"n": 0}
 
-    def flaky(br):
+    def flaky(config):
         calls["n"] += 1
-        if calls["n"] in (2, 3):  # call 1 is the root
+        if calls["n"] in (1, 2):  # the root's form is not a worker's
             raise co.NoFrameError("synthetic degenerate child")
-        return real(br)
+        return real(config)
 
-    monkeypatch.setattr(orbit_mod, "bracket_form", flaky)
+    monkeypatch.setattr(orbit_mod, "canonical_form", flaky)
     graph = co.orbit_bfs(cfg, 1, 1000, workers=1)
     assert len(graph.degenerate) == 2
     assert all(parent == root for parent, _ in graph.degenerate)

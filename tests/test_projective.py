@@ -78,21 +78,23 @@ def test_coplanar_examples():
 
 def test_brackets_fill_every_subset_in_lexicographic_order():
     cfg = co.random_config(11, 6, k=9)
-    br = co.brackets(cfg)
-    assert list(br) == list(itertools.combinations(range(1, 10), 4))
-    for sub, d in br.items():
-        assert d == linalg.det_bareiss([cfg.point(i).coords for i in sub])
+    br = co.projective.BracketTable(cfg)
+    subs = list(itertools.combinations(range(1, 10), 4))
+    for sub in subs:
+        assert br[sub] == linalg.det_bareiss([cfg.point(i).coords for i in sub])
+    assert list(br) == subs
 
 
 def test_bracket_table_survives_pickle_partly_filled():
-    # orbit_bfs workers send their tables back to the parent process
+    # no command sends a table between processes, but a pickled table keeps
+    # its brackets, its read order and its points
     cfg = co.random_config(12, 6)
     br = co.projective.BracketTable(cfg)
     br[(1, 2, 3, 4)]
     back = pickle.loads(pickle.dumps(br))
     assert type(back) is co.projective.BracketTable and back.k == 8
     assert dict(back) == {(1, 2, 3, 4): br[(1, 2, 3, 4)]}
-    assert back[(5, 6, 7, 8)] == co.brackets(cfg)[(5, 6, 7, 8)]
+    assert back[(5, 6, 7, 8)] == co.projective.BracketTable(cfg)[(5, 6, 7, 8)]
     assert list(back) == [(1, 2, 3, 4), (5, 6, 7, 8)]
 
 
