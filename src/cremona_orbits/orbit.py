@@ -8,8 +8,10 @@ bracket table, empty at first: ``orbit_bfs`` reads each child's form from a
 table in the worker, and an expanded node's children from one in the parent.
 ``coxeter_iterate`` reads condition (*) and the next move from the 17
 brackets around the centers, and the canonical form and the coplanar scan
-from the 70-bracket table of a frame-normalized copy; ``consistency_check``
-rescans the full table of every stored configuration.
+from the 70-bracket table of a frame-normalized copy.  ``consistency_check``
+and ``coplanar_scan`` rescan the stored points and only test brackets
+against zero, so they read a ``ZeroTable``: residues mod 2^61 - 1, with
+every zero residue confirmed by the exact bracket.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .canonical import bracket_form, canonical_form, normalized_at
 from .errors import NoFrameError, StarViolationError, UsageError
 from .lattice import (DivisorClass, class_map, coxeter_step, cremona_pushforward, cyclic_shift,
                       iterate_class, permute_class, plane_through_last_four)
-from .projective import (BracketTable, CenterSet, Configuration, cremona_at, cremona_image,
-                         permute_config, star_witness)
+from .projective import (BracketTable, CenterSet, Configuration, ZeroTable, cremona_at,
+                         cremona_image, permute_config, star_witness)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,8 +94,12 @@ def _zero_brackets(br: BracketTable):
 
 
 def coplanar_scan(config: Configuration) -> tuple[tuple[int, int, int, int], ...]:
-    """All 4-subsets of labels (sorted) whose points lie on a common plane."""
-    return _zero_brackets(BracketTable(config))
+    """All 4-subsets of labels (sorted) whose points lie on a common plane.
+
+    It reads a ``ZeroTable``: each bracket mod 2^61 - 1, and the exact
+    bracket only where that residue is zero.
+    """
+    return _zero_brackets(ZeroTable(config))
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,8 +195,12 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
 def consistency_check(report: IterationReport) -> bool:
     """Recompute the lattice prediction and the geometric scans; compare.
 
-    The scans of each configuration come from one fresh bracket table of its
+    The scans of each configuration come from one fresh ``ZeroTable`` of its
     stored points, independent of the normalized copies the iterate scanned.
+    The scans only test brackets against zero, so the table reads each
+    bracket mod 2^61 - 1 and computes the exact one only where that residue
+    is zero: a 15.9k-bit configuration (step 17 of ``random_config(7, 10)``)
+    makes 70 short determinants and no tall one.
 
     Coplanar 4-tuples may only occur where the tracked class is a plane class
     H - E_a - E_b - E_c - E_d, and then only at exactly {a,b,c,d}.
@@ -200,7 +210,7 @@ def consistency_check(report: IterationReport) -> bool:
     if tuple(expected) != report.tracked:
         return False
     for i, cfg in enumerate(report.configs):
-        br = BracketTable(cfg)
+        br = ZeroTable(cfg)
         found = report.coplanar_tuples[i]
         if (_zero_brackets(br) != found
                 or (star_witness(br, centers) is None) != report.star_ok[i]):

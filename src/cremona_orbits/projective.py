@@ -9,7 +9,10 @@ and computes a bracket the first time it is read.  Condition (*) and the
 coplanar scan read it directly; the Cremona image and the canonical form read
 it through one Cramer rule (``cramer``).  Each reader builds its own table
 and fills only what it reads: a lone ``cremona_at`` or ``star_violation``
-reads the 1 + 4(k - 4) brackets around its centers.
+reads the 1 + 4(k - 4) brackets around its centers.  A reader that only
+tests brackets against zero on points that may be tall (``star_violation``
+here, the rescans in ``orbit``) reads a ``ZeroTable`` instead: residues mod
+the prime 2^61 - 1, with each zero residue confirmed by the exact bracket.
 """
 
 from __future__ import annotations
@@ -148,6 +151,39 @@ class BracketTable(dict):
         return value
 
 
+# the prime of ZeroTable's residues, and the bound (p - 1) / 2 of their size
+_P = (1 << 61) - 1
+_H = _P // 2
+
+
+class ZeroTable(BracketTable):
+    """Zero tests of the brackets of a configuration, by sorted 4-subset: not brackets.
+
+    A value is nonzero exactly when the bracket is, and that is all it says.
+    It is the bracket's residue mod the prime p = 2^61 - 1 when that residue
+    is nonzero, which proves the bracket nonzero; a zero residue is confirmed
+    by the exact bracket from ``BracketTable``, so every zero stays exact.
+    The residues come from coordinates reduced mod p once, when the table is
+    built, to the representative of least absolute value, so a tall
+    configuration pays for short determinants and a short one keeps its
+    coordinates.  Read it only against zero: ``cramer`` must never read one.
+    """
+
+    __slots__ = ("_res",)
+
+    def __init__(self, config: Configuration):
+        super().__init__(config)
+        self._res = (None,) + tuple(tuple((v + _H) % _P - _H for v in p) for p in self._pts[1:])
+
+    def __missing__(self, sub):
+        res = self._res
+        value = det4((res[sub[0]], res[sub[1]], res[sub[2]], res[sub[3]])) % _P
+        if value == 0:
+            return BracketTable.__missing__(self, sub)
+        self[sub] = value
+        return value
+
+
 # the signs (-1)^r of the four positions r != j of a sorted 5-subset
 _DROP_SIGNS = tuple(tuple((-1) ** r for r in range(5) if r != j) for j in range(5))
 
@@ -222,9 +258,11 @@ def star_violation(config: Configuration, centers: CenterSet) -> StarViolation |
     configuration lies on any plane through three of them.  The witness is
     the first failure in this order: the four centers themselves; then the
     planes (c1,c2,c3), (c1,c2,c4), (c1,c3,c4), (c2,c3,c4) of the sorted
-    centers, each against the other points in ascending label order.
+    centers, each against the other points in ascending label order.  The
+    witness only needs zero tests, so it reads a ``ZeroTable``: tall points
+    cost short determinants, and only a zero residue takes an exact one.
     """
-    return star_witness(BracketTable(config), centers.within(config.k))
+    return star_witness(ZeroTable(config), centers.within(config.k))
 
 
 # ---------------------------------------------------------------------------

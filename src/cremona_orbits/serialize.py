@@ -177,6 +177,46 @@ def report_to_obj(report: IterationReport) -> dict:
     }
 
 
+# the keys of ``report_to_obj`` that hold one entry per step
+_STEP_KEYS = ("star_ok", "degrees", "tracked", "coplanar_tuples", "configurations",
+              "canonical_forms")
+
+
+def report_from_obj(obj) -> IterationReport:
+    """The report that ``report_to_obj`` wrote, partial or not.
+
+    The written keys that a report derives (``degrees`` from ``tracked``,
+    ``all_pairwise_inequivalent`` from the forms) must agree with it.
+    """
+    keys = ("steps_requested", "all_pairwise_inequivalent") + _STEP_KEYS
+    if not isinstance(obj, dict) or any(key not in obj for key in keys):
+        raise FormatError("report object needs the keys %s" % ", ".join(keys))
+    steps = [obj[key] for key in _STEP_KEYS]
+    if (not all(isinstance(v, list) for v in steps) or len({len(v) for v in steps}) != 1
+            or not steps[0]):
+        raise FormatError("report per-step lists must be nonempty and of one length")
+    if not all(isinstance(v, bool) for v in obj["star_ok"]):
+        raise FormatError("report 'star_ok' must list booleans")
+    try:
+        coplanar = tuple(tuple(tuple(_integer(v, "label") for v in sub) for sub in step)
+                         for step in obj["coplanar_tuples"])
+        forms = tuple(f.encode("ascii") for f in obj["canonical_forms"])
+    except (TypeError, AttributeError, UnicodeEncodeError):
+        raise FormatError("report 'coplanar_tuples' or 'canonical_forms' malformed") from None
+    report = IterationReport(
+        steps_requested=_integer(obj["steps_requested"], "step count"),
+        configs=tuple(map(config_from_obj, obj["configurations"])),
+        star_ok=tuple(obj["star_ok"]),
+        coplanar_tuples=coplanar,
+        tracked=tuple(map(divisor_from_obj, obj["tracked"])),
+        canonical_forms=forms)
+    if [_integer(d, "degree") for d in obj["degrees"]] != list(report.degrees):
+        raise FormatError("report 'degrees' disagrees with the degrees of 'tracked'")
+    if obj["all_pairwise_inequivalent"] is not report.all_pairwise_inequivalent:
+        raise FormatError("report 'all_pairwise_inequivalent' disagrees with its forms")
+    return report
+
+
 def orbit_to_obj(graph: OrbitGraph) -> dict:
     nodes = []
     for node in sorted(graph.nodes.values(), key=lambda n: (n.depth, n.canonical_form)):

@@ -81,6 +81,14 @@ def special_coplanar_config(seed, height=20) -> co.Configuration:
     raise RuntimeError("failed to sample a special configuration for seed %d" % seed)
 
 
+def two_planes_config() -> co.Configuration:
+    """Points 1..4 on X3 = 0 and 5..8 on X0 + X1 + X2 + X3 = 0: four coplanar 4-tuples."""
+    return cfg_from_rows(
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 0),
+         (1, 2, -4, 1), (2, -1, 3, -4), (3, 1, -2, -2), (1, -3, 1, 1)]
+    )
+
+
 def _signed(y, sigma):
     """Canonical point y with coordinates reordered by sigma: flip to a positive lead."""
     yy = tuple(y[i] for i in sigma)

@@ -11,7 +11,7 @@ from cremona_orbits import orbit as orbit_mod
 from cremona_orbits import serialize
 from cremona_orbits.canonical import normalized_at
 from cremona_orbits.projective import BracketTable
-from helpers import cfg_from_rows, rand_permutation, special_coplanar_config
+from helpers import cfg_from_rows, rand_permutation, special_coplanar_config, two_planes_config
 
 CENTERS = co.CenterSet((1, 2, 3, 4))
 
@@ -169,12 +169,8 @@ def test_iterate_scans_from_normalized_copy_match_full_tables():
          (1, 1, 1, 0), (1, 2, 3, 4), (1, 1, 2, 3), (3, 1, 1, 2)]
     )
     no_base = co.permute_config(special_coplanar_config(0), (5, 6, 7, 8, 1, 2, 3, 4))
-    # points 1..4 on X3 = 0 and 5..8 on X0 + X1 + X2 + X3 = 0: the scan must
-    # not follow the order in which the iterate's table read its brackets
-    two_planes = cfg_from_rows(
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 0),
-         (1, 2, -4, 1), (2, -1, 3, -4), (3, 1, -2, -2), (1, -3, 1, 1)]
-    )
+    # the scan must not follow the order in which the iterate's table read its brackets
+    two_planes = two_planes_config()
     short = normalized_at(BracketTable(unit_not_5), CENTERS.indices)
     assert short is not None and short.point(5).coords != (1, 1, 1, 1)
     # [1234] = 0: the iterate falls back to the full table
@@ -214,6 +210,26 @@ def test_condition_star_reads_brackets_without_cramer(monkeypatch):
     assert calls["cramer"] == 8 - 4
 
 
+def test_consistency_check_reads_only_residues_of_a_tall_report(monkeypatch):
+    # the 17-step report has no zero bracket, so no bracket has a zero residue
+    # mod p = 2^61 - 1: the check takes one det4 per bracket, of residues
+    # (absolute value at most (p - 1) / 2), and no exact one of the stored
+    # points, which reach 15.9k bits
+    report = co.coxeter_iterate(co.random_config(7, 10), 17)
+    assert report.coplanar_tuples == ((),) * 18 and max(report.bit_lengths) > 15000
+    operands = []
+    real = co.projective.det4
+
+    def counted(m):
+        operands.extend(v for row in m for v in row)
+        return real(m)
+
+    monkeypatch.setattr(co.projective, "det4", counted)
+    assert co.consistency_check(report)
+    assert len(operands) == 18 * 70 * 16
+    assert all(abs(v) <= ((1 << 61) - 1) // 2 for v in operands)
+
+
 def test_consistency_check_detects_corruption():
     report = co.coxeter_iterate(co.random_config(7, 10), 2)
     assert co.consistency_check(report)
@@ -227,6 +243,11 @@ def test_consistency_check_detects_corruption():
         report, coplanar_tuples=(((1, 2, 3, 4),),) + report.coplanar_tuples[1:]
     )
     assert not co.consistency_check(bad_scan)
+    # a true coplanar 4-tuple left out of the report: its zero must be found
+    special = co.coxeter_iterate(special_coplanar_config(0), 1)
+    assert co.consistency_check(special)
+    missed = dataclasses.replace(special, coplanar_tuples=((),) + special.coplanar_tuples[1:])
+    assert not co.consistency_check(missed)
 
 
 # ---------------------------------------------------------------------------

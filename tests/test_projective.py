@@ -10,7 +10,8 @@ import sympy
 
 import cremona_orbits as co
 from cremona_orbits import linalg
-from helpers import cfg_from_rows, frame_matrix, moved, rand_invertible_map, rand_permutation
+from helpers import (cfg_from_rows, frame_matrix, moved, rand_invertible_map, rand_permutation,
+                     special_coplanar_config, two_planes_config)
 
 E0, E1, E2, E3 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 ONES = (1, 1, 1, 1)
@@ -96,6 +97,70 @@ def test_bracket_table_survives_pickle_partly_filled():
     assert dict(back) == {(1, 2, 3, 4): br[(1, 2, 3, 4)]}
     assert back[(5, 6, 7, 8)] == co.projective.BracketTable(cfg)[(5, 6, 7, 8)]
     assert list(back) == [(1, 2, 3, 4), (5, 6, 7, 8)]
+
+
+P = (1 << 61) - 1  # the prime of ZeroTable's residues
+
+
+def assert_same_zeros(cfg):
+    zeros, exact = co.projective.ZeroTable(cfg), co.projective.BracketTable(cfg)
+    for sub in itertools.combinations(range(1, cfg.k + 1), 4):
+        assert (zeros[sub] == 0) == (exact[sub] == 0), sub
+
+
+def test_zero_table_zeros_are_the_bracket_zeros():
+    configs = list(co.coxeter_iterate(co.random_config(7, 10), 17).configs)
+    for seed in range(4):
+        special = special_coplanar_config(seed)
+        configs += [special, co.cremona_at(special, co.CenterSet((1, 2, 3, 4)))]
+    configs.append(two_planes_config())
+    for cfg in configs:
+        assert_same_zeros(cfg)
+
+
+# e0, e1, e2 and a point whose last coordinate is +-p or 2p, so [1234] is a
+# nonzero multiple of p; every other point has a coordinate of absolute value
+# at least p, and so does every 4-subset
+TALL = [(1, 5, 3, P + 2), (2, 1, P + 4, 3), (3, 2 * P + 1, 1, 1), (P + 6, 1, 1, 5)]
+MULTIPLE_OF_P = [
+    [E0, E1, E2, (1, 2, 3, P)] + TALL,
+    [E0, E1, E2, (1, 2, 3, 2 * P)] + TALL,
+    [E0, E1, E2, (1, 2, 3, -P)] + TALL,
+    # tall and negative coordinates; e1 and points 5 and 6 are collinear, so five
+    # 4-subsets are coplanar
+    [E0, E1, E2, (4, -3, P + 2, P), (1, 5, P + 1, 2), (2, -3, 2 * P + 2, 4),
+     (3, -(P + 7), 11, P + 5), (5, 1, -(2 * P + 3), -1)],
+]
+
+
+@pytest.mark.parametrize("rows", MULTIPLE_OF_P)
+def test_zero_table_confirms_each_zero_residue_exactly_once(rows, monkeypatch):
+    cfg = cfg_from_rows(rows)
+    subsets = list(itertools.combinations(range(1, 9), 4))
+    exact = {sub: linalg.det_bareiss([cfg.point(i).coords for i in sub]) for sub in subsets}
+    assert exact[(1, 2, 3, 4)] in (P, -P, 2 * P, -2 * P)
+    assert all(any(abs(v) >= P for i in sub for v in cfg.point(i).coords) for sub in subsets)
+    # residues lie in -(p - 1)/2..(p - 1)/2, so a det4 call with an operand of
+    # absolute value above p - 1 is an exact one
+    tall = []
+    real = co.projective.det4
+
+    def counted(m):
+        if any(abs(v) >= P for row in m for v in row):
+            tall.append(m)
+        return real(m)
+
+    monkeypatch.setattr(co.projective, "det4", counted)
+    zeros = co.projective.ZeroTable(cfg)
+    for sub in subsets:
+        before = len(tall)
+        value = zeros[sub]
+        assert len(tall) - before == (exact[sub] % P == 0), sub
+        assert (value == 0) == (exact[sub] == 0), sub
+    assert zeros[(1, 2, 3, 4)] != 0
+    monkeypatch.undo()
+    assert_same_zeros(cfg)
+    assert co.coplanar_scan(cfg) == tuple(sub for sub in subsets if exact[sub] == 0)
 
 
 @pytest.mark.parametrize("call", [co.star_violation, co.cremona_at])

@@ -10,7 +10,7 @@ import pytest
 import cremona_orbits as co
 from cremona_orbits import serialize
 from cremona_orbits.digits import decimal_to_int, int_to_decimal
-from helpers import moved, special_coplanar_config
+from helpers import cfg_from_rows, moved, special_coplanar_config
 
 
 def test_config_roundtrip(tmp_path):
@@ -158,6 +158,45 @@ def test_report_object_shape():
     assert obj["tracked"][0] == {"d": 1, "m": [0, 0, 0, 0, 1, 1, 1, 1]}
     assert len(obj["configurations"]) == 2
     json.dumps(obj)  # must be serializable as-is
+
+
+def test_report_roundtrip(tmp_path):
+    full = co.coxeter_iterate(co.random_config(7, 10), 12)
+    # points 5 and 6 share the ratio x0 : x3, so their images and e1, e2 are
+    # coplanar after one step, and (*) fails there
+    with pytest.raises(co.StarViolationError) as err:
+        co.coxeter_iterate(cfg_from_rows(
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+             (1, 1, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2)]), 3)
+    partial = err.value.partial_report
+    assert partial.steps_completed == 1 and partial.star_ok == (True, False)
+    assert len(partial.coplanar_tuples[0]) == 3  # no plane class: the check fails
+    for report, verdict in ((full, True), (partial, False)):
+        obj = serialize.report_to_obj(report)
+        assert serialize.report_from_obj(obj) == report
+        path = tmp_path / "report.json"
+        serialize.dump_json(path, obj)
+        back = serialize.report_from_obj(serialize.load_json(path))
+        assert back == report and co.consistency_check(back) is verdict
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda o: o["degrees"].__setitem__(-1, o["degrees"][-1] + 1),
+    lambda o: o["degrees"].pop(),
+    lambda o: o["tracked"].__setitem__(0, {"d": 2, "m": [0, 0, 0, 0, 1, 1, 1, 1]}),
+    lambda o: o.__setitem__("all_pairwise_inequivalent", False),
+    lambda o: o["star_ok"].__setitem__(0, 1),
+    lambda o: o["coplanar_tuples"].__setitem__(0, 5),
+    lambda o: o["canonical_forms"].__setitem__(0, None),
+    lambda o: o.pop("configurations"),
+    lambda o: o.update(star_ok=[], degrees=[], tracked=[], coplanar_tuples=[],
+                       configurations=[], canonical_forms=[]),
+])
+def test_report_reader_rejects_inconsistent_reports(mutate):
+    obj = serialize.report_to_obj(co.coxeter_iterate(co.random_config(7, 10), 2))
+    mutate(obj)
+    with pytest.raises(co.FormatError):
+        serialize.report_from_obj(obj)
 
 
 def test_orbit_object_shape():
