@@ -9,9 +9,7 @@ table in the worker, and an expanded node's children from one in the parent.
 ``coxeter_iterate`` reads condition (*) and the next move from the 17
 brackets around the centers, and the canonical form and the coplanar scan
 from the 70-bracket table of a frame-normalized copy.  ``consistency_check``
-and ``coplanar_scan`` rescan the stored points and only test brackets
-against zero, so they read a ``ZeroTable``: residues mod 2^61 - 1, with
-every zero residue confirmed by the exact bracket.
+rescans the stored points through a ``ZeroTable`` (zero tests only).
 """
 
 from __future__ import annotations
@@ -94,12 +92,8 @@ def _zero_brackets(br: BracketTable):
 
 
 def coplanar_scan(config: Configuration) -> tuple[tuple[int, int, int, int], ...]:
-    """All 4-subsets of labels (sorted) whose points lie on a common plane.
-
-    It reads a ``ZeroTable``: each bracket mod 2^61 - 1, and the exact
-    bracket only where that residue is zero.
-    """
-    return _zero_brackets(ZeroTable(config))
+    """All 4-subsets of labels (sorted) whose points lie on a common plane."""
+    return _zero_brackets(BracketTable(config))
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,12 +189,9 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
 def consistency_check(report: IterationReport) -> bool:
     """Recompute the lattice prediction and the geometric scans; compare.
 
-    The scans of each configuration come from one fresh ``ZeroTable`` of its
-    stored points, independent of the normalized copies the iterate scanned.
-    The scans only test brackets against zero, so the table reads each
-    bracket mod 2^61 - 1 and computes the exact one only where that residue
-    is zero: a 15.9k-bit configuration (step 17 of ``random_config(7, 10)``)
-    makes 70 short determinants and no tall one.
+    The scans of each configuration come from one fresh ``ZeroTable`` (zero
+    tests only) of its stored points, independent of the normalized copies
+    the iterate scanned.
 
     Coplanar 4-tuples may only occur where the tracked class is a plane class
     H - E_a - E_b - E_c - E_d, and then only at exactly {a,b,c,d}.

@@ -9,10 +9,9 @@ and computes a bracket the first time it is read.  Condition (*) and the
 coplanar scan read it directly; the Cremona image and the canonical form read
 it through one Cramer rule (``cramer``).  Each reader builds its own table
 and fills only what it reads: a lone ``cremona_at`` or ``star_violation``
-reads the 1 + 4(k - 4) brackets around its centers.  A reader that only
-tests brackets against zero on points that may be tall (``star_violation``
-here, the rescans in ``orbit``) reads a ``ZeroTable`` instead: residues mod
-the prime 2^61 - 1, with each zero residue confirmed by the exact bracket.
+reads the 1 + 4(k - 4) brackets around its centers.  ``orbit``'s rescan of
+the stored points, which only tests their brackets against zero, reads a
+``ZeroTable`` instead.
 """
 
 from __future__ import annotations
@@ -258,11 +257,9 @@ def star_violation(config: Configuration, centers: CenterSet) -> StarViolation |
     configuration lies on any plane through three of them.  The witness is
     the first failure in this order: the four centers themselves; then the
     planes (c1,c2,c3), (c1,c2,c4), (c1,c3,c4), (c2,c3,c4) of the sorted
-    centers, each against the other points in ascending label order.  The
-    witness only needs zero tests, so it reads a ``ZeroTable``: tall points
-    cost short determinants, and only a zero residue takes an exact one.
+    centers, each against the other points in ascending label order.
     """
-    return star_witness(ZeroTable(config), centers.within(config.k))
+    return star_witness(BracketTable(config), centers.within(config.k))
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,15 @@ _STEP_KEYS = ("star_ok", "degrees", "tracked", "coplanar_tuples", "configuration
               "canonical_forms")
 
 
+def _subset(sub, k):
+    """A sorted 4-subset of the labels 1..k, from a JSON list of four integers."""
+    if (not isinstance(sub, list) or len(sub) != 4 or any(type(v) is not int for v in sub)
+            or not 1 <= sub[0] < sub[1] < sub[2] < sub[3] <= k):
+        raise FormatError("report coplanar tuple %s is not a sorted 4-subset of 1..%d"
+                          % (repr(sub)[:40], k))
+    return tuple(sub)
+
+
 def report_from_obj(obj) -> IterationReport:
     """The report that ``report_to_obj`` wrote, partial or not.
 
@@ -197,17 +206,19 @@ def report_from_obj(obj) -> IterationReport:
         raise FormatError("report per-step lists must be nonempty and of one length")
     if not all(isinstance(v, bool) for v in obj["star_ok"]):
         raise FormatError("report 'star_ok' must list booleans")
+    if not all(isinstance(step, list) for step in obj["coplanar_tuples"]):
+        raise FormatError("report 'coplanar_tuples' must list one list per step")
     try:
-        coplanar = tuple(tuple(tuple(_integer(v, "label") for v in sub) for sub in step)
-                         for step in obj["coplanar_tuples"])
         forms = tuple(f.encode("ascii") for f in obj["canonical_forms"])
-    except (TypeError, AttributeError, UnicodeEncodeError):
-        raise FormatError("report 'coplanar_tuples' or 'canonical_forms' malformed") from None
+    except (AttributeError, UnicodeEncodeError):
+        raise FormatError("report 'canonical_forms' must list ASCII strings") from None
+    configs = tuple(map(config_from_obj, obj["configurations"]))
     report = IterationReport(
         steps_requested=_integer(obj["steps_requested"], "step count"),
-        configs=tuple(map(config_from_obj, obj["configurations"])),
+        configs=configs,
         star_ok=tuple(obj["star_ok"]),
-        coplanar_tuples=coplanar,
+        coplanar_tuples=tuple(tuple(_subset(sub, cfg.k) for sub in step)
+                              for step, cfg in zip(obj["coplanar_tuples"], configs)),
         tracked=tuple(map(divisor_from_obj, obj["tracked"])),
         canonical_forms=forms)
     if [_integer(d, "degree") for d in obj["degrees"]] != list(report.degrees):

@@ -81,12 +81,24 @@ def special_coplanar_config(seed, height=20) -> co.Configuration:
     raise RuntimeError("failed to sample a special configuration for seed %d" % seed)
 
 
-def two_planes_config() -> co.Configuration:
-    """Points 1..4 on X3 = 0 and 5..8 on X0 + X1 + X2 + X3 = 0: four coplanar 4-tuples."""
-    return cfg_from_rows(
+def star_failing_configs() -> tuple[co.Configuration, ...]:
+    """Three configurations on which the iterate stops with a partial report.
+
+    unit_not_5: point 5 is not the unit point, so the iterate's normalized
+    copy is not the stored frame.  no_base: [1234] = 0, so the iterate falls
+    back to the full table.  two_planes: points 1..4 on X3 = 0 and 5..8 on
+    X0 + X1 + X2 + X3 = 0, four coplanar 4-tuples.
+    """
+    unit_not_5 = cfg_from_rows(
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+         (1, 1, 1, 0), (1, 2, 3, 4), (1, 1, 2, 3), (3, 1, 1, 2)]
+    )
+    no_base = co.permute_config(special_coplanar_config(0), (5, 6, 7, 8, 1, 2, 3, 4))
+    two_planes = cfg_from_rows(
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 0),
          (1, 2, -4, 1), (2, -1, 3, -4), (3, 1, -2, -2), (1, -3, 1, 1)]
     )
+    return unit_not_5, no_base, two_planes
 
 
 def _signed(y, sigma):

@@ -11,7 +11,7 @@ from cremona_orbits import orbit as orbit_mod
 from cremona_orbits import serialize
 from cremona_orbits.canonical import normalized_at
 from cremona_orbits.projective import BracketTable
-from helpers import cfg_from_rows, rand_permutation, special_coplanar_config, two_planes_config
+from helpers import cfg_from_rows, rand_permutation, special_coplanar_config, star_failing_configs
 
 CENTERS = co.CenterSet((1, 2, 3, 4))
 
@@ -164,13 +164,9 @@ def test_one_bracket_table_per_configuration(monkeypatch):
 
 def test_iterate_scans_from_normalized_copy_match_full_tables():
     # oracles: canonical_form and coplanar_scan build the full table of the stored points
-    unit_not_5 = cfg_from_rows(
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-         (1, 1, 1, 0), (1, 2, 3, 4), (1, 1, 2, 3), (3, 1, 1, 2)]
-    )
-    no_base = co.permute_config(special_coplanar_config(0), (5, 6, 7, 8, 1, 2, 3, 4))
-    # the scan must not follow the order in which the iterate's table read its brackets
-    two_planes = two_planes_config()
+    # two_planes: the scan must not follow the order in which the iterate's table read
+    # its brackets
+    unit_not_5, no_base, two_planes = star_failing_configs()
     short = normalized_at(BracketTable(unit_not_5), CENTERS.indices)
     assert short is not None and short.point(5).coords != (1, 1, 1, 1)
     # [1234] = 0: the iterate falls back to the full table

@@ -11,7 +11,7 @@ import sympy
 import cremona_orbits as co
 from cremona_orbits import linalg
 from helpers import (cfg_from_rows, frame_matrix, moved, rand_invertible_map, rand_permutation,
-                     special_coplanar_config, two_planes_config)
+                     special_coplanar_config, star_failing_configs)
 
 E0, E1, E2, E3 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 ONES = (1, 1, 1, 1)
@@ -102,20 +102,20 @@ def test_bracket_table_survives_pickle_partly_filled():
 P = (1 << 61) - 1  # the prime of ZeroTable's residues
 
 
-def assert_same_zeros(cfg):
-    zeros, exact = co.projective.ZeroTable(cfg), co.projective.BracketTable(cfg)
-    for sub in itertools.combinations(range(1, cfg.k + 1), 4):
-        assert (zeros[sub] == 0) == (exact[sub] == 0), sub
-
-
 def test_zero_table_zeros_are_the_bracket_zeros():
     configs = list(co.coxeter_iterate(co.random_config(7, 10), 17).configs)
     for seed in range(4):
         special = special_coplanar_config(seed)
         configs += [special, co.cremona_at(special, co.CenterSet((1, 2, 3, 4)))]
-    configs.append(two_planes_config())
+    # the stored points of the iterate's partial reports
+    for bad in star_failing_configs():
+        with pytest.raises(co.StarViolationError) as err:
+            co.coxeter_iterate(bad, 1)
+        configs += err.value.partial_report.configs
     for cfg in configs:
-        assert_same_zeros(cfg)
+        zeros, exact = co.projective.ZeroTable(cfg), co.projective.BracketTable(cfg)
+        for sub in itertools.combinations(range(1, cfg.k + 1), 4):
+            assert (zeros[sub] == 0) == (exact[sub] == 0), sub
 
 
 # e0, e1, e2 and a point whose last coordinate is +-p or 2p, so [1234] is a
@@ -158,9 +158,6 @@ def test_zero_table_confirms_each_zero_residue_exactly_once(rows, monkeypatch):
         assert len(tall) - before == (exact[sub] % P == 0), sub
         assert (value == 0) == (exact[sub] == 0), sub
     assert zeros[(1, 2, 3, 4)] != 0
-    monkeypatch.undo()
-    assert_same_zeros(cfg)
-    assert co.coplanar_scan(cfg) == tuple(sub for sub in subsets if exact[sub] == 0)
 
 
 @pytest.mark.parametrize("call", [co.star_violation, co.cremona_at])

@@ -187,6 +187,11 @@ def test_report_roundtrip(tmp_path):
     lambda o: o.__setitem__("all_pairwise_inequivalent", False),
     lambda o: o["star_ok"].__setitem__(0, 1),
     lambda o: o["coplanar_tuples"].__setitem__(0, 5),
+    lambda o: o["coplanar_tuples"].__setitem__(0, ["1234"]),
+    lambda o: o["coplanar_tuples"].__setitem__(0, [[1, 2, 3]]),
+    lambda o: o["coplanar_tuples"].__setitem__(0, [[1, 2, 3, 9]]),
+    lambda o: o["coplanar_tuples"].__setitem__(0, [[2, 1, 3, 4]]),
+    lambda o: o["coplanar_tuples"].__setitem__(0, [["1", "2", "3", "4"]]),
     lambda o: o["canonical_forms"].__setitem__(0, None),
     lambda o: o.pop("configurations"),
     lambda o: o.update(star_ok=[], degrees=[], tracked=[], coplanar_tuples=[],
