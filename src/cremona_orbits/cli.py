@@ -143,7 +143,8 @@ def cmd_iterate(args) -> int:
         e.args = ("%s; wrote partial report to %s" % (e, args.out),)  # main prints one line
         raise
     _write(args, "iterate", params, serialize.report_to_obj(report), report.degrees)
-    ok = consistency_check(report)
+    # judged as written: a report that does not survive its own file fails here
+    ok = consistency_check(serialize.report_from_obj(serialize.load_json(args.out)))
     print("completed %d steps; pairwise inequivalent: %s; consistency %s"
           % (report.steps_completed, "yes" if report.all_pairwise_inequivalent else "no",
              "OK" if ok else "FAILED"))

@@ -224,7 +224,6 @@ class OrbitNode:
     canonical_form: bytes
     representative: Configuration
     depth: int
-    parent_edge: tuple[bytes, CenterSet] | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,7 +292,7 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
     requested = env_workers() if workers is None else workers
     root_br = BracketTable(config)
     root_canon = bracket_form(root_br)
-    nodes = {root_canon: OrbitNode(root_canon, config, 0, None)}
+    nodes = {root_canon: OrbitNode(root_canon, config, 0)}
     edges = []
     degenerate = []
     truncated = False
@@ -319,7 +318,7 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
                 if len(nodes) >= max_nodes:
                     truncated = True
                     continue  # node budget exhausted: drop node and edge
-                nodes[canon] = OrbitNode(canon, child, depth + 1, (parent_canon, centers))
+                nodes[canon] = OrbitNode(canon, child, depth + 1)
                 frontier.append((canon, BracketTable(child)))
             edges.append((parent_canon, canon, centers))
         depth += 1

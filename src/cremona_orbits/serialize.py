@@ -229,33 +229,16 @@ def report_from_obj(obj) -> IterationReport:
 
 
 def orbit_to_obj(graph: OrbitGraph) -> dict:
-    nodes = []
-    for node in sorted(graph.nodes.values(), key=lambda n: (n.depth, n.canonical_form)):
-        parent = None
-        if node.parent_edge is not None:
-            parent = {
-                "canonical_form": node.parent_edge[0].decode("ascii"),
-                "centers": list(node.parent_edge[1].indices),
-            }
-        nodes.append({
-            "canonical_form": node.canonical_form.decode("ascii"),
-            "depth": node.depth,
-            "points": config_to_obj(node.representative)["points"],
-            "parent": parent,
-        })
-    edges = [
-        {"source": s.decode("ascii"), "target": t.decode("ascii"), "centers": list(c.indices)}
-        for s, t, c in sorted(graph.edges, key=lambda e: (e[0], e[1], e[2].indices))
-    ]
+    """Nodes in (depth, form) order; edges and degenerate children name them by index."""
+    order = sorted(graph.nodes.values(), key=lambda n: (n.depth, n.canonical_form))
+    index = {node.canonical_form: i for i, node in enumerate(order)}
     return {
-        "nodes": nodes,
-        "edges": edges,
+        "nodes": [{"canonical_form": node.canonical_form.decode("ascii"), "depth": node.depth,
+                   "points": config_to_obj(node.representative)["points"]} for node in order],
+        "edges": sorted([index[s], index[t], list(c.indices)] for s, t, c in graph.edges),
         "truncated": graph.truncated,
         "frontier_remaining": graph.frontier_remaining,
-        "degenerate": [
-            {"parent": p.decode("ascii"), "centers": list(c.indices)}
-            for p, c in graph.degenerate
-        ],
+        "degenerate": sorted([index[p], list(c.indices)] for p, c in graph.degenerate),
     }
 
 

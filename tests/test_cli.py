@@ -98,6 +98,21 @@ def test_iterate_writes_report_and_degree_table(tmp_path, capsys):
     assert [int(line.split(",")[1]) for line in csv_lines[1:]] == expected
 
 
+def test_iterate_judges_the_report_it_wrote(tmp_path, capsys, monkeypatch):
+    # a coplanar tuple that only the written file claims: the check must read the file
+    real = serialize.report_to_obj
+
+    def corrupted(report):
+        obj = real(report)
+        obj["coplanar_tuples"][0].append([1, 2, 3, 4])
+        return obj
+
+    monkeypatch.setattr(serialize, "report_to_obj", corrupted)
+    src = write_config(tmp_path / "p.json", co.random_config(7, 10))
+    assert run(["iterate", src, "--steps", 2, "--out", tmp_path / "report.json"]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("consistency FAILED")
+
+
 def test_iterate_star_violation_writes_partial_report(tmp_path, capsys):
     cfg = cfg_from_rows(
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
@@ -132,10 +147,9 @@ def test_orbit_depth_one_node_count(tmp_path, monkeypatch):
     graph = json.loads(out.read_text())
     assert len(graph["nodes"]) == 71
     assert len(graph["edges"]) == 70
-    depth_of = {n["canonical_form"]: n["depth"] for n in graph["nodes"]}
-    for edge in graph["edges"]:
-        assert depth_of[edge["source"]] == 0
-        assert depth_of[edge["target"]] == 1
+    for source, target, _centers in graph["edges"]:
+        assert graph["nodes"][source]["depth"] == 0
+        assert graph["nodes"][target]["depth"] == 1
     # rerun with a different worker count: output bytes must not change
     monkeypatch.setenv("CREMONA_ORBITS_WORKERS", "2")
     out2 = tmp_path / "orbit2.json"
@@ -229,7 +243,7 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (["orbit", "P", "--max-depth", 1],
-     "109acfeca7a27b85811c65fb9b279e4830fb58d83d0e61001209db7a3d3fc452"),
+     "8f07dd15962b0a96125a73a1619e3b5aeab7aeed67e2241be765915a793a350b"),
     (["iterate", "P", "--steps", 8],
      "0df7bcc859a9395e04583bd144518797755e765773f3236aa7303a18ef1eef92"),
 ], ids=["orbit-depth1", "iterate-steps8"])

@@ -249,6 +249,26 @@ def test_consistency_check_detects_corruption():
 # ---------------------------------------------------------------------------
 # orbit BFS
 
+def assert_parent_edges_derive(obj):
+    """The parent rule of the orbit file, applied to ``orbit_to_obj`` output.
+
+    Every node past the root has an edge from one level up, and the first such
+    edge in file order carries the node's points: they are the Cremona image of
+    its source's points at its centers.
+    """
+    nodes = obj["nodes"]
+    for target, node in enumerate(nodes):
+        if node["depth"] == 0:
+            continue
+        parent = next(((s, c) for s, t, c in obj["edges"]
+                       if t == target and nodes[s]["depth"] == node["depth"] - 1), None)
+        assert parent is not None, "node %d has no edge from one level up" % target
+        source = serialize.config_from_obj({"k": len(node["points"]),
+                                            "points": nodes[parent[0]]["points"]})
+        child = co.cremona_at(source, co.CenterSet(tuple(parent[1])))
+        assert serialize.config_to_obj(child)["points"] == node["points"]
+
+
 def test_orbit_depth_zero():
     cfg = co.random_config(55, 8)
     graph = co.orbit_bfs(cfg, 0, 100)
@@ -258,7 +278,6 @@ def test_orbit_depth_zero():
     assert graph.frontier_remaining == 1
     (node,) = graph.nodes.values()
     assert node.depth == 0
-    assert node.parent_edge is None
     assert node.canonical_form == co.canonical_form(cfg)
 
 
@@ -268,11 +287,9 @@ def test_orbit_depth_one_counts_and_parents():
     assert len(co.orbit_bfs(cfg, 0, 1000).nodes) <= len(graph.nodes)
     assert len(graph.nodes) == 71
     assert len(graph.edges) == 70
-    root = co.canonical_form(cfg)
     for node in graph.nodes.values():
-        if node.depth == 1:
-            assert node.parent_edge[0] == root
-            assert node.canonical_form == co.canonical_form(node.representative)
+        assert node.canonical_form == co.canonical_form(node.representative)
+    assert_parent_edges_derive(serialize.orbit_to_obj(graph))
     assert graph.frontier_remaining == 70
     assert not graph.truncated
 
@@ -300,10 +317,19 @@ def test_orbit_depth_two_counts_and_workers(tmp_path, monkeypatch):
     assert (len(graph.nodes), len(graph.edges), len(graph.degenerate)) == (31, 240, 0)
     assert (depths.count(1), depths.count(2)) == (15, 15)
     assert graph.frontier_remaining == 15 and not graph.truncated
+    obj = serialize.orbit_to_obj(graph)
+    assert_parent_edges_derive(obj)
     paths = [tmp_path / "orbit-1.json", tmp_path / "orbit-2.json"]
-    serialize.dump_json(paths[0], serialize.orbit_to_obj(graph))
+    serialize.dump_json(paths[0], obj)
     serialize.dump_json(paths[1], serialize.orbit_to_obj(co.orbit_bfs(cfg, 2, 1000, workers=2)))
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_orbit_parent_edges_derive_on_a_coplanar_root():
+    # {5,6,7,8} is coplanar at the root: center sets that fail (*) have no edge
+    graph = co.orbit_bfs(special_coplanar_config(3), 1, 1000, workers=1)
+    assert (len(graph.nodes), len(graph.edges), len(graph.degenerate)) == (54, 53, 0)
+    assert_parent_edges_derive(serialize.orbit_to_obj(graph))
 
 
 def test_orbit_node_budget_truncates_deterministically():
@@ -389,4 +415,6 @@ def test_orbit_records_degenerate_children(monkeypatch):
     graph = co.orbit_bfs(cfg, 1, 1000, workers=1)
     assert len(graph.degenerate) == 2
     assert all(parent == root for parent, _ in graph.degenerate)
+    assert serialize.orbit_to_obj(graph)["degenerate"] == [
+        [0, list(centers.indices)] for _, centers in graph.degenerate]
     assert len(graph.nodes) == 69  # two children were skipped

@@ -210,8 +210,8 @@ def test_orbit_object_shape():
     obj = serialize.orbit_to_obj(graph)
     assert len(obj["nodes"]) == 1
     assert obj["nodes"][0]["depth"] == 0
-    assert obj["nodes"][0]["parent"] is None
-    assert obj["edges"] == []
+    assert set(obj["nodes"][0]) == {"canonical_form", "depth", "points"}
+    assert obj["edges"] == [] and obj["degenerate"] == []
     json.dumps(obj)
 
 
