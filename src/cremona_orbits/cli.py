@@ -144,7 +144,11 @@ def cmd_iterate(args) -> int:
         raise
     _write(args, "iterate", params, serialize.report_to_obj(report), report.degrees)
     # judged as written: a report that does not survive its own file fails here
-    ok = consistency_check(serialize.report_from_obj(serialize.load_json(args.out)))
+    try:
+        ok = consistency_check(serialize.report_from_obj(serialize.load_json(args.out)))
+    except FormatError as e:
+        print("error: the written report does not read back: %s" % e, file=sys.stderr)
+        ok = False
     print("completed %d steps; pairwise inequivalent: %s; consistency %s"
           % (report.steps_completed, "yes" if report.all_pairwise_inequivalent else "no",
              "OK" if ok else "FAILED"))

@@ -6,10 +6,12 @@ tracked divisor class; ``orbit_bfs`` explores the full orbit under all center
 choices with canonical-form deduplication.  Every reader builds its own
 bracket table, empty at first: ``orbit_bfs`` reads each child's form from a
 table in the worker, and an expanded node's children from one in the parent.
-``coxeter_iterate`` reads condition (*) and the next move from the 17
-brackets around the centers, and the canonical form and the coplanar scan
-from the 70-bracket table of a frame-normalized copy.  ``consistency_check``
-rescans the stored points through a ``ZeroTable`` (zero tests only).
+``coxeter_iterate`` reads condition (*) from the 17 brackets around the
+centers, and the canonical form, the coplanar scan and the next move from the
+70-bracket table of a frame-normalized copy; it stores the configuration each
+move produces, 4.1k bits tall at step 17 of ``random_config(7, 10)``.
+``consistency_check`` rescans the stored points through a ``ZeroTable`` (zero
+tests only).
 """
 
 from __future__ import annotations
@@ -143,22 +145,34 @@ class IterationReport:
 def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     """Iterate (Cremona at the first four points, then cyclic shift).
 
-    Condition (*) at {1,2,3,4} and the next move read only the 1 + 4 * 4
-    brackets around {1,2,3,4} from each configuration's table, which starts
-    empty.  The same brackets give the copy of
-    the configuration normalized at base (1,2,3,4) (``normalized_at``), and
-    the copy's table gives the canonical form and the coplanar 4-tuples.  The
-    copy is T applied to the points with T in PGL(4), each point rescaled, so
-    each of its brackets is the stored one times det(T) and the four point
-    scales, all nonzero: the zero brackets are the same, and so is the form.
-    The stored points carry the height of the Cremona frame they are written
-    in: at step 17 of ``random_config(7, 10)`` they are 15.9k bits tall, the
-    copy 2.3k bits.  Without a unit point for that base ([1234] = 0, or every
-    other point on a plane of three centers) condition (*) fails, and the
-    last step reads the rest of the stored points' table.  The tracked class
-    takes the same two steps alongside.  When condition (*) fails before the
-    last step, a StarViolationError carries the step index and the partial
-    report of the configurations reached.
+    Condition (*) at {1,2,3,4} reads only the 1 + 4 * 4 brackets around
+    {1,2,3,4} from each configuration's table, which starts empty.  The same
+    brackets give the copy of the configuration normalized at base (1,2,3,4)
+    (``normalized_at``), and the copy's table gives the canonical form, the
+    coplanar 4-tuples and the next move.  The copy is T applied to the points
+    with T in PGL(4), each point rescaled, so each of its brackets is the
+    stored one times det(T) and the four point scales, all nonzero: the zero
+    brackets are the same, and so is the form.  Without a unit point for that
+    base ([1234] = 0, or every other point on a plane of three centers)
+    condition (*) fails, the last step reads the rest of the stored points'
+    table, and no move is taken, so every move has a copy.
+
+    The move from the copy gives the configuration that the move from the
+    stored points gives, in another frame: the Cremona map at the centers is
+    sigma o A, for sigma the standard involution
+    (x1x2x3 : x0x2x3 : x0x1x3 : x0x1x2) and A any map sending the centers to
+    the coordinate vertices.  A is fixed up to a diagonal D and a permutation
+    of the vertices, and sigma(Dx) = D^-1 sigma(x), so the image is fixed up
+    to PGL(4) with its labels, whichever frame its input is written in; by
+    induction every step keeps its zero brackets, witnesses and form.  The
+    stored points thus shed the height of the previous Cremona frame: at
+    step 17 of ``random_config(7, 10)`` they are 4.1k bits tall, the copy
+    2.3k bits.  The report stores the configuration the move produced, not
+    the copy, so ``consistency_check`` rescans a table other than the one the
+    iterate scanned.  The tracked class takes the same two steps alongside.
+    When condition (*) fails before the last step, a StarViolationError
+    carries the step index and the partial report of the configurations
+    reached.
     """
     if config.k != 8:
         raise UsageError("iteration is defined for k = 8, got k = %d" % config.k)
@@ -176,7 +190,7 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
         rows.append((cfg, viol is None, _zero_brackets(table), cls, bracket_form(table)))
         if len(rows) > steps or viol is not None:
             break
-        cfg = permute_config(cremona_image(br, centers), shift)
+        cfg = permute_config(cremona_image(table, centers), shift)
         cls = coxeter_step(cls)
     report = IterationReport(steps, *zip(*rows))  # each row holds one step's fields in order
     if report.truncated:

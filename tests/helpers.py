@@ -7,8 +7,9 @@ import math
 import random
 
 import cremona_orbits as co
-from cremona_orbits import canonical, linalg
-from cremona_orbits.lattice import _from_vector, _to_vector
+from cremona_orbits import canonical, linalg, orbit
+from cremona_orbits.lattice import _from_vector, _to_vector, coxeter_step
+from cremona_orbits.projective import BracketTable, cremona_image, star_witness
 
 
 def cfg_from_rows(rows) -> co.Configuration:
@@ -46,6 +47,17 @@ def frame_matrix(points):
         return None
     scale = math.prod(c)
     return tuple(tuple(scale // ci * v for v in row) for ci, row in zip(c, adj))
+
+
+def same_labelled_points(a, b) -> bool:
+    """True iff one map of PGL(4) sends each point of ``b`` to the point of ``a`` with its label.
+
+    Both are moved by ``frame_matrix`` of their points 1..5, which must be a
+    frame; the map exists iff the moved configurations are equal.
+    """
+    ta, tb = frame_matrix(a.points[:5]), frame_matrix(b.points[:5])
+    assert ta is not None and tb is not None, "points 1..5 are not a frame"
+    return moved(a, ta) == moved(b, tb)
 
 
 def rand_permutation(rng, k) -> tuple[int, ...]:
@@ -172,6 +184,42 @@ def unpruned_form(config) -> bytes:
     if best is None:
         raise co.NoFrameError("no frame among the test points")
     return _encode(config.k, sorted(canonical._FRAME_IMAGES + tuple(best)))
+
+
+# ---------------------------------------------------------------------------
+# the earlier iterate, kept as a differential oracle
+
+def stored_stepping_iterate(config, steps) -> co.IterationReport:
+    """``coxeter_iterate`` as it was before it stepped from its normalized copy.
+
+    Each move reads the stored points' own table, so step n + 1 is written in
+    the Cremona frame of step n and the stored points grow about cubically in
+    the step count (15.9k bits at step 17 of ``random_config(7, 10)``).  The
+    form and the zero scan still come from the copy normalized at (1,2,3,4),
+    or from the stored table when there is none.  Same report, same
+    StarViolationError with its step and partial report.
+    """
+    centers = co.CenterSet((1, 2, 3, 4))
+    shift = co.cyclic_shift(8)
+    cfg, cls = config, co.plane_through_last_four(8)
+    rows = []
+    while True:
+        br = BracketTable(cfg)
+        viol = star_witness(br, centers)
+        short = canonical.normalized_at(br, centers.indices)
+        table = br if short is None else BracketTable(short)
+        rows.append((cfg, viol is None, orbit._zero_brackets(table), cls,
+                     canonical.bracket_form(table)))
+        if len(rows) > steps or viol is not None:
+            break
+        cfg = co.permute_config(cremona_image(br, centers), shift)
+        cls = coxeter_step(cls)
+    report = co.IterationReport(steps, *zip(*rows))
+    if report.truncated:
+        err = co.StarViolationError(viol, step=report.steps_completed)
+        err.partial_report = report
+        raise err
+    return report
 
 
 # ---------------------------------------------------------------------------

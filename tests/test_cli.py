@@ -113,6 +113,25 @@ def test_iterate_judges_the_report_it_wrote(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.rstrip().endswith("consistency FAILED")
 
 
+def test_iterate_fails_a_report_that_does_not_read_back(tmp_path, capsys, monkeypatch):
+    # the tool's own output is not bad input: a written report that
+    # report_from_obj rejects fails the consistency check, exit 1
+    real = serialize.report_to_obj
+
+    def corrupted(report):
+        obj = real(report)
+        obj["degrees"][0] += 1
+        return obj
+
+    monkeypatch.setattr(serialize, "report_to_obj", corrupted)
+    src = write_config(tmp_path / "p.json", co.random_config(7, 10))
+    assert run(["iterate", src, "--steps", 2, "--out", tmp_path / "report.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "completed 2 steps; pairwise inequivalent: yes; consistency FAILED\n"
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "'degrees' disagrees" in err[0]
+
+
 def test_iterate_star_violation_writes_partial_report(tmp_path, capsys):
     cfg = cfg_from_rows(
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
@@ -245,7 +264,7 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     (["orbit", "P", "--max-depth", 1],
      "8f07dd15962b0a96125a73a1619e3b5aeab7aeed67e2241be765915a793a350b"),
     (["iterate", "P", "--steps", 8],
-     "0df7bcc859a9395e04583bd144518797755e765773f3236aa7303a18ef1eef92"),
+     "bb7232e0478286f339bb9b3c965e55d9810c3159af21608d2dd5fa3b0e19ebf9"),
 ], ids=["orbit-depth1", "iterate-steps8"])
 def test_canonical_bytes_are_pinned(tmp_path, argv, digest):
     # both outputs carry canonical forms: any change to the chosen candidate shows here

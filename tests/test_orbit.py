@@ -11,7 +11,8 @@ from cremona_orbits import orbit as orbit_mod
 from cremona_orbits import serialize
 from cremona_orbits.canonical import normalized_at
 from cremona_orbits.projective import BracketTable
-from helpers import cfg_from_rows, rand_permutation, special_coplanar_config, star_failing_configs
+from helpers import (cfg_from_rows, rand_permutation, same_labelled_points,
+                     special_coplanar_config, star_failing_configs, stored_stepping_iterate)
 
 CENTERS = co.CenterSet((1, 2, 3, 4))
 
@@ -210,8 +211,8 @@ def test_consistency_check_reads_only_residues_of_a_tall_report(monkeypatch):
     # the 17-step report has no zero bracket, so no bracket has a zero residue
     # mod p = 2^61 - 1: the check takes one det4 per bracket, of residues
     # (absolute value at most (p - 1) / 2), and no exact one of the stored
-    # points, which reach 15.9k bits
-    report = co.coxeter_iterate(co.random_config(7, 10), 17)
+    # points; stepped from the stored points, they reach 15.9k bits
+    report = stored_stepping_iterate(co.random_config(7, 10), 17)
     assert report.coplanar_tuples == ((),) * 18 and max(report.bit_lengths) > 15000
     operands = []
     real = co.projective.det4
@@ -224,6 +225,51 @@ def test_consistency_check_reads_only_residues_of_a_tall_report(monkeypatch):
     assert co.consistency_check(report)
     assert len(operands) == 18 * 70 * 16
     assert all(abs(v) <= ((1 << 61) - 1) // 2 for v in operands)
+
+
+@pytest.mark.parametrize("seed, height", [(7, 10), (3, 20)])
+def test_copy_stepped_iterate_matches_stored_stepping(seed, height):
+    # the move from the normalized copy changes the stored points' frame, not
+    # their class: every step keeps its labelled points up to PGL(4), and
+    # with them every field the scans and the lattice give
+    root = co.random_config(seed, height)
+    new, old = co.coxeter_iterate(root, 17), stored_stepping_iterate(root, 17)
+    assert new.steps_completed == old.steps_completed == 17
+    for field in ("canonical_forms", "star_ok", "coplanar_tuples", "tracked"):
+        assert getattr(new, field) == getattr(old, field), field
+    assert all(same_labelled_points(new.configs[n], old.configs[n]) for n in (1, 2, 9, 17))
+    assert new.bit_lengths[17] * 3 < old.bit_lengths[17]
+
+
+def test_copy_stepped_iterate_fails_where_stored_stepping_fails():
+    # [2345] = 0 puts point 5 on the plane of centers 2, 3, 4; three Coxeter
+    # steps back (the shift undone, then the Cremona move, its own inverse)
+    # give a root on which condition (*) first fails at step 3
+    root = co.permute_config(special_coplanar_config(0), (1, 5, 6, 7, 8, 2, 3, 4))
+    unshift = (8, 1, 2, 3, 4, 5, 6, 7)
+    for _ in range(3):
+        root = co.cremona_at(co.permute_config(root, unshift), CENTERS)
+    errors = []
+    for iterate in (co.coxeter_iterate, stored_stepping_iterate):
+        with pytest.raises(co.StarViolationError) as err:
+            iterate(root, 6)
+        errors.append(err.value)
+    new, old = errors
+    assert new.step == old.step == 3
+    assert new.violation == old.violation == co.StarViolation(plane=(2, 3, 4), point=5)
+    for field in ("canonical_forms", "star_ok", "coplanar_tuples", "tracked"):
+        assert getattr(new.partial_report, field) == getattr(old.partial_report, field), field
+
+
+def test_stored_steps_follow_cremona_at_of_the_stored_points():
+    # a route that never builds the normalized copy: the Cremona move of the
+    # stored points themselves, then the shift
+    report = co.coxeter_iterate(co.random_config(7, 10), 6)
+    shift = co.cyclic_shift(8)
+    for n in (0, 1, 5):
+        step = co.permute_config(co.cremona_at(report.configs[n], CENTERS), shift)
+        assert co.equivalent(step, report.configs[n + 1])
+        assert same_labelled_points(step, report.configs[n + 1])
 
 
 def test_consistency_check_detects_corruption():
