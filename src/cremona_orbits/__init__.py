@@ -5,7 +5,8 @@ configurations, and equivalence up to PGL(4) x permutation.  Lattice side:
 the induced action on divisor classes of the blown-up space, the Coxeter
 element built from the Cremona map and the cyclic shift, and exact
 certificates (Jordan structure, orbit distinctness, Coxeter relations).
-Orbit drivers tie the two together and cross-validate them.
+Drivers: the Coxeter iteration, which steps a configuration and its tracked
+class together and cross-checks them, and the breadth-first orbit search.
 """
 
 from ._version import __version__
@@ -21,41 +22,24 @@ from .errors import (
     UsageError,
 )
 from .lattice import (
-    CurveClass,
     DistinctnessReport,
     DivisorClass,
     JordanCertificate,
     LatticeMap,
-    anticanonical_class,
     coxeter_element,
     coxeter_relations,
-    coxeter_relations_check,
-    cremona_map,
     cremona_pushforward,
     cyclic_shift,
     distinctness_certificate,
-    exceptional_class,
-    exceptional_curve,
-    flopped_curve_classes,
-    hyperplane_class,
-    intersect,
-    is_root_class,
     iterate_class,
     jordan_certificate,
-    line_curve,
-    permutation_map,
     permute_class,
     plane_through_last_four,
-    quartic_curve_class,
 )
 from .orbit import (
-    CremonaMove,
-    CremonaWord,
     IterationReport,
     OrbitGraph,
     OrbitNode,
-    PermuteMove,
-    apply_word,
     consistency_check,
     coplanar_scan,
     coxeter_iterate,

@@ -1,14 +1,15 @@
-"""Integer model of the divisor and curve lattices of a blown-up P^3.
+"""Integer model of the divisor lattice of a blown-up P^3.
 
 A divisor class d*H - sum(m_i * E_i) is stored as (d, m).  Matrices act on
 coefficient vectors in the (H, E_1..E_k) basis, where the E_i-coefficient
 of d*H - sum(m_i E_i) is -m_i; ``_to_vector`` / ``_from_vector`` own that
-sign convention, nothing else converts by hand.  Every class action steps
-through the two generators, ``cremona_pushforward`` and ``permute_class``;
-``class_map`` builds the dense matrix of such an action when one is needed.
+sign convention, nothing else converts by hand.  The generators act on
+classes as ``cremona_pushforward`` and ``permute_class``; ``class_map``
+builds the dense matrix of a class action when one is needed.
 The pushforward formula lives once, in the unchecked kernel ``_pushforward``
-on raw (d, m); the Coxeter step and the orbit loops call it directly, so a
-long orbit checks its rank once and not once per step.
+on raw (d, m); the Coxeter step and the orbit loops call it directly and
+shift the multiplicities by slicing, so a long orbit checks its rank once
+and not once per step.
 """
 
 from __future__ import annotations
@@ -34,28 +35,6 @@ class DivisorClass:
     @property
     def k(self) -> int:
         return len(self.m)
-
-    def __str__(self):
-        parts = ["%dH" % self.d] if self.d else []
-        for i, mi in enumerate(self.m, start=1):
-            if mi:
-                parts.append("%+dE%d" % (-mi, i))
-        return " ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True, slots=True)
-class CurveClass:
-    """The class a*l - sum(n_i * e_i) in the curve lattice."""
-
-    a: int
-    n: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", tuple(self.n))
-
-    @property
-    def k(self) -> int:
-        return len(self.n)
 
 
 def _to_vector(c: DivisorClass) -> tuple[int, ...]:
@@ -94,42 +73,12 @@ class LatticeMap:
 # ---------------------------------------------------------------------------
 # basic classes
 
-def hyperplane_class(k: int = 8) -> DivisorClass:
-    return DivisorClass(1, (0,) * k)
-
-
-def exceptional_class(i: int, k: int = 8) -> DivisorClass:
-    """The exceptional divisor E_i (so d=0 and m_i = -1)."""
-    m = [0] * k
-    m[i - 1] = -1
-    return DivisorClass(0, tuple(m))
-
-
-def anticanonical_class(k: int = 8) -> DivisorClass:
-    return DivisorClass(4, (2,) * k)
-
-
 def plane_through_last_four(k: int = 8) -> DivisorClass:
     """H - E_{k-3} - E_{k-2} - E_{k-1} - E_k (H minus every E_i when k < 4)."""
     m = [0] * k
     for i in range(max(k - 4, 0), k):
         m[i] = 1
     return DivisorClass(1, tuple(m))
-
-
-def line_curve(k: int = 8) -> CurveClass:
-    return CurveClass(1, (0,) * k)
-
-
-def exceptional_curve(i: int, k: int = 8) -> CurveClass:
-    n = [0] * k
-    n[i - 1] = -1
-    return CurveClass(0, tuple(n))
-
-
-def quartic_curve_class(k: int = 8) -> CurveClass:
-    """4*l - sum(e_i): the degree-4 curve class through all the points."""
-    return CurveClass(4, (1,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +120,6 @@ def class_map(k: int, image) -> LatticeMap:
     return LatticeMap(tuple(zip(*cols)))
 
 
-def cremona_map(k: int, centers) -> LatticeMap:
-    return class_map(k, lambda c: cremona_pushforward(c, centers))
-
-
-def permutation_map(k: int, perm) -> LatticeMap:
-    return class_map(k, lambda c: permute_class(c, perm))
-
-
 def _check_rank(k: int) -> None:
     """The Coxeter element and the T(2, 4, k-4) presentation need k >= 8."""
     if k < 8:
@@ -201,41 +142,6 @@ def coxeter_element(k: int = 8) -> LatticeMap:
     """Cremona at {1,2,3,4} followed by the cyclic shift, as one lattice map."""
     _check_rank(k)
     return class_map(k, coxeter_step)
-
-
-# ---------------------------------------------------------------------------
-# pairing and root classes
-
-def intersect(dc: DivisorClass, cc: CurveClass) -> int:
-    """Pairing with H.l = 1 and E_i.e_j = -delta_ij, so the value is d*a - sum(m_i n_i)."""
-    if dc.k != cc.k:
-        raise DimensionError("divisor has k=%d, curve has k=%d" % (dc.k, cc.k))
-    return dc.d * cc.a - sum(mi * ni for mi, ni in zip(dc.m, cc.n))
-
-
-def is_root_class(c: DivisorClass, curve: CurveClass | None = None) -> bool:
-    """True iff the class pairs to zero against the quartic curve class.
-
-    For k = 8 the quartic 4*l - sum(e_i) is implied; other k require an
-    explicit pairing curve.
-    """
-    if curve is None:
-        if c.k != 8:
-            raise DimensionError("default quartic pairing only defined for k=8")
-        curve = quartic_curve_class(8)
-    return intersect(c, curve) == 0
-
-
-def flopped_curve_classes(centers, k: int = 8) -> list[CurveClass]:
-    """The six classes l - e_i - e_j over pairs of centers (the flopped lines)."""
-    idx = CenterSet(centers).within(k).indices
-    out = []
-    for i, j in itertools.combinations(idx, 2):
-        n = [0] * k
-        n[i - 1] = 1
-        n[j - 1] = 1
-        out.append(CurveClass(1, tuple(n)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +326,3 @@ def coxeter_relations(k: int) -> list[tuple[str, bool]]:
         out.append(("(r s%d)^2 = 1" % i, _word_is_identity(k, (0, i), 2)))
     return out
 
-
-def coxeter_relations_check(k: int) -> bool:
-    """True iff every relation fixes the basis classes, i.e. holds as a matrix identity."""
-    return all(ok for _, ok in coxeter_relations(k))

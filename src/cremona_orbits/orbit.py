@@ -16,7 +16,6 @@ tests only).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -24,65 +23,10 @@ from dataclasses import dataclass
 
 from .canonical import bracket_form, canonical_form, normalized_at
 from .errors import NoFrameError, StarViolationError, UsageError
-from .lattice import (DivisorClass, class_map, coxeter_step, cremona_pushforward, cyclic_shift,
-                      iterate_class, permute_class, plane_through_last_four)
-from .projective import (BracketTable, CenterSet, Configuration, ZeroTable, cremona_at,
-                         cremona_image, permute_config, star_witness)
-
-
-@dataclass(frozen=True, slots=True)
-class CremonaMove:
-    centers: CenterSet
-
-
-@dataclass(frozen=True, slots=True)
-class PermuteMove:
-    perm: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class CremonaWord:
-    """A sequence of Cremona moves and relabelings."""
-
-    moves: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "moves", tuple(self.moves))
-        for mv in self.moves:
-            if not isinstance(mv, (CremonaMove, PermuteMove)):
-                raise TypeError("unknown move %r" % (mv,))
-
-    @classmethod
-    def coxeter_step(cls, k: int = 8) -> "CremonaWord":
-        """Cremona at {1,2,3,4} followed by the shift putting point 1 last."""
-        return cls((CremonaMove(CenterSet((1, 2, 3, 4))), PermuteMove(cyclic_shift(k))))
-
-
-def _class_step(c: DivisorClass, move) -> DivisorClass:
-    """One move of a word on a divisor class, through the lattice's two generators."""
-    if isinstance(move, CremonaMove):
-        return cremona_pushforward(c, move.centers.indices)
-    return permute_class(c, move.perm)
-
-
-def apply_word(config: Configuration, word: CremonaWord):
-    """Apply the word; return the final configuration and the composite lattice map.
-
-    The shadow sends a class on the input to its strict transform on the
-    output: its columns are the basis classes H, E_1..E_k stepped through
-    the word's moves in order.  Fails atomically on the first condition-(*)
-    violation, reporting the step.
-    """
-    cur = config
-    for step, move in enumerate(word.moves):
-        if isinstance(move, CremonaMove):
-            try:
-                cur = cremona_at(cur, move.centers)
-            except StarViolationError as e:
-                raise StarViolationError(e.violation, step=step) from None
-        else:
-            cur = permute_config(cur, move.perm)
-    return cur, class_map(config.k, lambda c: functools.reduce(_class_step, word.moves, c))
+from .lattice import (DivisorClass, coxeter_step, cyclic_shift, iterate_class,
+                      plane_through_last_four)
+from .projective import (BracketTable, CenterSet, Configuration, ZeroTable, cremona_image,
+                         permute_config, star_witness)
 
 
 # ---------------------------------------------------------------------------

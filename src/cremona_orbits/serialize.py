@@ -118,10 +118,6 @@ def config_from_obj(obj) -> Configuration:
         raise FormatError(str(e)) from None
 
 
-def dump_config(path, config: Configuration) -> None:
-    dump_json(path, config_to_obj(config))
-
-
 def load_config(path) -> Configuration:
     return config_from_obj(load_json(path))
 

@@ -8,7 +8,7 @@ import random
 
 import cremona_orbits as co
 from cremona_orbits import canonical, linalg, orbit
-from cremona_orbits.lattice import _from_vector, _to_vector, coxeter_step
+from cremona_orbits.lattice import _from_vector, _to_vector, class_map, coxeter_step
 from cremona_orbits.projective import BracketTable, cremona_image, star_witness
 
 
@@ -111,6 +111,18 @@ def star_failing_configs() -> tuple[co.Configuration, ...]:
          (1, 2, -4, 1), (2, -1, 3, -4), (3, 1, -2, -2), (1, -3, 1, 1)]
     )
     return unit_not_5, no_base, two_planes
+
+
+def coxeter_chain(config, steps) -> co.Configuration:
+    """``steps`` Coxeter moves on the stored points: Cremona at {1,2,3,4}, then the cyclic shift.
+
+    Each move reads the points the last one produced, so coordinates grow
+    about cubically in the step count; a cheap source of tall inputs.
+    """
+    centers, shift = co.CenterSet((1, 2, 3, 4)), co.cyclic_shift(config.k)
+    for _ in range(steps):
+        config = co.permute_config(co.cremona_at(config, centers), shift)
+    return config
 
 
 def _signed(y, sigma):
@@ -224,6 +236,16 @@ def stored_stepping_iterate(config, steps) -> co.IterationReport:
 
 # ---------------------------------------------------------------------------
 # earlier lattice algorithms, kept as differential oracles
+
+def cremona_map(k, centers) -> co.LatticeMap:
+    """The dense matrix of the Cremona pushforward at the centers."""
+    return class_map(k, lambda c: co.cremona_pushforward(c, centers))
+
+
+def permutation_map(k, perm) -> co.LatticeMap:
+    """The dense matrix of the relabeling ``permute_class(., perm)``."""
+    return class_map(k, lambda c: co.permute_class(c, perm))
+
 
 def _coxeter_step_by_generators(c) -> co.DivisorClass:
     return co.permute_class(co.cremona_pushforward(c, (1, 2, 3, 4)), co.cyclic_shift(c.k))

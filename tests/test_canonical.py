@@ -15,6 +15,7 @@ from helpers import (
     brute_force_canonical,
     brute_force_canonical_bytes,
     cfg_from_rows,
+    coxeter_chain,
     moved,
     rand_invertible_map,
     rand_permutation,
@@ -112,16 +113,13 @@ def _frames(cfg):
                 yield [w for t, w in vecs.items() if t != u], c
 
 
-def _coxeter_word(steps):
-    return co.CremonaWord(co.CremonaWord.coxeter_step(8).moves * steps)
-
-
 def test_frame_reduction_matches_exact_fractions():
-    # steps 12 and 17 of random_config(7, 10), as the iterate stores them (in
-    # the Cremona frame), cancel thousands of bits per coordinate; in the
-    # special configuration the brackets through {5,6,7,8} give zero coordinates
-    step12, _ = co.apply_word(co.random_config(7, 10), _coxeter_word(12))
-    step17, _ = co.apply_word(step12, _coxeter_word(5))
+    # steps 12 and 17 of random_config(7, 10), as the stored-point chain gives
+    # them (each move in the Cremona frame of the last), cancel thousands of
+    # bits per coordinate; in the special configuration the brackets through
+    # {5,6,7,8} give zero coordinates
+    step12 = coxeter_chain(co.random_config(7, 10), 12)
+    step17 = coxeter_chain(step12, 5)
     cancelled = zeros = 0
     for cfg in (step12, step17, special_coplanar_config(3)):
         for ws, c in _frames(cfg):
@@ -237,8 +235,7 @@ def test_verdicts_match_byte_order_oracle():
 
 def test_invariant_on_a_tall_iterate():
     # twelve Cremona-then-shift steps: coordinates of several thousand bits
-    word = co.CremonaWord(co.CremonaWord.coxeter_step(8).moves * 12)
-    tall, _ = co.apply_word(co.random_config(1600, 5), word)
+    tall = coxeter_chain(co.random_config(1600, 5), 12)
     assert max(abs(v).bit_length() for p in tall.points for v in p.coords) > 1500
     rng = random.Random(37)
     assert co.canonical_form(scrambled(tall, rng)) == co.canonical_form(tall)

@@ -1,5 +1,6 @@
-"""Divisor lattice: pushforward, Coxeter element, pairings, certificates."""
+"""Divisor lattice: pushforward, Coxeter element, root classes, certificates."""
 
+import itertools
 import random
 import re
 
@@ -9,7 +10,8 @@ import sympy
 import cremona_orbits as co
 from cremona_orbits import linalg
 from cremona_orbits.lattice import _from_vector, _to_vector, _word_is_identity
-from helpers import distinctness_by_dict, rand_divisor, rand_permutation, word_fixes_basis
+from helpers import (cremona_map, distinctness_by_dict, permutation_map, rand_divisor,
+                     rand_permutation, word_fixes_basis)
 
 # closed form of the Coxeter element for k = 8 (Cremona at {1,2,3,4}, then the
 # shift moving label 1 last), derivable by hand from the pushforward formulas
@@ -28,16 +30,34 @@ COXETER_MATRIX_K8 = (
 CENTERS = (1, 2, 3, 4)
 
 
+def hyperplane(k=8):
+    return co.DivisorClass(1, (0,) * k)
+
+
+def exceptional(i, k=8):
+    """E_i, so d = 0 and m_i = -1."""
+    return co.DivisorClass(0, tuple(-int(j == i) for j in range(1, k + 1)))
+
+
+def anticanonical(k=8):
+    return co.DivisorClass(4, (2,) * k)
+
+
+def is_root(c):
+    """True iff c pairs to zero with the quartic curve 4l - sum(e_i): H.l = 1, E_i.e_j = -delta_ij."""
+    return 4 * c.d == sum(c.m)
+
+
 # ---------------------------------------------------------------------------
 # pushforward
 
 def test_pushforward_of_hyperplane():
-    out = co.cremona_pushforward(co.hyperplane_class(8), CENTERS)
+    out = co.cremona_pushforward(hyperplane(8), CENTERS)
     assert out == co.DivisorClass(3, (2, 2, 2, 2, 0, 0, 0, 0))
 
 
 def test_pushforward_of_exceptional():
-    out = co.cremona_pushforward(co.exceptional_class(1, 8), CENTERS)
+    out = co.cremona_pushforward(exceptional(1, 8), CENTERS)
     assert out == co.DivisorClass(1, (0, 1, 1, 1, 0, 0, 0, 0))  # H - E2 - E3 - E4
 
 
@@ -72,9 +92,7 @@ def test_pushforward_is_involution():
 @pytest.mark.parametrize("centers", [(1, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 9), (1, 2, 3)])
 def test_bad_center_labels_are_rejected(centers):
     with pytest.raises(ValueError):
-        co.cremona_pushforward(co.hyperplane_class(8), centers)
-    with pytest.raises(ValueError):
-        co.flopped_curve_classes(centers, 8)
+        co.cremona_pushforward(hyperplane(8), centers)
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +109,12 @@ def test_permute_identity():
 )
 def test_permute_class_rejects_non_permutation(perm):
     with pytest.raises(ValueError):
-        co.permute_class(co.hyperplane_class(8), perm)
+        co.permute_class(hyperplane(8), perm)
 
 
 def test_cyclic_shift_moves_e5_to_e4():
-    out = co.permute_class(co.exceptional_class(5, 8), co.cyclic_shift(8))
-    assert out == co.exceptional_class(4, 8)
+    out = co.permute_class(exceptional(5, 8), co.cyclic_shift(8))
+    assert out == exceptional(4, 8)
 
 
 def test_shift_twice_is_shift_by_two():
@@ -117,9 +135,11 @@ def test_coxeter_element_matches_closed_form():
 
 def test_coxeter_element_on_basis_classes():
     msigma = co.coxeter_element(8)
-    assert msigma.apply(co.hyperplane_class(8)) == co.DivisorClass(3, (2, 2, 2, 0, 0, 0, 0, 2))
-    assert msigma.apply(co.exceptional_class(1, 8)) == co.DivisorClass(1, (1, 1, 1, 0, 0, 0, 0, 0))
-    assert msigma.apply(co.exceptional_class(5, 8)) == co.exceptional_class(4, 8)
+    assert msigma.apply(hyperplane(8)) == co.DivisorClass(3, (2, 2, 2, 0, 0, 0, 0, 2))
+    assert msigma.apply(exceptional(1, 8)) == co.DivisorClass(1, (1, 1, 1, 0, 0, 0, 0, 0))
+    assert msigma.apply(exceptional(5, 8)) == exceptional(4, 8)
+    with pytest.raises(co.DimensionError):
+        msigma.apply(hyperplane(9))
 
 
 def test_coxeter_element_is_shift_after_cremona():
@@ -127,8 +147,8 @@ def test_coxeter_element_is_shift_after_cremona():
     for k in (8, 10):
         msigma = co.coxeter_element(k)
         shift = co.cyclic_shift(k)
-        assert msigma.entries == linalg.mat_mul(co.permutation_map(k, shift).entries,
-                                                co.cremona_map(k, CENTERS).entries)
+        assert msigma.entries == linalg.mat_mul(permutation_map(k, shift).entries,
+                                                cremona_map(k, CENTERS).entries)
         for _ in range(50):
             c = rand_divisor(rng, k=k)
             assert msigma.apply(c) == co.permute_class(
@@ -153,8 +173,8 @@ def test_generated_maps_are_unimodular():
     rng = random.Random(46)
     for k in (8, 9):
         for mat in (
-            co.cremona_map(k, CENTERS),
-            co.permutation_map(k, rand_permutation(rng, k)),
+            cremona_map(k, CENTERS),
+            permutation_map(k, rand_permutation(rng, k)),
             co.coxeter_element(k),
         ):
             assert abs(linalg.det_bareiss(mat.entries)) == 1
@@ -167,7 +187,7 @@ def test_lattice_map_rejects_non_unimodular():
 
 def test_fixed_classes():
     msigma = co.coxeter_element(8)
-    for c in (co.DivisorClass(2, (1,) * 8), co.anticanonical_class(8)):
+    for c in (co.DivisorClass(2, (1,) * 8), anticanonical(8)):
         assert msigma.apply(c) == c
 
 
@@ -179,50 +199,20 @@ def test_sign_convention_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# pairing, roots, flopped curves
-
-def test_intersection_normalization():
-    assert co.intersect(co.hyperplane_class(8), co.line_curve(8)) == 1
-    assert co.intersect(co.exceptional_class(1, 8), co.exceptional_curve(1, 8)) == -1
-
-
-def test_intersection_with_quartic_is_root_functional():
-    rng = random.Random(48)
-    quartic = co.quartic_curve_class(8)
-    for _ in range(50):
-        c = rand_divisor(rng)
-        assert co.intersect(c, quartic) == 4 * c.d - sum(c.m)
-
-
-def test_intersection_dimension_mismatch():
-    with pytest.raises(co.DimensionError):
-        co.intersect(co.hyperplane_class(8), co.line_curve(9))
-
+# roots, flopped lines
 
 def test_root_class_examples():
-    assert co.is_root_class(co.plane_through_last_four(8))
-    assert not co.is_root_class(co.hyperplane_class(8))
-    assert co.is_root_class(co.anticanonical_class(8))
-
-
-def test_root_class_needs_curve_for_other_k():
-    c = co.hyperplane_class(9)
-    with pytest.raises(co.DimensionError):
-        co.is_root_class(c)
-    assert not co.is_root_class(c, curve=co.quartic_curve_class(9))
+    assert is_root(co.plane_through_last_four(8))
+    assert not is_root(hyperplane(8))
+    assert is_root(anticanonical(8))
 
 
 def test_flopped_curve_classes():
-    flopped = co.flopped_curve_classes(CENTERS)
-    assert len(flopped) == 6
-    pairs = set()
-    quadric = co.DivisorClass(2, (1,) * 8)
-    for cc in flopped:
-        assert cc.a == 1
-        pairs.add(tuple(i + 1 for i, n in enumerate(cc.n) if n == 1))
-        assert co.intersect(quadric, cc) == 0
-        assert co.intersect(co.anticanonical_class(8), cc) == 0
-    assert pairs == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
+    # the flopped line l - e_i - e_j over two centers pairs to d - m_i - m_j
+    # with d*H - sum(m_i E_i): zero on both fixed classes
+    for fixed in (co.DivisorClass(2, (1,) * 8), anticanonical(8)):
+        for i, j in itertools.combinations(CENTERS, 2):
+            assert fixed.d - fixed.m[i - 1] - fixed.m[j - 1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +230,7 @@ def test_iterate_degree_sequence():
 
 def test_iterate_stays_in_root_classes():
     for c in co.iterate_class(co.plane_through_last_four(8), 30):
-        assert co.is_root_class(c)
+        assert is_root(c)
 
 
 def test_iterate_against_matrix_power_oracle():
@@ -343,14 +333,14 @@ PERIODIC_K8 = {4: co.DivisorClass(0, (1, 0, 0, 0, 0, 0, -1, 0)),
 
 @pytest.mark.parametrize("k", [8, 9, 12, 24])
 def test_distinctness_matches_dict_oracle(k):
-    starts = [co.plane_through_last_four(k), co.hyperplane_class(k), co.exceptional_class(1, k),
-              co.anticanonical_class(k), co.DivisorClass(2, (1,) * k)]
+    starts = [co.plane_through_last_four(k), hyperplane(k), exceptional(1, k),
+              anticanonical(k), co.DivisorClass(2, (1,) * k)]
     if k == 8:
         starts += PERIODIC_K8.values()
     for v in starts:
         for N in (1, 2, 5, 13, 400):
             rep = co.distinctness_certificate(v, N)
-            assert rep == distinctness_by_dict(v, N), (str(v), N)
+            assert rep == distinctness_by_dict(v, N), (v, N)
             assert rep.first_collision is None or rep.first_collision[1] <= N
 
 
@@ -364,12 +354,12 @@ def test_distinctness_reports_the_first_return():
 # Coxeter relations
 
 def test_relations_hold_for_k8_and_k9():
-    assert co.coxeter_relations_check(8)
-    assert co.coxeter_relations_check(9)
+    for k in (8, 9):
+        assert all(ok for _, ok in co.coxeter_relations(k))
 
 
 def test_cremona_map_is_involution_matrix():
-    r = co.cremona_map(8, CENTERS)
+    r = cremona_map(8, CENTERS)
     assert linalg.mat_mul(r.entries, r.entries) == linalg.identity(9)
 
 
@@ -378,12 +368,12 @@ def sympy_word(k, letters, power):
     prod = sympy.eye(k + 1)
     for g in letters:
         if g == "r":
-            prod *= sympy.Matrix(co.cremona_map(k, CENTERS).entries)
+            prod *= sympy.Matrix(cremona_map(k, CENTERS).entries)
         else:
             i = int(g[1:])
             perm = list(range(1, k + 1))
             perm[i - 1], perm[i] = perm[i], perm[i - 1]
-            prod *= sympy.Matrix(co.permutation_map(k, perm).entries)
+            prod *= sympy.Matrix(permutation_map(k, perm).entries)
     return prod**power
 
 

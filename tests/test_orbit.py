@@ -1,98 +1,18 @@
-"""Orbit drivers: words, the Cremona-then-shift iteration, BFS exploration."""
+"""Orbit drivers: the Cremona-then-shift iteration and the BFS exploration."""
 
 import dataclasses
-import random
 
 import pytest
 
 import cremona_orbits as co
-from cremona_orbits import linalg
 from cremona_orbits import orbit as orbit_mod
 from cremona_orbits import serialize
 from cremona_orbits.canonical import normalized_at
 from cremona_orbits.projective import BracketTable
-from helpers import (cfg_from_rows, rand_permutation, same_labelled_points,
-                     special_coplanar_config, star_failing_configs, stored_stepping_iterate)
+from helpers import (cfg_from_rows, same_labelled_points, special_coplanar_config,
+                     star_failing_configs, stored_stepping_iterate)
 
 CENTERS = co.CenterSet((1, 2, 3, 4))
-
-
-# ---------------------------------------------------------------------------
-# apply_word
-
-def test_empty_word_is_identity():
-    cfg = co.random_config(50, 8)
-    out, shadow = co.apply_word(cfg, co.CremonaWord(()))
-    assert out == cfg
-    assert shadow.entries == linalg.identity(9)
-
-
-def test_cremona_twice_word():
-    cfg = co.random_config(51, 8)
-    word = co.CremonaWord((co.CremonaMove(CENTERS), co.CremonaMove(CENTERS)))
-    out, shadow = co.apply_word(cfg, word)
-    assert shadow.entries == linalg.identity(9)
-    assert co.equivalent(out, cfg)
-
-
-def test_coxeter_step_word_shadow():
-    cfg = co.random_config(52, 8)
-    out, shadow = co.apply_word(cfg, co.CremonaWord.coxeter_step(8))
-    assert shadow == co.coxeter_element(8)
-    assert out == co.permute_config(co.cremona_at(cfg, CENTERS), co.cyclic_shift(8))
-
-
-def test_shadow_is_multiplicative():
-    cfg = co.random_config(53, 8)
-    w1 = co.CremonaWord((co.CremonaMove(CENTERS),))
-    w2 = co.CremonaWord((co.PermuteMove(co.cyclic_shift(8)),))
-    mid, s1 = co.apply_word(cfg, w1)
-    out, s2 = co.apply_word(mid, w2)
-    both, s12 = co.apply_word(cfg, co.CremonaWord(w1.moves + w2.moves))
-    assert both == out
-    assert s12.entries == linalg.mat_mul(s2.entries, s1.entries)  # later moves on the left
-
-
-def _dense_shadow(k, word):
-    """The product of the dense maps of the word's moves, later moves on the left."""
-    prod = linalg.identity(k + 1)
-    for mv in word.moves:
-        step = (co.cremona_map(k, mv.centers.indices) if isinstance(mv, co.CremonaMove)
-                else co.permutation_map(k, mv.perm))
-        prod = linalg.mat_mul(step.entries, prod)
-    return prod
-
-
-@pytest.mark.parametrize("k", [8, 9])
-def test_shadow_equals_dense_product(k):
-    # seeded so that every word satisfies (*) at each of its Cremona moves
-    rng = random.Random(10 * k)
-    cfg = co.random_config(10 * k, 10, k=k)
-    for _ in range(20):
-        word = co.CremonaWord(
-            co.CremonaMove(co.CenterSet(tuple(rng.sample(range(1, k + 1), 4))))
-            if rng.random() < 0.5 else co.PermuteMove(rand_permutation(rng, k))
-            for _ in range(rng.randint(1, 6)))
-        _, shadow = co.apply_word(cfg, word)
-        assert shadow.entries == _dense_shadow(k, word)
-
-
-def test_word_reports_violating_step():
-    cfg = special_coplanar_config(0)
-    word = co.CremonaWord((
-        co.PermuteMove(tuple(range(1, 9))),
-        co.CremonaMove(co.CenterSet((5, 6, 7, 8))),
-    ))
-    with pytest.raises(co.StarViolationError) as err:
-        co.apply_word(cfg, word)
-    assert err.value.step == 1
-    assert err.value.violation.plane == (5, 6, 7, 8)
-
-
-def test_word_validates_indices():
-    cfg = co.random_config(54, 8)
-    with pytest.raises(ValueError):
-        co.apply_word(cfg, co.CremonaWord((co.CremonaMove(co.CenterSet((1, 2, 3, 9))),)))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +29,7 @@ def test_iteration_on_generic_configuration():
     assert report.degrees == (1, 3, 2, 3)
     assert report.all_pairwise_inequivalent
     assert not co.equivalent(report.configs[0], report.configs[1])
-    assert all(co.is_root_class(c) for c in report.tracked)
+    assert all(4 * c.d == sum(c.m) for c in report.tracked)  # root classes
     assert co.consistency_check(report)
 
 
@@ -278,7 +198,7 @@ def test_consistency_check_detects_corruption():
     bad_star = dataclasses.replace(report, star_ok=(False,) + report.star_ok[1:])
     assert not co.consistency_check(bad_star)
     bad_tracked = dataclasses.replace(
-        report, tracked=(co.hyperplane_class(8),) + report.tracked[1:]
+        report, tracked=(co.DivisorClass(1, (0,) * 8),) + report.tracked[1:]
     )
     assert not co.consistency_check(bad_tracked)
     bad_scan = dataclasses.replace(

@@ -10,8 +10,8 @@ import sympy
 
 import cremona_orbits as co
 from cremona_orbits import linalg
-from helpers import (cfg_from_rows, frame_matrix, moved, rand_invertible_map, rand_permutation,
-                     special_coplanar_config, star_failing_configs)
+from helpers import (cfg_from_rows, coxeter_chain, frame_matrix, moved, rand_invertible_map,
+                     rand_permutation, special_coplanar_config, star_failing_configs)
 
 E0, E1, E2, E3 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 ONES = (1, 1, 1, 1)
@@ -303,8 +303,7 @@ def test_star_violation_matches_brute_force_on_small_coordinates():
 def test_cremona_matches_bracket_reciprocals():
     # coordinate i of a non-center image is 1 / [centers with p_t in place of center i]
     rng = random.Random(17)
-    tall, _ = co.apply_word(co.random_config(600, 9), co.CremonaWord(
-        co.CremonaWord.coxeter_step(8).moves * 3))
+    tall = coxeter_chain(co.random_config(600, 9), 3)
     cases = [co.random_config(500 + s, 9, k=8 + s % 2) for s in range(4)] + [tall]
     for cfg in cases:
         centers = co.CenterSet(tuple(rng.sample(range(1, cfg.k + 1), 4)))

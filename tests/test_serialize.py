@@ -16,7 +16,7 @@ from helpers import cfg_from_rows, moved, special_coplanar_config
 def test_config_roundtrip(tmp_path):
     cfg = co.random_config(7, 50)
     path = tmp_path / "cfg.json"
-    serialize.dump_config(path, cfg)
+    serialize.dump_json(path, serialize.config_to_obj(cfg))
     assert serialize.load_config(path) == cfg
     obj = json.loads(path.read_text())
     assert obj["k"] == 8
@@ -101,7 +101,7 @@ def test_tall_coordinates_roundtrip(tmp_path):
     tall = moved(small, rows)
     assert max(abs(v).bit_length() for p in tall.points for v in p.coords) > 14300
     path = tmp_path / "tall.json"
-    serialize.dump_config(path, tall)
+    serialize.dump_json(path, serialize.config_to_obj(tall))
     assert serialize.load_config(path) == tall
     assert co.canonical_form(serialize.load_config(path)) == co.canonical_form(small)
     # the same coordinates as plain JSON integers
@@ -125,8 +125,8 @@ def test_reader_rejects_non_json(tmp_path):
 def test_dump_is_deterministic(tmp_path):
     cfg = co.random_config(11, 30)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    serialize.dump_config(a, cfg)
-    serialize.dump_config(b, cfg)
+    serialize.dump_json(a, serialize.config_to_obj(cfg))
+    serialize.dump_json(b, serialize.config_to_obj(cfg))
     assert a.read_bytes() == b.read_bytes()
 
 
