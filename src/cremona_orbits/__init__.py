@@ -2,9 +2,10 @@
 
 Geometry side: canonical rational points, condition (*), the Cremona move on
 configurations, and equivalence up to PGL(4) x permutation.  Lattice side:
-the induced action on divisor classes of the blown-up space, the Coxeter
-element built from the Cremona map and the cyclic shift, and exact
-certificates (Jordan structure, orbit distinctness, Coxeter relations).
+divisor classes of the blown-up space, the Coxeter element (the Cremona
+pushforward at {1,2,3,4}, then the cyclic shift) as a step on classes and as
+one unimodular matrix, and exact certificates (Jordan structure, orbit
+distinctness, Coxeter relations).
 Drivers: the Coxeter iteration, which steps a configuration and its tracked
 class together and cross-checks them, and the breadth-first orbit search.
 """
@@ -13,7 +14,6 @@ from ._version import __version__
 from .canonical import canonical_form, equivalent
 from .errors import (
     DegeneratePointError,
-    DimensionError,
     FormatError,
     GenerationError,
     NoFrameError,
@@ -28,12 +28,10 @@ from .lattice import (
     LatticeMap,
     coxeter_element,
     coxeter_relations,
-    cremona_pushforward,
     cyclic_shift,
     distinctness_certificate,
     iterate_class,
     jordan_certificate,
-    permute_class,
     plane_through_last_four,
 )
 from .orbit import (

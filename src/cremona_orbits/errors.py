@@ -50,10 +50,6 @@ class GenerationError(RuntimeError):
     """Random configuration sampling exhausted its retry budget."""
 
 
-class DimensionError(ValueError):
-    """Operands live in lattices of different rank."""
-
-
 class FormatError(ValueError):
     """A JSON document does not match the expected schema."""
 

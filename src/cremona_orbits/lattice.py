@@ -3,13 +3,12 @@
 A divisor class d*H - sum(m_i * E_i) is stored as (d, m).  Matrices act on
 coefficient vectors in the (H, E_1..E_k) basis, where the E_i-coefficient
 of d*H - sum(m_i E_i) is -m_i; ``_to_vector`` / ``_from_vector`` own that
-sign convention, nothing else converts by hand.  The generators act on
-classes as ``cremona_pushforward`` and ``permute_class``; ``class_map``
-builds the dense matrix of a class action when one is needed.
+sign convention, nothing else converts by hand.
 The pushforward formula lives once, in the unchecked kernel ``_pushforward``
-on raw (d, m); the Coxeter step and the orbit loops call it directly and
-shift the multiplicities by slicing, so a long orbit checks its rank once
-and not once per step.
+on raw (d, m); the Coxeter step, the orbit loops and the relation checks call
+it directly and shift or swap the multiplicities by slicing, so a long orbit
+checks its rank once and not once per step.  The one dense matrix is the
+Coxeter element's, built from the images of the basis classes.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import DimensionError, UsageError
-from .projective import CenterSet, check_permutation
+from .errors import UsageError
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,15 +58,6 @@ class LatticeMap:
         if abs(linalg.det_bareiss(rows)) != 1:
             raise ValueError("lattice map must be unimodular")
 
-    @property
-    def k(self) -> int:
-        return len(self.entries) - 1
-
-    def apply(self, c: DivisorClass) -> DivisorClass:
-        if c.k != self.k:
-            raise DimensionError("class has k=%d, map has k=%d" % (c.k, self.k))
-        return _from_vector(linalg.mat_vec(self.entries, _to_vector(c)))
-
 
 # ---------------------------------------------------------------------------
 # basic classes
@@ -82,19 +71,15 @@ def plane_through_last_four(k: int = 8) -> DivisorClass:
 
 
 # ---------------------------------------------------------------------------
-# the two generators and the Coxeter element
-
-def cremona_pushforward(c: DivisorClass, centers) -> DivisorClass:
-    """Strict-transform class under the Cremona transformation at the centers.
-
-    With s the sum of the center multiplicities: d' = 3d - s, and
-    m'_i = 2d + m_i - s on centers, m'_i = m_i off them.
-    """
-    return DivisorClass(*_pushforward(c.d, c.m, CenterSet(centers).within(c.k).indices))
-
+# the Cremona pushforward and the Coxeter element
 
 def _pushforward(d: int, m, idx) -> tuple[int, list[int]]:
-    """The pushforward on raw coefficients: (d', m') for 1-based center labels idx, unchecked."""
+    """Strict-transform class under the Cremona transformation at 1-based center labels idx.
+
+    With s the sum of the center multiplicities: d' = 3d - s, and
+    m'_i = 2d + m_i - s on centers, m'_i = m_i off them.  Raw (d, m) in and
+    out, unchecked.
+    """
     s = sum(m[i - 1] for i in idx)
     shift = 2 * d - s
     m2 = list(m)
@@ -103,27 +88,25 @@ def _pushforward(d: int, m, idx) -> tuple[int, list[int]]:
     return 3 * d - s, m2
 
 
-def permute_class(c: DivisorClass, perm) -> DivisorClass:
-    """Relabel multiplicities: new m_i = old m_{perm[i]} (1-based labels)."""
-    check_permutation(perm, c.k)
-    return DivisorClass(c.d, tuple(c.m[p - 1] for p in perm))
-
-
 def cyclic_shift(k: int) -> tuple[int, ...]:
     """Permutation moving the first point to the last place: new i holds old i+1."""
     return tuple(range(2, k + 1)) + (1,)
 
 
-def class_map(k: int, image) -> LatticeMap:
-    """The lattice map of a linear class action: column j is the vector of image(basis class j)."""
-    cols = [_to_vector(image(_from_vector(e))) for e in linalg.identity(k + 1)]
-    return LatticeMap(tuple(zip(*cols)))
+# The largest k that _check_rank and projective.random_config accept.  On
+# Python 3.11.7, 2 cores, ``lattice-cert --N 1`` took 0.08 / 0.28 / 0.81 /
+# 2.2 / 3.9 s at k = 32 / 48 / 64 / 80 / 96, nearly all of it in the ranks
+# and charpoly of the (k+1)x(k+1) Coxeter matrix, and random_config(1, 10**6, k)
+# 0.03 / 0.15 / 0.44 / 1.0 s at k = 32 / 48 / 64 / 80: both grow like k^4.
+MAX_K = 64
 
 
 def _check_rank(k: int) -> None:
-    """The Coxeter element and the T(2, 4, k-4) presentation need k >= 8."""
+    """The Coxeter element and the T(2, 4, k-4) presentation need k >= 8; k is capped at MAX_K."""
     if k < 8:
         raise UsageError("need k >= 8, got %d" % k)
+    if k > MAX_K:
+        raise UsageError("need k <= %d, got %d" % (MAX_K, k))
 
 
 def _coxeter(d: int, m) -> tuple[int, tuple[int, ...]]:
@@ -141,7 +124,8 @@ def coxeter_step(c: DivisorClass) -> DivisorClass:
 def coxeter_element(k: int = 8) -> LatticeMap:
     """Cremona at {1,2,3,4} followed by the cyclic shift, as one lattice map."""
     _check_rank(k)
-    return class_map(k, coxeter_step)
+    cols = [_to_vector(coxeter_step(_from_vector(e))) for e in linalg.identity(k + 1)]
+    return LatticeMap(tuple(zip(*cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +194,14 @@ class DistinctnessReport:
     """Exact-iteration evidence that the orbit of a class is injective up to N.
 
     Only the data the verdicts are read from is stored; the verdicts are
-    properties.  ``trailing_min`` pairs (t, min degree over steps t..N)
-    demonstrate degree growth.  The checkpoints are t = N * i // 10 for
-    i = 0..9 without repeats, so N < 10 gives t = 0..N-1; ``degree_growth``
-    says that the last trailing minimum exceeds the first.
-    ``quadratic_part_nonzero`` records (M - I)^2 v != 0, i.e. the class meets
-    the rank-3 Jordan block so its degree growth is quadratic.
+    properties.  ``degrees[n]`` is the degree of M^n v for n = 0..N, so N is
+    ``len(degrees) - 1`` and any degree-growth reading (trailing minima, say)
+    comes from ``degrees``.  ``quadratic_part_nonzero`` records
+    (M - I)^2 v != 0.  That alone does not make the growth quadratic: at
+    k = 8 it holds for the plane class, whose degrees grow linearly (168,
+    335, 668 at n = 500, 1000, 2000), while those of H grow quadratically.
     """
 
-    N: int
     start: DivisorClass
     first_collision: tuple[int, int] | None
     degrees: tuple[int, ...]
@@ -227,16 +210,6 @@ class DistinctnessReport:
     @property
     def all_distinct(self) -> bool:
         return self.first_collision is None
-
-    @property
-    def trailing_min(self) -> tuple[tuple[int, int], ...]:
-        checkpoints = sorted({self.N * i // 10 for i in range(10)})
-        return tuple((t, min(self.degrees[t:])) for t in checkpoints)
-
-    @property
-    def degree_growth(self) -> bool:
-        trailing = self.trailing_min
-        return trailing[-1][1] > trailing[0][1]
 
 
 # the largest N distinctness_certificate accepts; its docstring has the measurements
@@ -251,8 +224,8 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
     least n >= 1 with M^n v = v.  Comparing each class with v alone is
     therefore exact, and only the degrees are kept.
 
-    N is capped at MAX_ORBIT_STEPS = 50000.  Degrees grow quadratically for
-    k = 8 and exponentially for k >= 9, by 0.36 bits per step at k = 9 and
+    N is capped at MAX_ORBIT_STEPS = 50000.  Degrees grow at most quadratically
+    for k = 8 and exponentially for k >= 9, by 0.36 bits per step at k = 9 and
     0.544 to 0.551 for every k from 16 to 24, so the kept degrees and the
     decimal text ``lattice-cert`` writes grow like N^2 for any k >= 16.
     ``lattice-cert --k 24`` (Python 3.11.7, 2 cores) took 0.7 s and 49 MB
@@ -275,7 +248,7 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
         degrees.append(d)
         if first_collision is None and d == v.d and m == v.m:
             first_collision = (0, n)
-    return DistinctnessReport(N, v, first_collision, tuple(degrees), any(quad))
+    return DistinctnessReport(v, first_collision, tuple(degrees), any(quad))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +273,7 @@ def _word_is_identity(k: int, word, power: int) -> bool:
     base = 2 * 8 ** len(letters)
     c = x = _from_vector([base ** j for j in range(k + 1)])
     for g in reversed(letters):
-        c = (cremona_pushforward(c, (1, 2, 3, 4)) if g == 0
+        c = (DivisorClass(*_pushforward(c.d, c.m, (1, 2, 3, 4))) if g == 0
              else DivisorClass(c.d, c.m[:g - 1] + (c.m[g], c.m[g - 1]) + c.m[g + 1:]))
     return c == x
 

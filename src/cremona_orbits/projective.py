@@ -29,6 +29,7 @@ from .errors import (
     StarViolationError,
     UsageError,
 )
+from .lattice import MAX_K
 from .linalg import adjugate4, det4
 
 
@@ -338,6 +339,8 @@ def random_config(seed: int, height: int, k: int = 8) -> Configuration:
         raise UsageError("height must be >= 2")
     if k < 8:
         raise UsageError("k must be >= 8")
+    if k > MAX_K:
+        raise UsageError("k must be <= %d" % MAX_K)
     rng = random.Random(seed)
     for _restart in range(50):
         pts: list[tuple[int, ...]] = []

@@ -8,7 +8,7 @@ import random
 
 import cremona_orbits as co
 from cremona_orbits import canonical, linalg, orbit
-from cremona_orbits.lattice import _from_vector, _to_vector, class_map, coxeter_step
+from cremona_orbits.lattice import _from_vector, _pushforward, _to_vector, coxeter_step
 from cremona_orbits.projective import BracketTable, cremona_image, star_witness
 
 
@@ -237,24 +237,46 @@ def stored_stepping_iterate(config, steps) -> co.IterationReport:
 # ---------------------------------------------------------------------------
 # earlier lattice algorithms, kept as differential oracles
 
+def pushforward(c, centers) -> co.DivisorClass:
+    """The Cremona pushforward of a class at 1-based centers, through ``lattice._pushforward``."""
+    return co.DivisorClass(*_pushforward(c.d, c.m, centers))
+
+
+def permute_class(c, perm) -> co.DivisorClass:
+    """Relabel multiplicities: new m_i = old m_{perm[i]} (1-based labels)."""
+    return co.DivisorClass(c.d, tuple(c.m[p - 1] for p in perm))
+
+
+def map_class(M, c) -> co.DivisorClass:
+    """The class M sends c to, by a matrix-vector product in the (H, E) basis."""
+    return _from_vector(linalg.mat_vec(M.entries, _to_vector(c)))
+
+
+def class_map(k, image) -> co.LatticeMap:
+    """The lattice map of a linear class action: column j is the vector of image(basis class j)."""
+    cols = [_to_vector(image(_from_vector(e))) for e in linalg.identity(k + 1)]
+    return co.LatticeMap(tuple(zip(*cols)))
+
+
 def cremona_map(k, centers) -> co.LatticeMap:
     """The dense matrix of the Cremona pushforward at the centers."""
-    return class_map(k, lambda c: co.cremona_pushforward(c, centers))
+    return class_map(k, lambda c: pushforward(c, centers))
 
 
 def permutation_map(k, perm) -> co.LatticeMap:
     """The dense matrix of the relabeling ``permute_class(., perm)``."""
-    return class_map(k, lambda c: co.permute_class(c, perm))
+    return class_map(k, lambda c: permute_class(c, perm))
 
 
 def _coxeter_step_by_generators(c) -> co.DivisorClass:
-    return co.permute_class(co.cremona_pushforward(c, (1, 2, 3, 4)), co.cyclic_shift(c.k))
+    return permute_class(pushforward(c, (1, 2, 3, 4)), co.cyclic_shift(c.k))
 
 
 def distinctness_by_dict(v, N) -> co.DistinctnessReport:
     """The distinctness report from the whole orbit, every class hashed into a dict.
 
-    The orbit steps through the public generators, one validated call each.
+    The orbit steps through the pushforward and the relabeling by
+    ``cyclic_shift``, not through the Coxeter step's slicing.
     """
     orbit = [v]
     for _ in range(max(N, 2)):
@@ -269,7 +291,7 @@ def distinctness_by_dict(v, N) -> co.DistinctnessReport:
             first_collision = (seen[key], n)
             break
         seen[key] = n
-    return co.DistinctnessReport(N, v, first_collision, tuple(c.d for c in orbit), any(quad))
+    return co.DistinctnessReport(v, first_collision, tuple(c.d for c in orbit), any(quad))
 
 
 def word_fixes_basis(k, word, power) -> bool:
@@ -281,7 +303,7 @@ def word_fixes_basis(k, word, power) -> bool:
     """
     def act(c):
         for g in reversed(word * power):
-            c = (co.cremona_pushforward(c, (1, 2, 3, 4)) if g == 0
+            c = (pushforward(c, (1, 2, 3, 4)) if g == 0
                  else co.DivisorClass(c.d, c.m[:g - 1] + (c.m[g], c.m[g - 1]) + c.m[g + 1:]))
         return c
 

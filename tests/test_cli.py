@@ -265,9 +265,12 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys):
      "8f07dd15962b0a96125a73a1619e3b5aeab7aeed67e2241be765915a793a350b"),
     (["iterate", "P", "--steps", 8],
      "bb7232e0478286f339bb9b3c965e55d9810c3159af21608d2dd5fa3b0e19ebf9"),
-], ids=["orbit-depth1", "iterate-steps8"])
+    (["lattice-cert", "--k", 8, "--N", 500],
+     "51e24e08eca20276777669d7600218d500831bec649501b7493f33ad59078c17"),
+], ids=["orbit-depth1", "iterate-steps8", "lattice-cert-k8-N500"])
 def test_canonical_bytes_are_pinned(tmp_path, argv, digest):
-    # both outputs carry canonical forms: any change to the chosen candidate shows here
+    # the orbit and the iterate carry canonical forms: any change to the chosen
+    # candidate shows here; the lattice certificate pins the README's walkthrough run
     src = tmp_path / "p.json"
     assert run(["gen", "--seed", 7, "--height", 10, "--out", src]) == 0
     out = tmp_path / "out.json"
@@ -334,6 +337,7 @@ def test_lattice_cert_bytes_are_pinned(tmp_path, k, digest):
 
 @pytest.mark.parametrize("argv, workers, message", [
     (["gen", "--seed", 1, "--k", 7], None, "k must be >= 8"),
+    (["gen", "--seed", 1, "--k", 65], None, "k must be <= 64"),
     (["gen", "--seed", 1, "--height", 1], None, "height must be >= 2"),
     (["iterate", "P8", "--steps", 0], None, "steps must be >= 1"),
     (["iterate", "P9", "--steps", 1], None, "iteration is defined for k = 8, got k = 9"),
@@ -343,15 +347,17 @@ def test_lattice_cert_bytes_are_pinned(tmp_path, k, digest):
     (["lattice-cert", "--k", 7], None, "need k >= 8, got 7"),
     (["lattice-cert", "--k", 0], None, "need k >= 8, got 0"),
     (["lattice-cert", "--k", -5], None, "need k >= 8, got -5"),
+    (["lattice-cert", "--k", 65], None, "need k <= 64, got 65"),
     (["lattice-cert", "--N", 0], None, "N must be >= 1"),
     (["lattice-cert", "--k", 24, "--N", 50001], None, "N must be <= 50000"),
     (["cremona", "P8", "--centers", 1, 1, 3, 4], None, "need exactly 4 distinct labels"),
     (["cremona", "P8", "--centers", 1, 2, 3, 9], None, "(1, 2, 3, 9) out of range 1..8"),
     (["gen", "--seed", 1, "--k", "abc"], None, "argument --k: invalid int value: 'abc'"),
     (["gen", "--height", 10], None, "the following arguments are required: --seed"),
-], ids=["gen-k7", "gen-height1", "iterate-steps0", "iterate-k9", "orbit-depth-1",
+], ids=["gen-k7", "gen-k65", "gen-height1", "iterate-steps0", "iterate-k9", "orbit-depth-1",
         "orbit-nodes0", "orbit-workers-abc", "lattice-cert-k7", "lattice-cert-k0",
-        "lattice-cert-k-5", "lattice-cert-N0", "lattice-cert-N-over-cap", "cremona-repeated",
+        "lattice-cert-k-5", "lattice-cert-k65", "lattice-cert-N0", "lattice-cert-N-over-cap",
+        "cremona-repeated",
         "cremona-out-of-range", "gen-k-abc", "gen-no-seed"])
 def test_argument_out_of_range_is_one_usage_line(tmp_path, capsys, monkeypatch,
                                                  argv, workers, message):
@@ -426,13 +432,13 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(co).items()
                    if not name.startswith("__") and not isinstance(value, types.ModuleType))
     assert names == [
-        "CenterSet", "Configuration", "DegeneratePointError", "DimensionError",
-        "DistinctnessReport", "DivisorClass", "FormatError", "GenerationError",
-        "IterationReport", "JordanCertificate", "LatticeMap", "NoFrameError", "OrbitGraph",
-        "OrbitNode", "ProjectivePoint", "StarViolation", "StarViolationError", "UsageError",
+        "CenterSet", "Configuration", "DegeneratePointError", "DistinctnessReport",
+        "DivisorClass", "FormatError", "GenerationError", "IterationReport",
+        "JordanCertificate", "LatticeMap", "NoFrameError", "OrbitGraph", "OrbitNode",
+        "ProjectivePoint", "StarViolation", "StarViolationError", "UsageError",
         "canonical_form", "consistency_check", "coplanar", "coplanar_scan", "coxeter_element",
-        "coxeter_iterate", "coxeter_relations", "cremona_at", "cremona_pushforward",
-        "cyclic_shift", "distinctness_certificate", "equivalent", "iterate_class",
-        "jordan_certificate", "normalize_point", "orbit_bfs", "permute_class", "permute_config",
-        "plane_through_last_four", "random_config", "star_violation",
+        "coxeter_iterate", "coxeter_relations", "cremona_at", "cyclic_shift",
+        "distinctness_certificate", "equivalent", "iterate_class", "jordan_certificate",
+        "normalize_point", "orbit_bfs", "permute_config", "plane_through_last_four",
+        "random_config", "star_violation",
     ]

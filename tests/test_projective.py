@@ -426,3 +426,12 @@ def test_permute_config_convention():
     shifted = co.permute_config(cfg, co.cyclic_shift(8))
     assert shifted.points[:7] == cfg.points[1:]
     assert shifted.points[7] == cfg.points[0]
+
+
+@pytest.mark.parametrize(
+    "perm", [(1, 1, 3, 4, 5, 6, 7, 8), (0, 2, 3, 4, 5, 6, 7, 8), (2, 3, 4, 5, 6, 7, 8, 9),
+             (1, 2, 3, 4, 5, 6, 7)],
+)
+def test_permute_config_rejects_non_permutation(perm):
+    with pytest.raises(ValueError, match="not a permutation of 1..8"):
+        co.permute_config(co.random_config(21, 9), perm)

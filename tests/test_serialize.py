@@ -279,7 +279,7 @@ def test_json_writer_matches_json_dumps(tmp_path):
 def test_distinctness_past_the_digit_cap(tmp_path):
     # degrees past Python's 4300-digit int/str cap, as lattice-cert reaches near N = 30000
     degrees = (1, 3, 10 ** 4999 + 7, -(10 ** 4999))
-    rep = co.DistinctnessReport(3, co.plane_through_last_four(8), None, degrees, True)
+    rep = co.DistinctnessReport(co.plane_through_last_four(8), None, degrees, True)
     path = tmp_path / "cert.json"
     serialize.dump_json(path, serialize.distinctness_to_obj(rep))
     obj = serialize.load_json(path)
