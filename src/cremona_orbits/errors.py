@@ -33,16 +33,14 @@ class StarViolation:
 
 
 class StarViolationError(ValueError):
-    """Condition (*) fails for the chosen centers."""
+    """Condition (*) fails; from the iterate, at the last step of ``partial_report``."""
 
-    def __init__(self, violation: StarViolation, step: int | None = None):
+    def __init__(self, violation: StarViolation, partial_report=None):
         self.violation = violation
-        self.step = step
-        # set by the iteration driver so callers can persist what completed
-        self.partial_report = None
+        self.partial_report = partial_report
         msg = violation.describe()
-        if step is not None:
-            msg = "at step %d: %s" % (step, msg)
+        if partial_report is not None:
+            msg = "at step %d: %s" % (partial_report.steps_completed, msg)
         super().__init__(msg)
 
 

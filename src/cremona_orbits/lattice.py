@@ -230,8 +230,11 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
     decimal text ``lattice-cert`` writes grow like N^2 for any k >= 16.
     ``lattice-cert --k 24`` (Python 3.11.7, 2 cores) took 0.7 s and 49 MB
     peak at N = 10^4, 3.1 s / 133 MB at 2 * 10^4, 9.2 s / 271 MB at 3 * 10^4,
-    20.5 s / 464 MB at 4 * 10^4 and 36 s / 712 MB at 5 * 10^4.  By the N^2
-    law N = 10^5 would need about 3 GB (not run).
+    20.5 s / 464 MB at 4 * 10^4 and 36 s / 712 MB at 5 * 10^4.  Re-measured
+    later on that host, k = 24 took 8.6 s / 128 MB at 3 * 10^4 and 36.7 s /
+    315 MB at 5 * 10^4, and k = 64 (0.551 bits per step) 9.2 s / 130 MB and
+    33.9 s / 317 MB: the degrees, not k, set the cost.  By the N^2 law
+    N = 10^5 would need about 1.3 GB (not run).
     """
     if N < 1:
         raise UsageError("N must be >= 1")

@@ -6,12 +6,12 @@ tracked divisor class; ``orbit_bfs`` explores the full orbit under all center
 choices with canonical-form deduplication.  Every reader builds its own
 bracket table, empty at first: ``orbit_bfs`` reads each child's form from a
 table in the worker, and an expanded node's children from one in the parent.
-``coxeter_iterate`` reads condition (*) from the 17 brackets around the
-centers, and the canonical form, the coplanar scan and the next move from the
-70-bracket table of a frame-normalized copy; it stores the configuration each
-move produces, 4.1k bits tall at step 17 of ``random_config(7, 10)``.
-``consistency_check`` rescans the stored points through a ``ZeroTable`` (zero
-tests only).
+``coxeter_iterate`` reads the 17 brackets around the centers to build a
+frame-normalized copy, and condition (*), the canonical form, the coplanar
+scan and the next move from the copy's 70-bracket table; it stores the
+configuration each move produces, 4.1k bits tall at step 17 of
+``random_config(7, 10)``.  ``consistency_check`` rescans the stored points
+through a ``ZeroTable`` (zero tests only).
 """
 
 from __future__ import annotations
@@ -49,13 +49,12 @@ class IterationReport:
     Entry n of each per-step field describes the configuration after n steps;
     ``tracked[n]`` is the n-th power of the Coxeter element applied to
     H - E_{k-3} - .. - E_k.  Stored are the request, the configurations, what
-    their bracket tables give (``star_ok``, ``coplanar_tuples``, the forms) and
-    the tracked classes that ``consistency_check`` replays; the rest are properties.
+    their bracket tables give (``coplanar_tuples``, the forms) and the tracked
+    classes that ``consistency_check`` replays; the rest, (*) too, are properties.
     """
 
     steps_requested: int
     configs: tuple[Configuration, ...]
-    star_ok: tuple[bool, ...]
     coplanar_tuples: tuple[tuple[tuple[int, int, int, int], ...], ...]
     tracked: tuple[DivisorClass, ...]
     canonical_forms: tuple[bytes, ...]
@@ -71,6 +70,11 @@ class IterationReport:
     @property
     def truncated(self) -> bool:
         return self.steps_completed < self.steps_requested
+
+    @property
+    def star_ok(self) -> tuple[bool, ...]:
+        """(*) at {1,2,3,4}: no sorted coplanar 4-tuple holds 3 centers (has its third <= 4)."""
+        return tuple(all(sub[2] > 4 for sub in step) for step in self.coplanar_tuples)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -89,15 +93,15 @@ class IterationReport:
 def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     """Iterate (Cremona at the first four points, then cyclic shift).
 
-    Condition (*) at {1,2,3,4} reads only the 1 + 4 * 4 brackets around
-    {1,2,3,4} from each configuration's table, which starts empty.  The same
-    brackets give the copy of the configuration normalized at base (1,2,3,4)
-    (``normalized_at``), and the copy's table gives the canonical form, the
-    coplanar 4-tuples and the next move.  The copy is T applied to the points
-    with T in PGL(4), each point rescaled, so each of its brackets is the
-    stored one times det(T) and the four point scales, all nonzero: the zero
-    brackets are the same, and so is the form.  Without a unit point for that
-    base ([1234] = 0, or every other point on a plane of three centers)
+    Each configuration's table, which starts empty, reads only the 1 + 4 * 4
+    brackets around {1,2,3,4}: they give the copy of the configuration
+    normalized at base (1,2,3,4) (``normalized_at``), and the copy's table
+    gives condition (*), the coplanar 4-tuples, the canonical form and the
+    next move.  The copy is T applied to the points with T in PGL(4), each
+    point rescaled, so each of its brackets is the stored one times det(T)
+    and the four point scales, all nonzero: the zero brackets are the same,
+    and so are the witness of (*) and the form.  Without a unit point for
+    that base ([1234] = 0, or every other point on a plane of three centers)
     condition (*) fails, the last step reads the rest of the stored points'
     table, and no move is taken, so every move has a copy.
 
@@ -115,8 +119,8 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     the copy, so ``consistency_check`` rescans a table other than the one the
     iterate scanned.  The tracked class takes the same two steps alongside.
     When condition (*) fails before the last step, a StarViolationError
-    carries the step index and the partial report of the configurations
-    reached.
+    carries the witness and the partial report of the configurations
+    reached, whose last step is the failing one.
     """
     if config.k != 8:
         raise UsageError("iteration is defined for k = 8, got k = %d" % config.k)
@@ -128,44 +132,37 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     rows = []
     while True:
         br = BracketTable(cfg)
-        viol = star_witness(br, centers)
         short = normalized_at(br, centers.indices)
         table = br if short is None else BracketTable(short)
-        rows.append((cfg, viol is None, _zero_brackets(table), cls, bracket_form(table)))
+        viol = star_witness(table, centers)
+        rows.append((cfg, _zero_brackets(table), cls, bracket_form(table)))
         if len(rows) > steps or viol is not None:
             break
         cfg = permute_config(cremona_image(table, centers), shift)
         cls = coxeter_step(cls)
     report = IterationReport(steps, *zip(*rows))  # each row holds one step's fields in order
     if report.truncated:
-        err = StarViolationError(viol, step=report.steps_completed)
-        err.partial_report = report
-        raise err
+        raise StarViolationError(viol, report)
     return report
 
 
 def consistency_check(report: IterationReport) -> bool:
     """Recompute the lattice prediction and the geometric scans; compare.
 
-    The scans of each configuration come from one fresh ``ZeroTable`` (zero
-    tests only) of its stored points, independent of the normalized copies
-    the iterate scanned.
+    The zero scan of each configuration, which covers the 17 brackets of
+    (*), comes from one fresh ``ZeroTable`` (zero tests only) of its stored
+    points, independent of the normalized copies the iterate scanned.
 
     Coplanar 4-tuples may only occur where the tracked class is a plane class
     H - E_a - E_b - E_c - E_d, and then only at exactly {a,b,c,d}.
     """
-    centers = CenterSet((1, 2, 3, 4))
     expected = iterate_class(plane_through_last_four(report.k), report.steps_completed)
     if tuple(expected) != report.tracked:
         return False
-    for i, cfg in enumerate(report.configs):
-        br = ZeroTable(cfg)
-        found = report.coplanar_tuples[i]
-        if (_zero_brackets(br) != found
-                or (star_witness(br, centers) is None) != report.star_ok[i]):
+    for cfg, found, cls in zip(report.configs, report.coplanar_tuples, report.tracked):
+        if _zero_brackets(ZeroTable(cfg)) != found:
             return False
         if found:
-            cls = report.tracked[i]
             if cls.d != 1 or any(mi not in (0, 1) for mi in cls.m):
                 return False
             ones = tuple(j + 1 for j, mi in enumerate(cls.m) if mi == 1)
@@ -179,7 +176,8 @@ def consistency_check(report: IterationReport) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class OrbitNode:
-    canonical_form: bytes
+    """A node of ``OrbitGraph.nodes``; its canonical form is the key it is stored under."""
+
     representative: Configuration
     depth: int
 
@@ -250,7 +248,7 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
     requested = env_workers() if workers is None else workers
     root_br = BracketTable(config)
     root_canon = bracket_form(root_br)
-    nodes = {root_canon: OrbitNode(root_canon, config, 0)}
+    nodes = {root_canon: OrbitNode(config, 0)}
     edges = []
     degenerate = []
     truncated = False
@@ -276,7 +274,7 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
                 if len(nodes) >= max_nodes:
                     truncated = True
                     continue  # node budget exhausted: drop node and edge
-                nodes[canon] = OrbitNode(canon, child, depth + 1)
+                nodes[canon] = OrbitNode(child, depth + 1)
                 frontier.append((canon, BracketTable(child)))
             edges.append((parent_canon, canon, centers))
         depth += 1

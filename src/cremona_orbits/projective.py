@@ -29,7 +29,7 @@ from .errors import (
     StarViolationError,
     UsageError,
 )
-from .lattice import MAX_K
+from .lattice import _check_rank
 from .linalg import adjugate4, det4
 
 
@@ -337,10 +337,7 @@ def random_config(seed: int, height: int, k: int = 8) -> Configuration:
     """
     if height < 2:
         raise UsageError("height must be >= 2")
-    if k < 8:
-        raise UsageError("k must be >= 8")
-    if k > MAX_K:
-        raise UsageError("k must be <= %d" % MAX_K)
+    _check_rank(k)
     rng = random.Random(seed)
     for _restart in range(50):
         pts: list[tuple[int, ...]] = []

@@ -190,7 +190,8 @@ def _subset(sub, k):
 def report_from_obj(obj) -> IterationReport:
     """The report that ``report_to_obj`` wrote, partial or not.
 
-    The written keys that a report derives (``degrees`` from ``tracked``,
+    The written keys that a report derives (``star_ok`` from
+    ``coplanar_tuples``, ``degrees`` from ``tracked``,
     ``all_pairwise_inequivalent`` from the forms) must agree with it.
     """
     keys = ("steps_requested", "all_pairwise_inequivalent") + _STEP_KEYS
@@ -200,8 +201,6 @@ def report_from_obj(obj) -> IterationReport:
     if (not all(isinstance(v, list) for v in steps) or len({len(v) for v in steps}) != 1
             or not steps[0]):
         raise FormatError("report per-step lists must be nonempty and of one length")
-    if not all(isinstance(v, bool) for v in obj["star_ok"]):
-        raise FormatError("report 'star_ok' must list booleans")
     if not all(isinstance(step, list) for step in obj["coplanar_tuples"]):
         raise FormatError("report 'coplanar_tuples' must list one list per step")
     try:
@@ -212,11 +211,13 @@ def report_from_obj(obj) -> IterationReport:
     report = IterationReport(
         steps_requested=_integer(obj["steps_requested"], "step count"),
         configs=configs,
-        star_ok=tuple(obj["star_ok"]),
         coplanar_tuples=tuple(tuple(_subset(sub, cfg.k) for sub in step)
                               for step, cfg in zip(obj["coplanar_tuples"], configs)),
         tracked=tuple(map(divisor_from_obj, obj["tracked"])),
         canonical_forms=forms)
+    # ``is``, not ``==``: 1 == True, and a written 1 is not a boolean
+    if any(v is not ok for v, ok in zip(obj["star_ok"], report.star_ok)):
+        raise FormatError("report 'star_ok' must list the booleans its coplanar tuples give")
     if [_integer(d, "degree") for d in obj["degrees"]] != list(report.degrees):
         raise FormatError("report 'degrees' disagrees with the degrees of 'tracked'")
     if obj["all_pairwise_inequivalent"] is not report.all_pairwise_inequivalent:
@@ -226,11 +227,12 @@ def report_from_obj(obj) -> IterationReport:
 
 def orbit_to_obj(graph: OrbitGraph) -> dict:
     """Nodes in (depth, form) order; edges and degenerate children name them by index."""
-    order = sorted(graph.nodes.values(), key=lambda n: (n.depth, n.canonical_form))
-    index = {node.canonical_form: i for i, node in enumerate(order)}
+    order = sorted(graph.nodes.items(), key=lambda item: (item[1].depth, item[0]))
+    index = {form: i for i, (form, _) in enumerate(order)}
     return {
-        "nodes": [{"canonical_form": node.canonical_form.decode("ascii"), "depth": node.depth,
-                   "points": config_to_obj(node.representative)["points"]} for node in order],
+        "nodes": [{"canonical_form": form.decode("ascii"), "depth": node.depth,
+                   "points": config_to_obj(node.representative)["points"]}
+                  for form, node in order],
         "edges": sorted([index[s], index[t], list(c.indices)] for s, t, c in graph.edges),
         "truncated": graph.truncated,
         "frontier_remaining": graph.frontier_remaining,

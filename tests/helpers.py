@@ -208,8 +208,9 @@ def stored_stepping_iterate(config, steps) -> co.IterationReport:
     the Cremona frame of step n and the stored points grow about cubically in
     the step count (15.9k bits at step 17 of ``random_config(7, 10)``).  The
     form and the zero scan still come from the copy normalized at (1,2,3,4),
-    or from the stored table when there is none.  Same report, same
-    StarViolationError with its step and partial report.
+    or from the stored table when there is none; condition (*) is read from
+    the stored table.  Same report, same StarViolationError with its partial
+    report.
     """
     centers = co.CenterSet((1, 2, 3, 4))
     shift = co.cyclic_shift(8)
@@ -220,17 +221,14 @@ def stored_stepping_iterate(config, steps) -> co.IterationReport:
         viol = star_witness(br, centers)
         short = canonical.normalized_at(br, centers.indices)
         table = br if short is None else BracketTable(short)
-        rows.append((cfg, viol is None, orbit._zero_brackets(table), cls,
-                     canonical.bracket_form(table)))
+        rows.append((cfg, orbit._zero_brackets(table), cls, canonical.bracket_form(table)))
         if len(rows) > steps or viol is not None:
             break
         cfg = co.permute_config(cremona_image(br, centers), shift)
         cls = coxeter_step(cls)
     report = co.IterationReport(steps, *zip(*rows))
     if report.truncated:
-        err = co.StarViolationError(viol, step=report.steps_completed)
-        err.partial_report = report
-        raise err
+        raise co.StarViolationError(viol, report)
     return report
 
 

@@ -336,8 +336,8 @@ def test_lattice_cert_bytes_are_pinned(tmp_path, k, digest):
 # exit codes
 
 @pytest.mark.parametrize("argv, workers, message", [
-    (["gen", "--seed", 1, "--k", 7], None, "k must be >= 8"),
-    (["gen", "--seed", 1, "--k", 65], None, "k must be <= 64"),
+    (["gen", "--seed", 1, "--k", 7], None, "need k >= 8, got 7"),
+    (["gen", "--seed", 1, "--k", 65], None, "need k <= 64, got 65"),
     (["gen", "--seed", 1, "--height", 1], None, "height must be >= 2"),
     (["iterate", "P8", "--steps", 0], None, "steps must be >= 1"),
     (["iterate", "P9", "--steps", 1], None, "iteration is defined for k = 8, got k = 9"),

@@ -8,7 +8,7 @@ import cremona_orbits as co
 from cremona_orbits import orbit as orbit_mod
 from cremona_orbits import serialize
 from cremona_orbits.canonical import normalized_at
-from cremona_orbits.projective import BracketTable
+from cremona_orbits.projective import BracketTable, star_witness
 from helpers import (cfg_from_rows, same_labelled_points, special_coplanar_config,
                      star_failing_configs, stored_stepping_iterate)
 
@@ -56,7 +56,7 @@ def test_iteration_star_violation_carries_partial_report(steps):
     )
     with pytest.raises(co.StarViolationError) as err:
         co.coxeter_iterate(cfg, steps)
-    assert err.value.step == 0
+    assert str(err.value).startswith("at step 0: ")
     partial = err.value.partial_report
     assert partial is not None
     assert partial.steps_completed == 0
@@ -161,21 +161,30 @@ def test_copy_stepped_iterate_matches_stored_stepping(seed, height):
     assert new.bit_lengths[17] * 3 < old.bit_lengths[17]
 
 
-def test_copy_stepped_iterate_fails_where_stored_stepping_fails():
-    # [2345] = 0 puts point 5 on the plane of centers 2, 3, 4; three Coxeter
-    # steps back (the shift undone, then the Cremona move, its own inverse)
-    # give a root on which condition (*) first fails at step 3
+def step_three_failing_root():
+    """A root on which condition (*) first fails at step 3 of the iterate.
+
+    [2345] = 0 puts point 5 on the plane of centers 2, 3, 4; three Coxeter
+    steps back (the shift undone, then the Cremona move, its own inverse)
+    give the root.
+    """
     root = co.permute_config(special_coplanar_config(0), (1, 5, 6, 7, 8, 2, 3, 4))
     unshift = (8, 1, 2, 3, 4, 5, 6, 7)
     for _ in range(3):
         root = co.cremona_at(co.permute_config(root, unshift), CENTERS)
+    return root
+
+
+def test_copy_stepped_iterate_fails_where_stored_stepping_fails():
+    root = step_three_failing_root()
     errors = []
     for iterate in (co.coxeter_iterate, stored_stepping_iterate):
         with pytest.raises(co.StarViolationError) as err:
             iterate(root, 6)
         errors.append(err.value)
     new, old = errors
-    assert new.step == old.step == 3
+    assert new.partial_report.steps_completed == old.partial_report.steps_completed == 3
+    assert str(new) == str(old) == "at step 3: " + new.violation.describe()
     assert new.violation == old.violation == co.StarViolation(plane=(2, 3, 4), point=5)
     for field in ("canonical_forms", "star_ok", "coplanar_tuples", "tracked"):
         assert getattr(new.partial_report, field) == getattr(old.partial_report, field), field
@@ -192,11 +201,27 @@ def test_stored_steps_follow_cremona_at_of_the_stored_points():
         assert same_labelled_points(step, report.configs[n + 1])
 
 
+def test_derived_star_matches_the_stored_points_own_table():
+    # the report derives (*) from the coplanar tuples of the copy it scanned;
+    # the oracle reads the witness from the stored points' own table.  The
+    # special root's coplanar tuple {5,6,7,8} holds no three centers.
+    reports = [co.coxeter_iterate(co.random_config(7, 10), 17),
+               co.coxeter_iterate(special_coplanar_config(0), 1)]
+    for bad in (*star_failing_configs(), step_three_failing_root()):
+        with pytest.raises(co.StarViolationError) as err:
+            co.coxeter_iterate(bad, 6)
+        reports.append(err.value.partial_report)
+    verdicts = []
+    for report in reports:
+        for i, cfg in enumerate(report.configs):
+            assert report.star_ok[i] == (star_witness(BracketTable(cfg), CENTERS) is None), i
+            verdicts.append(report.star_ok[i])
+    assert len(verdicts) == 18 + 2 + 1 + 1 + 1 + 4 and verdicts.count(False) == 4
+
+
 def test_consistency_check_detects_corruption():
     report = co.coxeter_iterate(co.random_config(7, 10), 2)
     assert co.consistency_check(report)
-    bad_star = dataclasses.replace(report, star_ok=(False,) + report.star_ok[1:])
-    assert not co.consistency_check(bad_star)
     bad_tracked = dataclasses.replace(
         report, tracked=(co.DivisorClass(1, (0,) * 8),) + report.tracked[1:]
     )
@@ -242,9 +267,9 @@ def test_orbit_depth_zero():
     assert graph.edges == ()
     assert not graph.truncated
     assert graph.frontier_remaining == 1
-    (node,) = graph.nodes.values()
+    ((form, node),) = graph.nodes.items()
     assert node.depth == 0
-    assert node.canonical_form == co.canonical_form(cfg)
+    assert form == co.canonical_form(cfg)
 
 
 def test_orbit_depth_one_counts_and_parents():
@@ -253,8 +278,8 @@ def test_orbit_depth_one_counts_and_parents():
     assert len(co.orbit_bfs(cfg, 0, 1000).nodes) <= len(graph.nodes)
     assert len(graph.nodes) == 71
     assert len(graph.edges) == 70
-    for node in graph.nodes.values():
-        assert node.canonical_form == co.canonical_form(node.representative)
+    for form, node in graph.nodes.items():
+        assert form == co.canonical_form(node.representative)
     assert_parent_edges_derive(serialize.orbit_to_obj(graph))
     assert graph.frontier_remaining == 70
     assert not graph.truncated

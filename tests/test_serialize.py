@@ -186,6 +186,7 @@ def test_report_roundtrip(tmp_path):
     lambda o: o["tracked"].__setitem__(0, {"d": 2, "m": [0, 0, 0, 0, 1, 1, 1, 1]}),
     lambda o: o.__setitem__("all_pairwise_inequivalent", False),
     lambda o: o["star_ok"].__setitem__(0, 1),
+    lambda o: o["star_ok"].__setitem__(0, False),
     lambda o: o["coplanar_tuples"].__setitem__(0, 5),
     lambda o: o["coplanar_tuples"].__setitem__(0, ["1234"]),
     lambda o: o["coplanar_tuples"].__setitem__(0, [[1, 2, 3]]),
