@@ -78,13 +78,17 @@ def _pushforward(d: int, m, idx) -> tuple[int, list[int]]:
 
     With s the sum of the center multiplicities: d' = 3d - s, and
     m'_i = 2d + m_i - s on centers, m'_i = m_i off them.  Raw (d, m) in and
-    out, unchecked.
+    out, unchecked; the four centers are unpacked and read by index, since
+    a long orbit runs this once per step.
     """
-    s = sum(m[i - 1] for i in idx)
+    i1, i2, i3, i4 = idx
+    s = m[i1 - 1] + m[i2 - 1] + m[i3 - 1] + m[i4 - 1]
     shift = 2 * d - s
     m2 = list(m)
-    for i in idx:
-        m2[i - 1] += shift
+    m2[i1 - 1] += shift
+    m2[i2 - 1] += shift
+    m2[i3 - 1] += shift
+    m2[i4 - 1] += shift
     return 3 * d - s, m2
 
 
@@ -94,10 +98,11 @@ def cyclic_shift(k: int) -> tuple[int, ...]:
 
 
 # The largest k that _check_rank and projective.random_config accept.  On
-# Python 3.11.7, 2 cores, ``lattice-cert --N 1`` took 0.08 / 0.28 / 0.81 /
-# 2.2 / 3.9 s at k = 32 / 48 / 64 / 80 / 96, nearly all of it in the ranks
-# and charpoly of the (k+1)x(k+1) Coxeter matrix, and random_config(1, 10**6, k)
-# 0.03 / 0.15 / 0.44 / 1.0 s at k = 32 / 48 / 64 / 80: both grow like k^4.
+# Python 3.11.7, 2 cores, ``lattice-cert --N 1`` took 0.18-0.19 / 0.19-0.25 /
+# 0.28-0.35 s at k = 32 / 48 / 64 (three runs each, start-up included); in
+# process at k = 64, 0.08 s of it is the ranks and charpoly of the 65x65
+# Coxeter matrix and 0.07-0.11 s the relation checks.  random_config(1, 10**6, k)
+# took 0.03 / 0.15 / 0.44 / 1.0 s at k = 32 / 48 / 64 / 80, growing like k^4.
 MAX_K = 64
 
 
@@ -185,7 +190,7 @@ def jordan_certificate(M: LatticeMap) -> JordanCertificate:
     n = linalg.mat_sub(mat, linalg.identity(len(mat)))
     powers = [n]
     for _ in range(3):
-        powers.append(linalg.mat_mul(powers[-1], n))
+        powers.append(linalg.mat_mul(n, powers[-1]))  # sparse n on the left; powers of n commute
     return JordanCertificate(tuple(linalg.rank(p) for p in powers), linalg.charpoly(mat))
 
 
@@ -228,12 +233,11 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
     for k = 8 and exponentially for k >= 9, by 0.36 bits per step at k = 9 and
     0.544 to 0.551 for every k from 16 to 24, so the kept degrees and the
     decimal text ``lattice-cert`` writes grow like N^2 for any k >= 16.
-    ``lattice-cert --k 24`` (Python 3.11.7, 2 cores) took 0.7 s and 49 MB
-    peak at N = 10^4, 3.1 s / 133 MB at 2 * 10^4, 9.2 s / 271 MB at 3 * 10^4,
-    20.5 s / 464 MB at 4 * 10^4 and 36 s / 712 MB at 5 * 10^4.  Re-measured
-    later on that host, k = 24 took 8.6 s / 128 MB at 3 * 10^4 and 36.7 s /
-    315 MB at 5 * 10^4, and k = 64 (0.551 bits per step) 9.2 s / 130 MB and
-    33.9 s / 317 MB: the degrees, not k, set the cost.  By the N^2 law
+    ``lattice-cert`` (Python 3.11.7, 2 cores, two or three runs each) takes
+    4.2-4.9 s and 128 MB peak at N = 3 * 10^4 and 16.6-19.3 s / 316 MB at
+    5 * 10^4 for k = 24, and 5.4-5.6 s / 130 MB and 18.1-20.5 s / 318 MB for
+    k = 64 (0.551 bits per step): the degrees, not k, set the cost.  The peak
+    is the degrees and their decimal text, held at once.  By the N^2 law
     N = 10^5 would need about 1.3 GB (not run).
     """
     if N < 1:

@@ -6,7 +6,8 @@ lists/tuples of rows.  No floating point anywhere.
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 
 def det4(m):
@@ -59,8 +60,21 @@ def mat_vec(m, v):
 
 
 def mat_mul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    """a times b, each product row summed over the nonzero entries of a's row only.
+
+    Row i of the product is the sum of x * (row j of b) over the entries
+    x = a[i][j] != 0, so a sparse left operand (the Coxeter matrix, M - I)
+    costs its nonzero entries, whatever b is.
+    """
+    zero = (0,) * len(b[0]) if b else ()
+    out = []
+    for row in a:
+        acc = zero
+        for x, brow in zip(row, b):
+            if x:
+                acc = tuple(map(add, acc, map(mul, repeat(x), brow)))
+        out.append(acc)
+    return tuple(out)
 
 
 def mat_sub(a, b):
@@ -131,11 +145,8 @@ def charpoly(m):
         assert t % k == 0
         ck = -t // k
         coeffs.append(ck)
-        if k < n:
-            work = tuple(
-                tuple(work[i][j] + (ck if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
+        if k < n:  # work + ck * I: only the diagonal changes
+            work = tuple(r[:i] + (r[i] + ck,) + r[i + 1:] for i, r in enumerate(work))
     return tuple(coeffs)
 
 

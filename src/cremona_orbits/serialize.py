@@ -4,7 +4,8 @@ Point coordinates are emitted as decimal strings so downstream consumers
 never overflow a 64-bit integer; the reader accepts plain ints as well and
 re-canonicalizes every point.  Integers of any size are converted by
 ``digits``, past Python's int/str digit cap, in both directions and in the
-JSON integers and CSV cells written too.  Floats and booleans are rejected,
+JSON integers and CSV cells written too; integers written to two files are
+rendered once, as ``DecimalTexts``.  Floats and booleans are rejected,
 never truncated.  All JSON is dumped as ``json.dumps(obj, indent=2,
 sort_keys=True)`` lays it out, with a trailing newline, so reruns are
 byte-identical.
@@ -22,6 +23,19 @@ from .errors import FormatError
 from .lattice import DistinctnessReport, DivisorClass, JordanCertificate
 from .orbit import IterationReport, OrbitGraph
 from .projective import Configuration, normalize_point
+
+
+class DecimalTexts(tuple):
+    """Integers rendered once as decimal text, to be written by ``dump_json`` and the CSV writer.
+
+    ``dump_json`` writes the items bare, as the JSON integers they spell, so
+    a caller that writes the same integers twice converts each only once.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ints):
+        return super().__new__(cls, map(int_to_decimal, ints))
 
 
 def dump_json(path, obj) -> None:
@@ -46,13 +60,18 @@ def _json_chunks(obj, indent: str, out: list) -> None:
     elif isinstance(obj, (list, tuple)) and obj:
         inner = indent + "  "
         sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            if type(value) is int:  # inlined: degree lists hold thousands of them
-                out.append(int_to_decimal(value))
-            else:
-                _json_chunks(value, inner, out)
-            sep = "," + inner
+        if type(obj) is DecimalTexts:  # already rendered: written bare
+            for text in obj:
+                out += (sep, text)
+                sep = "," + inner
+        else:
+            for value in obj:
+                out.append(sep)
+                if type(value) is int:  # inlined: degree lists hold thousands of them
+                    out.append(int_to_decimal(value))
+                else:
+                    _json_chunks(value, inner, out)
+                sep = "," + inner
         out.append(indent + "]")
     elif type(obj) is int:
         out.append(int_to_decimal(obj))
@@ -244,11 +263,14 @@ def orbit_to_obj(graph: OrbitGraph) -> dict:
 # degree tables and manifests
 
 def write_degree_csv(path, degrees) -> None:
-    """The rows ``step,degree``, then ``n,degrees[n]``, with CRLF line ends as ``csv`` writes."""
-    rows = ["step,degree\r\n"]
-    rows += ["%d,%s\r\n" % (n, int_to_decimal(d)) for n, d in enumerate(degrees)]
+    """The rows ``step,degree``, then ``n,degrees[n]``, with CRLF line ends as ``csv`` writes.
+
+    ``degrees`` holds ints or is ``DecimalTexts``; each row is written as it is formatted.
+    """
+    texts = degrees if type(degrees) is DecimalTexts else map(int_to_decimal, degrees)
     with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.writelines(rows)
+        fh.write("step,degree\r\n")
+        fh.writelines(map("%d,%s\r\n".__mod__, enumerate(texts)))
 
 
 def manifest_path(out_path) -> str:

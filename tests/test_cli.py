@@ -10,6 +10,7 @@ import pytest
 import cremona_orbits as co
 from cremona_orbits import serialize
 from cremona_orbits.cli import main
+from cremona_orbits.digits import decimal_to_int
 from helpers import cfg_from_rows, special_coplanar_config
 
 GOOD = ["--seed", "7", "--height", "50", "--k", "8"]
@@ -330,6 +331,24 @@ def test_lattice_cert_bytes_are_pinned(tmp_path, k, digest):
     out = tmp_path / "cert.json"
     assert run(["lattice-cert", "--k", k, "--N", 100, "--out", out]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_lattice_cert_bytes_past_the_digit_split_are_pinned(tmp_path):
+    # at N = 4000 the k = 24 degrees pass the 1920-bit split of
+    # digits.int_to_decimal, so both files pin the text of split degrees
+    out = tmp_path / "cert.json"
+    table = tmp_path / "cert.json.degrees.csv"
+    assert run(["lattice-cert", "--k", 24, "--N", 4000, "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5b34a220474fc530f4211ee0b7675968c76423e00b36ec803f09d4f0d0364d7e")
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == (
+        "330949757af4ec66574a1c75e26feadcc2f71bdb748cbb7f567fba84af4bcf4b")
+    degrees = serialize.load_json(out)["distinctness"]["degrees"]
+    rows = table.read_text(encoding="ascii").splitlines()
+    assert rows[0] == "step,degree"
+    assert [decimal_to_int(row.split(",")[1]) for row in rows[1:]] == degrees
+    assert sum(d.bit_length() > 1920 for d in degrees) == 518
+    assert len(degrees) == 4001 and degrees[-1].bit_length() == 2206
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,17 @@ def test_jordan_data_against_sympy():
     assert list(cert.charpoly) == [int(c) for c in m.charpoly().all_coeffs()]
     n = m - sympy.eye(9)
     assert cert.ranks == tuple((n**j).rank() for j in range(1, 5))
+    # larger k: sympy multiplies the generator matrices itself, so neither side
+    # of the check goes through linalg.mat_mul
+    for k in (9, 16, 24):
+        m = (sympy.Matrix(permutation_map(k, co.cyclic_shift(k)).entries)
+             * sympy.Matrix(cremona_map(k, CENTERS).entries))
+        msigma = co.coxeter_element(k)
+        assert [list(r) for r in msigma.entries] == m.tolist()
+        cert = co.jordan_certificate(msigma)
+        assert list(cert.charpoly) == [int(c) for c in m.charpoly().all_coeffs()]
+        n = m - sympy.eye(k + 1)
+        assert cert.ranks == tuple((n**j).rank() for j in range(1, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -95,3 +95,22 @@ def test_mat_mul_and_mat_vec_against_sympy():
         assert linalg.mat_mul(a, b) == tuple(tuple(int(x) for x in r) for r in want)
         assert linalg.mat_vec(a, v) == tuple(int(x) for x in sympy.Matrix(a) * sympy.Matrix(v))
     assert linalg.mat_mul(linalg.identity(3), ((1, 2, 3),) * 3) == ((1, 2, 3),) * 3
+    # sparse left operands: mat_mul reads only the nonzero entries of a's rows
+    for _ in range(40):
+        rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
+        a = [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
+        for i in rng.sample(range(rows), rng.randint(1, rows)):
+            a[i] = [0] * inner  # all-zero rows
+        for j in rng.sample(range(inner), rng.randint(0, inner)):
+            for r in a:
+                r[j] = 0  # all-zero columns
+        for r in a:
+            if rng.random() < 0.5:
+                r[:] = [0] * inner
+                r[rng.randrange(inner)] = rng.choice((-1, 1))  # signed permutation rows
+        want = (sympy.Matrix(a) * sympy.Matrix(b)).tolist()
+        assert linalg.mat_mul(a, b) == tuple(tuple(int(x) for x in r) for r in want)
+    assert linalg.mat_mul(((0, 0), (0, 0)), ((1, 2, 3), (4, 5, 6))) == ((0, 0, 0),) * 2
+    perm = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    assert linalg.mat_mul(perm, ((1, 2), (3, 4), (5, 6))) == ((3, 4), (5, 6), (1, 2))

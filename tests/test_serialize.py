@@ -261,6 +261,23 @@ def test_degree_csv_matches_csv_writer(tmp_path):
     assert text.count("\n") == len(degrees) + 1
 
 
+def test_decimal_texts_write_as_the_ints_they_render(tmp_path):
+    # rendered once, for both writers: the bytes must be those of the ints
+    rng = random.Random(6)
+    ints = [0, 5, -7, 10 ** 700, -(10 ** 700) - 1]
+    ints += [rng.getrandbits(bits) for bits in (64, 1920, 1921, 4000, 14000)]
+    texts = serialize.DecimalTexts(ints)
+    assert list(texts) == [str(n) for n in ints]
+    for obj, want in (({"degrees": texts, "k": 8}, {"degrees": ints, "k": 8}),
+                      ([texts, serialize.DecimalTexts([])], [ints, []])):
+        path = tmp_path / "out.json"
+        serialize.dump_json(path, obj)
+        assert path.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    serialize.write_degree_csv(tmp_path / "texts.csv", texts)
+    serialize.write_degree_csv(tmp_path / "ints.csv", ints)
+    assert (tmp_path / "texts.csv").read_bytes() == (tmp_path / "ints.csv").read_bytes()
+
+
 def test_json_writer_matches_json_dumps(tmp_path):
     cfg = co.random_config(7, 10)
     objs = [
