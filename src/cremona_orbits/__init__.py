@@ -6,8 +6,8 @@ divisor classes of the blown-up space, the Coxeter element (the Cremona
 pushforward at {1,2,3,4}, then the cyclic shift) as a step on classes and as
 one unimodular matrix, and exact certificates (Jordan structure, orbit
 distinctness, Coxeter relations).
-Drivers: the Coxeter iteration, which steps a configuration and its tracked
-class together and cross-checks them, and the breadth-first orbit search.
+Drivers: the Coxeter iteration, which checks each step's scans against the
+class the lattice predicts for that step, and the breadth-first orbit search.
 """
 
 from ._version import __version__

@@ -140,7 +140,6 @@ def cmd_iterate(args) -> int:
     except StarViolationError as e:
         partial = e.partial_report
         _write(args, "iterate", params, serialize.report_to_obj(partial), partial.degrees)
-        e.args = ("%s; wrote partial report to %s" % (e, args.out),)  # main prints one line
         raise
     _write(args, "iterate", params, serialize.report_to_obj(report), report.degrees)
     # judged as written: a report that does not survive its own file fails here
@@ -210,7 +209,9 @@ def main(argv=None) -> int:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
     except (StarViolationError, GenerationError) as e:
-        print("error: %s" % e, file=sys.stderr)
+        partial = getattr(e, "partial_report", None)  # the iterate's, written to --out
+        wrote = "" if partial is None else "; wrote partial report to %s" % args.out
+        print("error: %s%s" % (e, wrote), file=sys.stderr)
         return EXIT_PRECONDITION
     except Exception as e:  # last resort: never fall through to exit 1, the negative verdict
         text = " ".join(str(e).split())[:200]

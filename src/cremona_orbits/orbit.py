@@ -1,15 +1,16 @@
 """Drivers joining the geometric Cremona action to its lattice shadow.
 
 ``coxeter_iterate`` runs the degree-growth iteration (Cremona at the first
-four points, then the cyclic shift) while cross-checking geometry against the
-tracked divisor class; ``orbit_bfs`` explores the full orbit under all center
-choices with canonical-form deduplication.  Every reader builds its own
-bracket table, empty at first: ``orbit_bfs`` reads each child's form from a
-table in the worker, and an expanded node's children from one in the parent.
-``coxeter_iterate`` reads the 17 brackets around the centers to build a
-frame-normalized copy, and condition (*), the canonical form, the coplanar
-scan and the next move from the copy's 70-bracket table; it stores the
-configuration each move produces, 4.1k bits tall at step 17 of
+four points, then the cyclic shift) on configurations alone; its report
+derives each step's tracked divisor class from the step count, and
+``consistency_check`` tests the geometry against it.  ``orbit_bfs`` explores
+the full orbit under all center choices with canonical-form deduplication.
+Every reader builds its own bracket table, empty at first: ``orbit_bfs`` reads
+each child's form from a table in the worker, and an expanded node's children
+from one in the parent.  ``coxeter_iterate`` reads the 17 brackets around the
+centers to build a frame-normalized copy, and condition (*), the canonical
+form, the coplanar scan and the next move from the copy's 70-bracket table; it
+stores the configuration each move produces, 4.1k bits tall at step 17 of
 ``random_config(7, 10)``.  ``consistency_check`` rescans the stored points
 through a ``ZeroTable`` (zero tests only).
 """
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 from .canonical import bracket_form, canonical_form, normalized_at
 from .errors import NoFrameError, StarViolationError, UsageError
-from .lattice import (DivisorClass, coxeter_step, cyclic_shift, iterate_class,
-                      plane_through_last_four)
+from .lattice import DivisorClass, cyclic_shift, iterate_class, plane_through_last_four
 from .projective import (BracketTable, CenterSet, Configuration, ZeroTable, cremona_image,
                          permute_config, star_witness)
 
@@ -46,17 +46,15 @@ def coplanar_scan(config: Configuration) -> tuple[tuple[int, int, int, int], ...
 class IterationReport:
     """Per-step record of the iteration, geometric scan included.
 
-    Entry n of each per-step field describes the configuration after n steps;
-    ``tracked[n]`` is the n-th power of the Coxeter element applied to
-    H - E_{k-3} - .. - E_k.  Stored are the request, the configurations, what
-    their bracket tables give (``coplanar_tuples``, the forms) and the tracked
-    classes that ``consistency_check`` replays; the rest, (*) too, are properties.
+    Entry n of each per-step field describes the configuration after n steps.
+    Stored are the request, the configurations and what their bracket tables
+    give (``coplanar_tuples``, the forms); the rest are properties: (*), and
+    the tracked classes, which depend on the step count alone.
     """
 
     steps_requested: int
     configs: tuple[Configuration, ...]
     coplanar_tuples: tuple[tuple[tuple[int, int, int, int], ...], ...]
-    tracked: tuple[DivisorClass, ...]
     canonical_forms: tuple[bytes, ...]
 
     @property
@@ -75,6 +73,11 @@ class IterationReport:
     def star_ok(self) -> tuple[bool, ...]:
         """(*) at {1,2,3,4}: no sorted coplanar 4-tuple holds 3 centers (has its third <= 4)."""
         return tuple(all(sub[2] > 4 for sub in step) for step in self.coplanar_tuples)
+
+    @property
+    def tracked(self) -> tuple[DivisorClass, ...]:
+        """``tracked[n]`` is M^n (H - E_{k-3} - .. - E_k), M the Coxeter element."""
+        return tuple(iterate_class(plane_through_last_four(self.k), self.steps_completed))
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -117,10 +120,9 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     step 17 of ``random_config(7, 10)`` they are 4.1k bits tall, the copy
     2.3k bits.  The report stores the configuration the move produced, not
     the copy, so ``consistency_check`` rescans a table other than the one the
-    iterate scanned.  The tracked class takes the same two steps alongside.
-    When condition (*) fails before the last step, a StarViolationError
-    carries the witness and the partial report of the configurations
-    reached, whose last step is the failing one.
+    iterate scanned.  When condition (*) fails before the last step, a
+    StarViolationError carries the witness and the partial report of the
+    configurations reached, whose last step is the failing one.
     """
     if config.k != 8:
         raise UsageError("iteration is defined for k = 8, got k = %d" % config.k)
@@ -128,18 +130,16 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
         raise UsageError("steps must be >= 1")
     centers = CenterSet((1, 2, 3, 4))
     shift = cyclic_shift(8)
-    cfg, cls = config, plane_through_last_four(8)
-    rows = []
+    cfg, rows = config, []
     while True:
         br = BracketTable(cfg)
         short = normalized_at(br, centers.indices)
         table = br if short is None else BracketTable(short)
         viol = star_witness(table, centers)
-        rows.append((cfg, _zero_brackets(table), cls, bracket_form(table)))
+        rows.append((cfg, _zero_brackets(table), bracket_form(table)))
         if len(rows) > steps or viol is not None:
             break
         cfg = permute_config(cremona_image(table, centers), shift)
-        cls = coxeter_step(cls)
     report = IterationReport(steps, *zip(*rows))  # each row holds one step's fields in order
     if report.truncated:
         raise StarViolationError(viol, report)
@@ -147,18 +147,15 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
 
 
 def consistency_check(report: IterationReport) -> bool:
-    """Recompute the lattice prediction and the geometric scans; compare.
+    """Rescan the stored points and test each step's scan against its tracked class.
 
     The zero scan of each configuration, which covers the 17 brackets of
     (*), comes from one fresh ``ZeroTable`` (zero tests only) of its stored
     points, independent of the normalized copies the iterate scanned.
 
-    Coplanar 4-tuples may only occur where the tracked class is a plane class
-    H - E_a - E_b - E_c - E_d, and then only at exactly {a,b,c,d}.
+    Coplanar 4-tuples may only occur where the step's tracked class is a plane
+    class H - E_a - E_b - E_c - E_d, and then only at exactly {a,b,c,d}.
     """
-    expected = iterate_class(plane_through_last_four(report.k), report.steps_completed)
-    if tuple(expected) != report.tracked:
-        return False
     for cfg, found, cls in zip(report.configs, report.coplanar_tuples, report.tracked):
         if _zero_brackets(ZeroTable(cfg)) != found:
             return False

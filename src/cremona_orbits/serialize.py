@@ -148,15 +148,6 @@ def divisor_to_obj(c: DivisorClass) -> dict:
     return {"d": c.d, "m": list(c.m)}
 
 
-def divisor_from_obj(obj) -> DivisorClass:
-    if not isinstance(obj, dict) or "d" not in obj or "m" not in obj:
-        raise FormatError("divisor object needs 'd' and 'm'")
-    if not isinstance(obj["m"], list):
-        raise FormatError("divisor 'm' must be a list")
-    return DivisorClass(_integer(obj["d"], "degree"),
-                        tuple(_integer(v, "multiplicity") for v in obj["m"]))
-
-
 def jordan_to_obj(cert: JordanCertificate) -> dict:
     return {
         "multiplicity_of_one": cert.multiplicity_of_one,
@@ -179,22 +170,35 @@ def distinctness_to_obj(rep: DistinctnessReport) -> dict:
 # ---------------------------------------------------------------------------
 # reports and orbit graphs
 
-def report_to_obj(report: IterationReport) -> dict:
+def _derived_keys(report: IterationReport) -> dict:
+    """The keys of ``report_to_obj`` that the report derives from its stored fields."""
     return {
-        "steps_requested": report.steps_requested,
         "star_ok": list(report.star_ok),
         "degrees": list(report.degrees),
         "tracked": [divisor_to_obj(c) for c in report.tracked],
-        "coplanar_tuples": [[list(t) for t in step] for step in report.coplanar_tuples],
-        "configurations": [config_to_obj(c) for c in report.configs],
-        "canonical_forms": [f.decode("ascii") for f in report.canonical_forms],
         "all_pairwise_inequivalent": report.all_pairwise_inequivalent,
     }
 
 
-# the keys of ``report_to_obj`` that hold one entry per step
-_STEP_KEYS = ("star_ok", "degrees", "tracked", "coplanar_tuples", "configurations",
-              "canonical_forms")
+def report_to_obj(report: IterationReport) -> dict:
+    return {
+        "steps_requested": report.steps_requested,
+        "coplanar_tuples": [[list(t) for t in step] for step in report.coplanar_tuples],
+        "configurations": [config_to_obj(c) for c in report.configs],
+        "canonical_forms": [f.decode("ascii") for f in report.canonical_forms],
+        **_derived_keys(report),
+    }
+
+
+# the stored keys of ``report_to_obj`` that hold one entry per step
+_STEP_KEYS = ("coplanar_tuples", "configurations", "canonical_forms")
+
+
+def _json_text(obj) -> str:
+    """obj as ``dump_json`` writes it, without the trailing newline."""
+    chunks = []
+    _json_chunks(obj, "\n", chunks)
+    return "".join(chunks)
 
 
 def _subset(sub, k):
@@ -209,11 +213,11 @@ def _subset(sub, k):
 def report_from_obj(obj) -> IterationReport:
     """The report that ``report_to_obj`` wrote, partial or not.
 
-    The written keys that a report derives (``star_ok`` from
-    ``coplanar_tuples``, ``degrees`` from ``tracked``,
-    ``all_pairwise_inequivalent`` from the forms) must agree with it.
+    Built from the stored keys, with k = 8 (the iterate's only k); each key
+    of ``_derived_keys`` must then render to the writer's own JSON text, so
+    ``1`` or ``"1"`` never passes for ``true`` or ``1``, nor an extra key.
     """
-    keys = ("steps_requested", "all_pairwise_inequivalent") + _STEP_KEYS
+    keys = ("steps_requested",) + _STEP_KEYS
     if not isinstance(obj, dict) or any(key not in obj for key in keys):
         raise FormatError("report object needs the keys %s" % ", ".join(keys))
     steps = [obj[key] for key in _STEP_KEYS]
@@ -227,20 +231,17 @@ def report_from_obj(obj) -> IterationReport:
     except (AttributeError, UnicodeEncodeError):
         raise FormatError("report 'canonical_forms' must list ASCII strings") from None
     configs = tuple(map(config_from_obj, obj["configurations"]))
+    if any(cfg.k != 8 for cfg in configs):
+        raise FormatError("report configurations must have k = 8")
     report = IterationReport(
         steps_requested=_integer(obj["steps_requested"], "step count"),
         configs=configs,
         coplanar_tuples=tuple(tuple(_subset(sub, cfg.k) for sub in step)
                               for step, cfg in zip(obj["coplanar_tuples"], configs)),
-        tracked=tuple(map(divisor_from_obj, obj["tracked"])),
         canonical_forms=forms)
-    # ``is``, not ``==``: 1 == True, and a written 1 is not a boolean
-    if any(v is not ok for v, ok in zip(obj["star_ok"], report.star_ok)):
-        raise FormatError("report 'star_ok' must list the booleans its coplanar tuples give")
-    if [_integer(d, "degree") for d in obj["degrees"]] != list(report.degrees):
-        raise FormatError("report 'degrees' disagrees with the degrees of 'tracked'")
-    if obj["all_pairwise_inequivalent"] is not report.all_pairwise_inequivalent:
-        raise FormatError("report 'all_pairwise_inequivalent' disagrees with its forms")
+    for key, value in _derived_keys(report).items():  # a missing key reads as null
+        if _json_text(obj.get(key)) != _json_text(value):
+            raise FormatError("report %r disagrees with what its stored keys give" % key)
     return report
 
 

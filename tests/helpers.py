@@ -8,7 +8,7 @@ import random
 
 import cremona_orbits as co
 from cremona_orbits import canonical, linalg, orbit
-from cremona_orbits.lattice import _from_vector, _pushforward, _to_vector, coxeter_step
+from cremona_orbits.lattice import _from_vector, _pushforward, _to_vector
 from cremona_orbits.projective import BracketTable, cremona_image, star_witness
 
 
@@ -214,18 +214,17 @@ def stored_stepping_iterate(config, steps) -> co.IterationReport:
     """
     centers = co.CenterSet((1, 2, 3, 4))
     shift = co.cyclic_shift(8)
-    cfg, cls = config, co.plane_through_last_four(8)
+    cfg = config
     rows = []
     while True:
         br = BracketTable(cfg)
         viol = star_witness(br, centers)
         short = canonical.normalized_at(br, centers.indices)
         table = br if short is None else BracketTable(short)
-        rows.append((cfg, orbit._zero_brackets(table), cls, canonical.bracket_form(table)))
+        rows.append((cfg, orbit._zero_brackets(table), canonical.bracket_form(table)))
         if len(rows) > steps or viol is not None:
             break
         cfg = co.permute_config(cremona_image(br, centers), shift)
-        cls = coxeter_step(cls)
     report = co.IterationReport(steps, *zip(*rows))
     if report.truncated:
         raise co.StarViolationError(viol, report)

@@ -146,6 +146,9 @@ def test_iterate_star_violation_writes_partial_report(tmp_path, capsys):
     assert err[0].startswith("error: ") and "plane" in err[0]
     assert err[0].endswith("wrote partial report to %s" % out)
     assert len(json.loads(out.read_text())["configurations"]) - 1 == 0
+    partial = serialize.report_from_obj(serialize.load_json(out))
+    assert partial.truncated and partial.star_ok == (False,)
+    assert not co.consistency_check(partial)
 
 
 # ---------------------------------------------------------------------------

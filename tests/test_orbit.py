@@ -222,10 +222,6 @@ def test_derived_star_matches_the_stored_points_own_table():
 def test_consistency_check_detects_corruption():
     report = co.coxeter_iterate(co.random_config(7, 10), 2)
     assert co.consistency_check(report)
-    bad_tracked = dataclasses.replace(
-        report, tracked=(co.DivisorClass(1, (0,) * 8),) + report.tracked[1:]
-    )
-    assert not co.consistency_check(bad_tracked)
     bad_scan = dataclasses.replace(
         report, coplanar_tuples=(((1, 2, 3, 4),),) + report.coplanar_tuples[1:]
     )
@@ -235,6 +231,14 @@ def test_consistency_check_detects_corruption():
     assert co.consistency_check(special)
     missed = dataclasses.replace(special, coplanar_tuples=((),) + special.coplanar_tuples[1:])
     assert not co.consistency_check(missed)
+    # step 0 repeated as step 1: its scan still finds {5,6,7,8}, but the
+    # class derived for step 1 has d = 3, not a plane class
+    repeated = dataclasses.replace(
+        special, configs=special.configs[:1] * 2,
+        coplanar_tuples=special.coplanar_tuples[:1] * 2,
+        canonical_forms=special.canonical_forms[:1] * 2)
+    assert repeated.tracked[1].d == 3
+    assert not co.consistency_check(repeated)
 
 
 # ---------------------------------------------------------------------------

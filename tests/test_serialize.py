@@ -130,23 +130,6 @@ def test_dump_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_divisor_roundtrip():
-    c = co.DivisorClass(3, (2, 2, 2, 1, 1, 1, 1, 2))
-    assert serialize.divisor_from_obj(serialize.divisor_to_obj(c)) == c
-
-
-@pytest.mark.parametrize("obj", [
-    {"d": 1.5, "m": [0] * 8},
-    {"d": True, "m": [0] * 8},
-    {"d": 1, "m": [0] * 7 + [2.0]},
-    {"d": 1, "m": [0] * 7 + [False]},
-    {"d": 1, "m": "00000000"},
-])
-def test_divisor_reader_rejects_floats_and_bools(obj):
-    with pytest.raises(co.FormatError):
-        serialize.divisor_from_obj(obj)
-
-
 def test_report_object_shape():
     report = co.coxeter_iterate(special_coplanar_config(0), 1)
     obj = serialize.report_to_obj(report)
@@ -197,6 +180,19 @@ def test_report_roundtrip(tmp_path):
     lambda o: o.pop("configurations"),
     lambda o: o.update(star_ok=[], degrees=[], tracked=[], coplanar_tuples=[],
                        configurations=[], canonical_forms=[]),
+    lambda o: o["tracked"][1]["m"].__setitem__(0, o["tracked"][1]["m"][0] + 1),
+    lambda o: o["tracked"][0].__setitem__("e", 0),
+    # tracked[0] is {"d": 1, "m": [0, 0, 0, 0, 1, 1, 1, 1]}: equal values, other JSON types
+    lambda o: o["tracked"].__setitem__(0, {"d": 1.0, "m": [0, 0, 0, 0, 1, 1, 1, 1]}),
+    lambda o: o["tracked"].__setitem__(0, {"d": True, "m": [0, 0, 0, 0, 1, 1, 1, 1]}),
+    lambda o: o["tracked"].__setitem__(0, {"d": 1, "m": [0, 0, 0, 0, 1, 1, 1, 1.0]}),
+    lambda o: o["tracked"].__setitem__(0, {"d": 1, "m": [False, 0, 0, 0, 1, 1, 1, 1]}),
+    lambda o: o["tracked"].__setitem__(0, {"d": 1, "m": "00001111"}),
+    lambda o: o["degrees"].__setitem__(0, "1"),
+    lambda o: o["degrees"].__setitem__(0, 1.0),
+    lambda o: o.pop("tracked"),
+    lambda o: o.__setitem__("configurations",
+                            [serialize.config_to_obj(co.random_config(1, 6, k=9))] * 3),
 ])
 def test_report_reader_rejects_inconsistent_reports(mutate):
     obj = serialize.report_to_obj(co.coxeter_iterate(co.random_config(7, 10), 2))
@@ -302,7 +298,7 @@ def test_distinctness_past_the_digit_cap(tmp_path):
     serialize.dump_json(path, serialize.distinctness_to_obj(rep))
     obj = serialize.load_json(path)
     assert tuple(obj["degrees"]) == degrees
-    assert serialize.divisor_from_obj(obj["start"]) == rep.start
+    assert obj["start"] == serialize.divisor_to_obj(rep.start)
     csv_path = tmp_path / "cert.json.degrees.csv"
     serialize.write_degree_csv(csv_path, rep.degrees)
     rows = csv_path.read_text().splitlines()
