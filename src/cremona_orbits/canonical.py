@@ -24,6 +24,7 @@ from .projective import (
     BracketTable,
     Configuration,
     ProjectivePoint,
+    _oriented,
     cramer,
 )
 
@@ -70,11 +71,6 @@ def _reduce(ws, c):
         out.append((w0 // g0 * (m // d0), w1 // g1 * (m // d1),
                     w2 // g2 * (m // d2), w3 // g3 * (m // d3)))
     return out
-
-
-def _oriented(p):
-    """p or -p, whichever has a positive first nonzero entry."""
-    return p if p > (0, 0, 0, 0) else tuple(-v for v in p)
 
 
 def _swap_unit(ys, j):
@@ -235,7 +231,7 @@ def normalized_at(br: BracketTable, base) -> Configuration | None:
     points = dict(zip(base, _VERTICES))
     points[u] = ProjectivePoint((1, 1, 1, 1))
     rest = [t for t in range(1, br.k + 1) if t not in points]
-    points.update((t, ProjectivePoint(_oriented(y))) for t, y in zip(rest, ys))
+    points.update((t, ProjectivePoint(y)) for t, y in zip(rest, ys))
     return Configuration(tuple(points[t] for t in range(1, br.k + 1)))
 
 

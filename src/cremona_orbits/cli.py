@@ -178,22 +178,21 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_lattice_cert(args) -> int:
-    # first, so that a bad k or N is rejected before any other work
+    # first, so that a bad k is rejected: plane_through_last_four would turn a negative k into 0
     msigma = coxeter_element(args.k)
     distinctness = distinctness_certificate(plane_through_last_four(args.k), args.N)
     relations = coxeter_relations(args.k)
-    # each degree rendered once, for the JSON and for the degree table
-    degrees = serialize.DecimalTexts(distinctness.degrees)
     cert = {
         "k": args.k,
         "N": args.N,
         "coxeter_matrix": [list(r) for r in msigma.entries],
         "jordan": serialize.jordan_to_obj(jordan_certificate(msigma)),
-        "distinctness": {**serialize.distinctness_to_obj(distinctness), "degrees": degrees},
+        "distinctness": serialize.distinctness_to_obj(distinctness),
         "coxeter_relations": [{"relation": name, "holds": ok} for name, ok in relations],
         "coxeter_relations_all_hold": all(ok for _, ok in relations),
     }
-    _write(args, "lattice-cert", {"k": args.k, "N": args.N}, cert, degrees)
+    # each degree rendered once, for the JSON and for the degree table
+    _write(args, "lattice-cert", {"k": args.k, "N": args.N}, cert, cert["distinctness"]["degrees"])
     print("wrote lattice certificate (k=%d, N=%d) to %s" % (args.k, args.N, args.out))
     return EXIT_OK
 

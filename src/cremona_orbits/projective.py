@@ -1,7 +1,8 @@
 """Exact projective geometry over Q in P^3.
 
 Points are canonical integer 4-tuples (gcd 1, first nonzero coordinate
-positive), so equality of points is equality of tuples.  All predicates are
+positive), which ``ProjectivePoint`` alone builds from any nonzero integer
+4-tuple, so equality of points is equality of tuples.  All predicates are
 exact integer decisions; floats are rejected outright.
 
 Every bracket comes from one table (``BracketTable``), which starts empty
@@ -33,29 +34,30 @@ from .lattice import _check_rank
 from .linalg import adjugate4, det4
 
 
+def _oriented(p):
+    """p or -p, whichever has a positive first nonzero entry."""
+    return p if p > (0, 0, 0, 0) else tuple(-v for v in p)
+
+
 def _primitive(v):
     """v divided by the gcd of its entries, signed so the first nonzero entry is positive."""
     g = math.gcd(*v)
     if g == 0:
         raise DegeneratePointError("all four homogeneous coordinates are zero")
-    if next(x for x in v if x) < 0:
-        g = -g
-    return tuple(x // g for x in v)
+    return _oriented(tuple(x // g for x in v))
 
 
 @dataclass(frozen=True, slots=True, order=True)
 class ProjectivePoint:
-    """A point of P^3 as its canonical integer representative."""
+    """A point of P^3 from any nonzero 4 ints, made canonical here (``_primitive``), not before."""
 
     coords: tuple[int, int, int, int]
 
     def __post_init__(self):
         c = tuple(self.coords)
-        object.__setattr__(self, "coords", c)
         if len(c) != 4 or not all(isinstance(v, int) for v in c):
-            raise TypeError("coords must be 4 integers, got %r" % (c,))
-        if c != _primitive(c):
-            raise ValueError("non-canonical representative %r" % (c,))
+            raise TypeError("coords must be 4 integers, got %s" % [type(v).__name__ for v in c])
+        object.__setattr__(self, "coords", _primitive(c))
 
 
 # the coordinate vertices e0, e1, e2, e3
@@ -63,16 +65,14 @@ _VERTICES = tuple(ProjectivePoint(tuple(int(i == j) for j in range(4))) for i in
 
 
 def normalize_point(raw) -> ProjectivePoint:
-    """Canonical representative of a 4-tuple of ints or Fractions; floats are rejected."""
+    """The point of a 4-tuple of ints or Fractions, cleared of denominators; floats are rejected."""
     vals = []
     for v in raw:
         if isinstance(v, float):
             raise TypeError("floating point coordinates are not allowed: %r" % (v,))
         vals.append(v if isinstance(v, (int, Fraction)) else Fraction(v))
-    if len(vals) != 4:
-        raise ValueError("expected 4 coordinates, got %d" % len(vals))
     lcm = math.lcm(*(v.denominator for v in vals))
-    return ProjectivePoint(_primitive(tuple(int(v * lcm) for v in vals)))
+    return ProjectivePoint(tuple(int(v * lcm) for v in vals))
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,7 +310,7 @@ def cremona_image(br: BracketTable, centers: CenterSet) -> Configuration:
     idx = centers.indices
     vertex = dict(zip(idx, _VERTICES))
     return Configuration(tuple(
-        vertex[t] if t in vertex else ProjectivePoint(_primitive(_reciprocal(cramer(br, idx, t))))
+        vertex[t] if t in vertex else ProjectivePoint(_reciprocal(cramer(br, idx, t)))
         for t in range(1, br.k + 1)))
 
 

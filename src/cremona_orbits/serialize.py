@@ -2,13 +2,13 @@
 
 Point coordinates are emitted as decimal strings so downstream consumers
 never overflow a 64-bit integer; the reader accepts plain ints as well and
-re-canonicalizes every point.  Integers of any size are converted by
-``digits``, past Python's int/str digit cap, in both directions and in the
-JSON integers and CSV cells written too; integers written to two files are
-rendered once, as ``DecimalTexts``.  Floats and booleans are rejected,
-never truncated.  All JSON is dumped as ``json.dumps(obj, indent=2,
-sort_keys=True)`` lays it out, with a trailing newline, so reruns are
-byte-identical.
+passes each row to ``ProjectivePoint``, which makes it canonical.  Integers
+of any size are converted by ``digits``, past Python's int/str digit cap, in
+both directions and in the JSON integers and CSV cells written too; integers
+written to two files are rendered once, as ``DecimalTexts``.  Floats and
+booleans are rejected, never truncated.  All JSON is dumped as
+``json.dumps(obj, indent=2, sort_keys=True)`` lays it out, with a trailing
+newline, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .digits import decimal_to_int, int_to_decimal
 from .errors import FormatError
 from .lattice import DistinctnessReport, DivisorClass, JordanCertificate
 from .orbit import IterationReport, OrbitGraph
-from .projective import Configuration, normalize_point
+from .projective import Configuration, ProjectivePoint
 
 
 class DecimalTexts(tuple):
@@ -67,7 +67,7 @@ def _json_chunks(obj, indent: str, out: list) -> None:
         else:
             for value in obj:
                 out.append(sep)
-                if type(value) is int:  # inlined: degree lists hold thousands of them
+                if type(value) is int:  # inlined: coxeter_matrix holds 4225 of them at k = 64
                     out.append(int_to_decimal(value))
                 else:
                     _json_chunks(value, inner, out)
@@ -93,8 +93,8 @@ def load_json(path):
         raise FormatError("%s: JSON nested too deeply to read" % path) from None
 
 
-def _integer(value, what):
-    """An int from a JSON integer or a decimal string; anything else is a FormatError."""
+def _integer(value):
+    """A coordinate from a JSON integer or a decimal string; anything else is a FormatError."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
@@ -102,7 +102,7 @@ def _integer(value, what):
             return decimal_to_int(value)
         except ValueError:
             pass
-    raise FormatError("non-integer %s %s" % (what, repr(value)[:40]))
+    raise FormatError("non-integer coordinate %s" % repr(value)[:40])
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +124,11 @@ def config_from_obj(obj) -> Configuration:
         raise FormatError("'points' must list exactly k point rows")
     pts = []
     for row in points:
-        if not isinstance(row, list) or len(row) != 4:
+        if not isinstance(row, list):  # a string row would read as its digits
             raise FormatError("each point needs a list of 4 coordinates")
-        coords = tuple(_integer(v, "coordinate") for v in row)
         try:
-            pts.append(normalize_point(coords))
-        except ValueError as e:
+            pts.append(ProjectivePoint(tuple(map(_integer, row))))
+        except (TypeError, ValueError) as e:
             raise FormatError(str(e)) from None
     try:
         return Configuration(tuple(pts))
@@ -162,7 +161,7 @@ def distinctness_to_obj(rep: DistinctnessReport) -> dict:
         "start": divisor_to_obj(rep.start),
         "all_distinct": rep.all_distinct,
         "first_collision": list(rep.first_collision) if rep.first_collision else None,
-        "degrees": list(rep.degrees),
+        "degrees": DecimalTexts(rep.degrees),
         "quadratic_part_nonzero": rep.quadratic_part_nonzero,
     }
 
@@ -216,6 +215,7 @@ def report_from_obj(obj) -> IterationReport:
     Built from the stored keys, with k = 8 (the iterate's only k); each key
     of ``_derived_keys`` must then render to the writer's own JSON text, so
     ``1`` or ``"1"`` never passes for ``true`` or ``1``, nor an extra key.
+    ``steps_requested`` is an int >= max(1, steps completed), above it only where (*) fails last.
     """
     keys = ("steps_requested",) + _STEP_KEYS
     if not isinstance(obj, dict) or any(key not in obj for key in keys):
@@ -234,11 +234,15 @@ def report_from_obj(obj) -> IterationReport:
     if any(cfg.k != 8 for cfg in configs):
         raise FormatError("report configurations must have k = 8")
     report = IterationReport(
-        steps_requested=_integer(obj["steps_requested"], "step count"),
+        steps_requested=obj["steps_requested"],
         configs=configs,
         coplanar_tuples=tuple(tuple(_subset(sub, cfg.k) for sub in step)
                               for step, cfg in zip(obj["coplanar_tuples"], configs)),
         canonical_forms=forms)
+    requested = report.steps_requested
+    if (type(requested) is not int or requested < max(1, report.steps_completed)
+            or report.truncated and report.star_ok[-1]):
+        raise FormatError("report 'steps_requested' does not fit its steps and (*) verdicts")
     for key, value in _derived_keys(report).items():  # a missing key reads as null
         if _json_text(obj.get(key)) != _json_text(value):
             raise FormatError("report %r disagrees with what its stored keys give" % key)

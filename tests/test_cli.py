@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cremona_orbits as co
+from cremona_orbits import orbit as orbit_mod
 from cremona_orbits import serialize
 from cremona_orbits.cli import main
 from cremona_orbits.digits import decimal_to_int
@@ -161,6 +162,29 @@ def test_orbit_depth_zero(tmp_path):
     graph = json.loads(out.read_text())
     assert len(graph["nodes"]) == 1
     assert graph["truncated"] is False
+
+
+def test_orbit_warns_of_degenerate_children(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CREMONA_ORBITS_WORKERS", raising=False)  # one worker, in this process
+    real = orbit_mod.canonical_form
+    calls = {"n": 0}
+
+    def flaky(config):
+        calls["n"] += 1
+        if calls["n"] in (1, 2):  # the root's form is not a worker's
+            raise co.NoFrameError("synthetic degenerate child")
+        return real(config)
+
+    monkeypatch.setattr(orbit_mod, "canonical_form", flaky)
+    src = write_config(tmp_path / "p.json", co.random_config(58, 8))
+    out = tmp_path / "orbit.json"
+    assert run(["orbit", src, "--max-depth", 1, "--out", out]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("warning: degenerate child of 8|") and line.endswith(" skipped")
+               for line in err)
+    degenerate = json.loads(out.read_text())["degenerate"]
+    assert len(degenerate) == 2 and all(parent == 0 for parent, _ in degenerate)
 
 
 def test_orbit_depth_one_node_count(tmp_path, monkeypatch):

@@ -58,11 +58,26 @@ def test_normalize_scale_invariant_and_idempotent():
         assert co.normalize_point(p.coords) == p
 
 
-def test_point_constructor_requires_canonical():
-    with pytest.raises(ValueError):
-        co.ProjectivePoint((2, 4, 0, 0))
-    with pytest.raises(ValueError):
-        co.ProjectivePoint((-1, 0, 0, 1))
+def test_point_constructor_makes_canonical():
+    assert co.ProjectivePoint((2, 4, 0, 0)).coords == (1, 2, 0, 0)
+    assert co.ProjectivePoint((-1, 0, 0, 1)).coords == (1, 0, 0, -1)
+
+
+# the last is past Python's int/str digit cap, so the error must not print the values
+@pytest.mark.parametrize("coords", [(1, 2, 3), (1, 2, 3, 4, 5), (10 ** 5000,) * 5])
+def test_point_needs_four_coordinates(coords):
+    with pytest.raises(TypeError):
+        co.ProjectivePoint(coords)
+    with pytest.raises(TypeError):
+        co.normalize_point(coords)
+
+
+def test_point_constructor_takes_ints_only():
+    with pytest.raises(TypeError):
+        co.ProjectivePoint(("1", 0, 0, 2))
+    assert co.normalize_point(("1", 0, 0, 2)).coords == (1, 0, 0, 2)
+    with pytest.raises(co.DegeneratePointError):
+        co.ProjectivePoint((0, 0, 0, 0))
 
 
 # ---------------------------------------------------------------------------

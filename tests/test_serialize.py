@@ -48,6 +48,7 @@ def test_reader_recanonicalizes(tmp_path):
         lambda o: o["points"][2].pop(),
         lambda o: o["points"][1].__setitem__(0, "x"),
         lambda o: o["points"].__setitem__(0, list(o["points"][1])),
+        lambda o: o["points"][3].append("1"),
     ],
 )
 def test_reader_rejects_bad_documents(tmp_path, mutate):
@@ -193,6 +194,11 @@ def test_report_roundtrip(tmp_path):
     lambda o: o.pop("tracked"),
     lambda o: o.__setitem__("configurations",
                             [serialize.config_to_obj(co.random_config(1, 6, k=9))] * 3),
+    # 2 steps completed, the last with (*) holding: only 2 is the request the iterate wrote
+    lambda o: o.__setitem__("steps_requested", "2"),
+    lambda o: o.__setitem__("steps_requested", 0),
+    lambda o: o.__setitem__("steps_requested", 1),
+    lambda o: o.__setitem__("steps_requested", 3),
 ])
 def test_report_reader_rejects_inconsistent_reports(mutate):
     obj = serialize.report_to_obj(co.coxeter_iterate(co.random_config(7, 10), 2))
@@ -221,7 +227,7 @@ def test_jordan_and_distinctness_objects():
         co.distinctness_certificate(co.plane_through_last_four(8), 20)
     )
     assert dc["all_distinct"] is True
-    assert dc["degrees"][:4] == [1, 3, 2, 3]
+    assert dc["degrees"][:4] == ("1", "3", "2", "3")  # rendered once, as DecimalTexts
     json.dumps(jc)
     json.dumps(dc)
 
