@@ -136,8 +136,10 @@ def canonical_form(config: Configuration) -> bytes:
     M_j to a whole image set in one comprehension.
 
     Cost.  C(k, 5) five-subsets times 5 unit points give 280, 630 and 1260
-    image sets of k - 5 images at k = 8, 9 and 10; the prune below leaves
-    all but a few of them before any vertex order is sorted.
+    image sets of k - 5 images at k = 8, 9 and 10.  The prune below drops
+    most 5-subsets before any unit swap is built (16 of the 224 swaps are
+    built for ``random_config(7, 10)``) and all but a few image sets before
+    any vertex order is sorted.
 
     Selection.  The five frame images are in every candidate and differ from
     every other image, so comparing candidates is comparing the sorted images
@@ -145,10 +147,16 @@ def canonical_form(config: Configuration) -> bytes:
     into a candidate: each image is read in the order sigma, oriented
     (``_oriented``: a tuple exceeds zero iff its first nonzero entry is
     positive), and the results are sorted.  The first coordinate of the least
-    of them is min_t |T(p_t)_{sigma_0}|; one bound per image set and leading
-    coordinate prunes the six orders whose lead already exceeds the best,
-    and an image set whose every |coordinate| exceeds it is skipped before
-    the four bounds are taken.  Only the winner is encoded.
+    of them is min_t |T(p_t)_{sigma_0}|, so three lower bounds on it prune,
+    each against the lead of the best so far, from the coarsest down.  Per
+    5-subset, ``_frame_low`` is the least |coordinate| over its five unit
+    choices: M_j turns the coordinates y_i of an image into y_i - y_j and
+    -y_j, so it is the least of |y_i| and |y_i - y_j| over the one reduced
+    image set, and a 5-subset whose bound exceeds the best lead is skipped
+    before any unit swap is built.  Per image set, one whose every
+    |coordinate| exceeds the best lead is skipped; per image set and leading
+    coordinate, the six orders whose lead exceeds it are.  Only the winner
+    is encoded.
     """
     return bracket_form(BracketTable(config))
 
@@ -156,17 +164,20 @@ def canonical_form(config: Configuration) -> bytes:
 def bracket_form(br: BracketTable) -> bytes:
     """``canonical_form`` of a configuration, from its bracket table ``br``."""
     best = None
-    for ys in _image_sets(br):
-        if best is not None and min(map(abs, itertools.chain.from_iterable(ys))) > best[0][0]:
-            continue  # every lead exceeds the best
-        lows = [min(map(abs, col)) for col in zip(*ys)]
-        for lead, orders in enumerate(_ORDERS_BY_LEAD):
-            if best is not None and lows[lead] > best[0][0]:
-                continue
-            for order in orders:
-                cand = sorted([_oriented(order(y)) for y in ys])
-                if best is None or cand < best:
-                    best = cand
+    for reduced in _reduced_frames(br):
+        if best is not None and _frame_low(reduced) > best[0][0]:
+            continue  # every lead of the five unit choices exceeds the best
+        for ys in _unit_choices(reduced):
+            if best is not None and min(map(abs, itertools.chain.from_iterable(ys))) > best[0][0]:
+                continue  # every lead exceeds the best
+            lows = [min(map(abs, col)) for col in zip(*ys)]
+            for lead, orders in enumerate(_ORDERS_BY_LEAD):
+                if best is not None and lows[lead] > best[0][0]:
+                    continue
+                for order in orders:
+                    cand = sorted([_oriented(order(y)) for y in ys])
+                    if best is None or cand < best:
+                        best = cand
     if best is None:
         raise NoFrameError(_NO_FRAME)
     return serialize_points(br.k, sorted(_FRAME_IMAGES + tuple(best)))
@@ -191,21 +202,37 @@ def _frames(br: BracketTable, base, first):
         yield u, _reduce(vecs[:n] + vecs[n + 1:], c)
 
 
-def _image_sets(br: BracketTable):
-    """The image set of every frame of a configuration, in the candidate order.
+def _reduced_frames(br: BracketTable):
+    """The reduced image set of every frame with its largest label as unit point, in scan order.
 
     For each base of labels below k, in lexicographic order, and each unit
     point u above its last label that makes base + u a frame (``_frames``),
-    this yields the k - 5 other points reduced in that frame, then the same
-    list under each of the four unit swaps.  ``bracket_form`` and
-    ``equivalent`` both read it; a reader that stops early has read only the
-    brackets around the bases scanned so far.
+    this yields the k - 5 other points reduced in that frame.  The candidate
+    order is this one with each image set followed by its four unit swaps
+    (``_unit_choices``); ``bracket_form`` and ``equivalent`` both expand a
+    frame only past its bound (``_frame_low``).  A reader that stops early
+    has read only the brackets around the bases scanned so far.
     """
     for base in itertools.combinations(range(1, br.k), 4):
         for _, reduced in _frames(br, base, base[3] + 1):
             yield reduced
-            for j in range(4):
-                yield _swap_unit(reduced, j)
+
+
+def _unit_choices(ys):
+    """The image set ``ys`` of a 5-subset with u as unit point, then with each b_j as unit point."""
+    yield ys
+    for j in range(4):
+        yield _swap_unit(ys, j)
+
+
+def _frame_low(ys):
+    """The least |coordinate| over the five image sets of ``_unit_choices(ys)``.
+
+    Their coordinates are the y_i (unit u) and the y_i - y_j and -y_j (M_j)
+    of each image y, so the least is that of |y_i| and |y_i - y_j|, i < j.
+    """
+    return min([min(abs(a), abs(b), abs(c), abs(d), abs(a - b), abs(a - c), abs(a - d),
+                    abs(b - c), abs(b - d), abs(c - d)) for a, b, c, d in ys])
 
 
 def normalized_at(br: BracketTable, base) -> Configuration | None:
@@ -249,26 +276,33 @@ def equivalent(a: Configuration, b: Configuration) -> bool:
     image sets of ``b`` are scanned until one of their 24 orders gives the
     target.  Reordering the vertices and orienting and sorting the images
     leave the multiset of |coordinates| of an image set as it is, so an
-    image set whose multiset differs from the target's is skipped.  When
-    the sizes differ, only whether ``b`` has a frame is read: without one
-    the input is rejected, as at equal sizes.
+    image set whose multiset differs from the target's is skipped.  A
+    matching image set has the target's least |coordinate|, so a 5-subset
+    whose bound ``_frame_low`` (the least |coordinate| over its five unit
+    choices) exceeds it is skipped before any unit swap is built; on a
+    verdict of False every 5-subset of ``b`` is read.  When the sizes
+    differ, only whether ``b`` has a frame is read: without one the input
+    is rejected, as at equal sizes.
     """
-    first = next(_image_sets(BracketTable(a)), None)
+    first = next(_reduced_frames(BracketTable(a)), None)
     if first is None:
         raise NoFrameError(_NO_FRAME)
     target = sorted([_oriented(y) for y in first])
     profile = _abs_profile(target)
-    sets = _image_sets(BracketTable(b))
+    frames = _reduced_frames(BracketTable(b))
     if a.k != b.k:
-        sets = itertools.islice(sets, 1)  # no image set of b can match: only its frame is read
+        frames = itertools.islice(frames, 1)  # no image set of b can match: only its frame is read
     framed = False
-    for ys in sets:
+    for reduced in frames:
         framed = True
-        if _abs_profile(ys) != profile:
-            continue
-        for order in _ORDERS:
-            if sorted([_oriented(order(y)) for y in ys]) == target:
-                return True
+        if _frame_low(reduced) > profile[0]:
+            continue  # no unit choice has the target's least |coordinate|
+        for ys in _unit_choices(reduced):
+            if _abs_profile(ys) != profile:
+                continue
+            for order in _ORDERS:
+                if sorted([_oriented(order(y)) for y in ys]) == target:
+                    return True
     if not framed:
         raise NoFrameError(_NO_FRAME)
     return False

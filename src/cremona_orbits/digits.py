@@ -9,24 +9,41 @@ digits, which no setting of the cap refuses.  The cap itself is never changed.
 
 from __future__ import annotations
 
+import functools
 import re
 
 # at most 579 digits: below the 640-digit floor of any int/str conversion cap
-_DIRECT_BITS = 1920
 _DIRECT_DIGITS = 579
+_DIRECT_LIMIT = 10 ** _DIRECT_DIGITS
 _DECIMAL = re.compile(r"[+-]?[0-9]+\Z")
+
+
+@functools.cache
+def _rung(j: int) -> int:
+    """10 ** (579 * 2 ** j), a split point of ``int_to_decimal``.
+
+    A number of d digits needs the rungs j <= log2(d / 579), so the cache
+    holds one rung per doubling of the widest number converted so far.
+    """
+    return 10 ** (_DIRECT_DIGITS << j)
 
 
 def int_to_decimal(n: int) -> str:
     """``str(n)`` for an int of any size."""
     if n < 0:
         return "-" + int_to_decimal(-n)
-    if n.bit_length() <= _DIRECT_BITS:
+    if n < _DIRECT_LIMIT:
         return str(n)
-    # split near half the digit count; log10(2) < 0.30103
-    half = n.bit_length() * 30103 // 200000
-    hi, lo = divmod(n, 10 ** half)
-    return int_to_decimal(hi) + int_to_decimal(lo).rjust(half, "0")
+    # the highest rung 10 ** width with width <= low, a lower bound of the
+    # digit count of n less one (log10(2) > 0.30102): the rung is at most n, so
+    # the high part is nonzero and writes no leading zero, and the low part
+    # holds at least half the digits and splits at the next rung down
+    low = (n.bit_length() - 1) * 30102 // 100000
+    j = 0
+    while _DIRECT_DIGITS << (j + 1) <= low:
+        j += 1
+    hi, lo = divmod(n, _rung(j))
+    return int_to_decimal(hi) + int_to_decimal(lo).rjust(_DIRECT_DIGITS << j, "0")
 
 
 def decimal_to_int(text: str) -> int:

@@ -215,7 +215,8 @@ def report_from_obj(obj) -> IterationReport:
     Built from the stored keys, with k = 8 (the iterate's only k); each key
     of ``_derived_keys`` must then render to the writer's own JSON text, so
     ``1`` or ``"1"`` never passes for ``true`` or ``1``, nor an extra key.
-    ``steps_requested`` is an int >= max(1, steps completed), above it only where (*) fails last.
+    ``steps_requested`` is an int >= max(1, steps completed), above it only where (*) fails last;
+    (*) holds at every step before the last, since the iterate stops where it fails.
     """
     keys = ("steps_requested",) + _STEP_KEYS
     if not isinstance(obj, dict) or any(key not in obj for key in keys):
@@ -239,10 +240,11 @@ def report_from_obj(obj) -> IterationReport:
         coplanar_tuples=tuple(tuple(_subset(sub, cfg.k) for sub in step)
                               for step, cfg in zip(obj["coplanar_tuples"], configs)),
         canonical_forms=forms)
-    requested = report.steps_requested
+    requested, star_ok = report.steps_requested, report.star_ok
     if (type(requested) is not int or requested < max(1, report.steps_completed)
-            or report.truncated and report.star_ok[-1]):
-        raise FormatError("report 'steps_requested' does not fit its steps and (*) verdicts")
+            or report.truncated and star_ok[-1] or not all(star_ok[:-1])):
+        raise FormatError("report 'steps_requested' and (*) verdicts are not what the iterate "
+                          "writes: it stops at the first step where (*) fails")
     for key, value in _derived_keys(report).items():  # a missing key reads as null
         if _json_text(obj.get(key)) != _json_text(value):
             raise FormatError("report %r disagrees with what its stored keys give" % key)

@@ -183,16 +183,19 @@ def brute_force_canonical_bytes(config) -> bytes:
 def unpruned_form(config) -> bytes:
     """``canonical_form`` with its selection done the long way.
 
-    The least candidate over every image set of ``canonical._image_sets`` and
-    all 24 vertex orders, with no prune.  Cheaper than the two references
-    above at k = 10, it checks the selection, not the image sets.
+    The least candidate over every image set of the candidate order (each
+    frame of ``canonical._reduced_frames`` with its five
+    ``canonical._unit_choices``) and all 24 vertex orders, with no prune.
+    Cheaper than the two references above at k = 10, it checks the
+    selection, not the image sets.
     """
     best = None
-    for ys in canonical._image_sets(co.projective.BracketTable(config)):
-        for sigma in itertools.permutations(range(4)):
-            cand = sorted(_signed(y, sigma) for y in ys)
-            if best is None or cand < best:
-                best = cand
+    for reduced in canonical._reduced_frames(co.projective.BracketTable(config)):
+        for ys in canonical._unit_choices(reduced):
+            for sigma in itertools.permutations(range(4)):
+                cand = sorted(_signed(y, sigma) for y in ys)
+                if best is None or cand < best:
+                    best = cand
     if best is None:
         raise co.NoFrameError("no frame among the test points")
     return _encode(config.k, sorted(canonical._FRAME_IMAGES + tuple(best)))

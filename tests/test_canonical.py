@@ -56,7 +56,7 @@ def test_brute_force_oracles_share_no_rule_with_the_form(monkeypatch):
         raise AssertionError("the oracle reached the rule it checks")
 
     for module, name in ((co.projective, "cramer"), (canonical, "cramer"),
-                         (canonical, "_image_sets")):
+                         (canonical, "_reduced_frames")):
         monkeypatch.setattr(module, name, broken)
     assert brute_force_canonical(cfg) == form
     assert brute_force_canonical_bytes(cfg) == brute_force_canonical_bytes(image)
@@ -150,6 +150,34 @@ def test_selection_matches_unpruned_oracle(k):
         assert co.canonical_form(cfg) == unpruned_form(cfg)
 
 
+@pytest.mark.parametrize("k", (8, 9, 10))
+def test_frame_bound_is_the_least_coordinate_of_the_unit_choices(k):
+    # on every frame of the corpus; the small and coplanar inputs have zero coordinates
+    zeros = 0
+    for cfg in _selection_corpus(k):
+        for reduced in canonical._reduced_frames(co.projective.BracketTable(cfg)):
+            sets = [reduced] + [canonical._swap_unit(reduced, j) for j in range(4)]
+            want = min(abs(v) for ys in sets for y in ys for v in y)
+            assert canonical._frame_low(reduced) == want
+            zeros += want == 0
+    assert zeros > 0
+
+
+def test_frame_bound_skips_most_unit_swaps(monkeypatch):
+    # 16 of the 56 x 4 unit swaps of this form are built, counted when the
+    # frame bound came in: a change that disables the bound builds all 224
+    calls = []
+    real = canonical._swap_unit
+
+    def counted(ys, j):
+        calls.append(j)
+        return real(ys, j)
+
+    monkeypatch.setattr(canonical, "_swap_unit", counted)
+    co.canonical_form(co.random_config(7, 10))
+    assert len(calls) == 16
+
+
 def _on_planes(seed, planes):
     """random_config(seed, 6) with each point t moved onto the plane of the labels planes[t]."""
     rng = random.Random(seed)
@@ -192,8 +220,8 @@ def test_equivalence_target_from_the_brackets_around_1234(make, lone, monkeypatc
     full = co.projective.BracketTable(a)
     for sub in itertools.combinations(range(1, a.k + 1), 4):
         full[sub]  # a miss: the table computes it
-    want = next(canonical._image_sets(full))
-    assert next(canonical._image_sets(co.projective.BracketTable(a))) == want
+    want = next(canonical._reduced_frames(full))
+    assert next(canonical._reduced_frames(co.projective.BracketTable(a))) == want
 
 
 def test_equivalence_target_with_1234_coplanar_counts_det4(monkeypatch):

@@ -361,8 +361,8 @@ def test_lattice_cert_bytes_are_pinned(tmp_path, k, digest):
 
 
 def test_lattice_cert_bytes_past_the_digit_split_are_pinned(tmp_path):
-    # at N = 4000 the k = 24 degrees pass the 1920-bit split of
-    # digits.int_to_decimal, so both files pin the text of split degrees
+    # at N = 4000 the k = 24 degrees pass 10 ** 579 (about 1923 bits), where
+    # digits.int_to_decimal splits, so both files pin the text of split degrees
     out = tmp_path / "cert.json"
     table = tmp_path / "cert.json.degrees.csv"
     assert run(["lattice-cert", "--k", 24, "--N", 4000, "--out", out]) == 0

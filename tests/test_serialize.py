@@ -1,6 +1,7 @@
 """JSON round trips, schema validation, manifests, CSV."""
 
 import csv
+import decimal
 import io
 import json
 import random
@@ -8,7 +9,7 @@ import random
 import pytest
 
 import cremona_orbits as co
-from cremona_orbits import serialize
+from cremona_orbits import digits, serialize
 from cremona_orbits.digits import decimal_to_int, int_to_decimal
 from helpers import cfg_from_rows, moved, special_coplanar_config
 
@@ -68,6 +69,23 @@ def test_reader_rejects_non_integer_coordinates(tmp_path, bad):
     path.write_text(json.dumps(obj))
     with pytest.raises(co.FormatError):
         serialize.load_config(path)
+
+
+def test_decimal_text_splits_at_a_bounded_ladder():
+    # str(Decimal(n)) is decimal's own conversion, under no int/str digit cap.
+    # Up to about 50k digits the splits use the rungs 10 ** (579 * 2 ** j),
+    # j = 0..6, whatever the bit lengths in between: no rung per bit length
+    digits._rung.cache_clear()
+    rng = random.Random(7)
+    values = [9, 10 ** 579 - 1, 10 ** 579, 10 ** 1158, 10 ** 37056 - 1, 10 ** 37056 + 1]
+    for bits in [1920, 1921, 1923, 1924, 1930, *range(2000, 166000, 8191), 166096]:
+        values.append(rng.getrandbits(bits) | 1 << (bits - 1))
+    assert int_to_decimal(0) == "0"
+    for v in values:
+        want = str(decimal.Decimal(v))
+        assert int_to_decimal(v) == want and int_to_decimal(-v) == "-" + want
+    assert max(values).bit_length() == 166096  # 50,000 digits
+    assert digits._rung.cache_info().currsize == 7
 
 
 def test_reader_rejects_zero_point(tmp_path):
@@ -199,6 +217,9 @@ def test_report_roundtrip(tmp_path):
     lambda o: o.__setitem__("steps_requested", 0),
     lambda o: o.__setitem__("steps_requested", 1),
     lambda o: o.__setitem__("steps_requested", 3),
+    # (*) failing before the last step, which the iterate never writes: it stops there
+    lambda o: (o["coplanar_tuples"].__setitem__(0, [[1, 2, 3, 4]]),
+               o["star_ok"].__setitem__(0, False)),
 ])
 def test_report_reader_rejects_inconsistent_reports(mutate):
     obj = serialize.report_to_obj(co.coxeter_iterate(co.random_config(7, 10), 2))
@@ -247,7 +268,7 @@ def test_manifest_and_degree_csv(tmp_path):
 
 
 def test_degree_csv_matches_csv_writer(tmp_path):
-    # degrees on both sides of the 1920-bit split in digits.int_to_decimal
+    # degrees on both sides of 10 ** 579 (about 1923 bits), where digits.int_to_decimal splits
     rng = random.Random(5)
     degrees = [0, 1, -7]
     degrees += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (64, 1919, 1920, 1921, 4000)]
