@@ -136,7 +136,7 @@ def canonical_form(config: Configuration) -> bytes:
     M_j to a whole image set in one comprehension.
 
     Cost.  C(k, 5) five-subsets times 5 unit points give 280, 630 and 1260
-    image sets of k - 5 images at k = 8, 9 and 10.  The prune below drops
+    image sets of k - 5 images at k = 8, 9 and 10.  The two bounds below drop
     most 5-subsets before any unit swap is built (16 of the 224 swaps are
     built for ``random_config(7, 10)``) and all but a few image sets before
     any vertex order is sorted.
@@ -146,16 +146,18 @@ def canonical_form(config: Configuration) -> bytes:
     of the k - 5 remaining points.  A vertex order sigma turns an image set
     into a candidate: each image is read in the order sigma, oriented
     (``_oriented``: a tuple exceeds zero iff its first nonzero entry is
-    positive), and the results are sorted.  The first coordinate of the least
-    of them is min_t |T(p_t)_{sigma_0}|, so three lower bounds on it prune,
-    each against the lead of the best so far, from the coarsest down.  Per
-    5-subset, ``_frame_low`` is the least |coordinate| over its five unit
-    choices: M_j turns the coordinates y_i of an image into y_i - y_j and
-    -y_j, so it is the least of |y_i| and |y_i - y_j| over the one reduced
-    image set, and a 5-subset whose bound exceeds the best lead is skipped
-    before any unit swap is built.  Per image set, one whose every
-    |coordinate| exceeds the best lead is skipped; per image set and leading
-    coordinate, the six orders whose lead exceeds it are.  Only the winner
+    positive), and the results are sorted.  The search starts from the first
+    candidate, the first image set read in the given vertex order
+    (``_scan``).  The first coordinate of the least image is
+    min_t |T(p_t)_{sigma_0}|, so two lower bounds on it prune, each against
+    the lead of the best so far.  Per 5-subset, ``_frame_low`` is the least
+    |coordinate| over its five unit choices: M_j turns the coordinates y_i
+    of an image into y_i - y_j and -y_j, so it is the least of |y_i| and
+    |y_i - y_j| over the one reduced image set, and a 5-subset whose bound
+    exceeds the best lead is skipped before any unit swap is built.  Per
+    image set and leading coordinate, the six orders are skipped when the
+    least |coordinate| in that position exceeds the best lead, so an image
+    set whose every |coordinate| exceeds it sorts no order.  Only the winner
     is encoded.
     """
     return bracket_form(BracketTable(config))
@@ -163,24 +165,33 @@ def canonical_form(config: Configuration) -> bytes:
 
 def bracket_form(br: BracketTable) -> bytes:
     """``canonical_form`` of a configuration, from its bracket table ``br``."""
-    best = None
-    for reduced in _reduced_frames(br):
-        if best is not None and _frame_low(reduced) > best[0][0]:
+    best, frames = _scan(br)
+    for reduced in frames:
+        if _frame_low(reduced) > best[0][0]:
             continue  # every lead of the five unit choices exceeds the best
         for ys in _unit_choices(reduced):
-            if best is not None and min(map(abs, itertools.chain.from_iterable(ys))) > best[0][0]:
-                continue  # every lead exceeds the best
             lows = [min(map(abs, col)) for col in zip(*ys)]
             for lead, orders in enumerate(_ORDERS_BY_LEAD):
-                if best is not None and lows[lead] > best[0][0]:
+                if lows[lead] > best[0][0]:
                     continue
                 for order in orders:
                     cand = sorted([_oriented(order(y)) for y in ys])
-                    if best is None or cand < best:
+                    if cand < best:
                         best = cand
-    if best is None:
-        raise NoFrameError(_NO_FRAME)
     return serialize_points(br.k, sorted(_FRAME_IMAGES + tuple(best)))
+
+
+def _scan(br: BracketTable):
+    """The first candidate of ``br``, and every reduced image set (``_reduced_frames``).
+
+    The candidate is the first image set read in the given vertex order; the
+    image sets start with that one.  NoFrameError if there is none.
+    """
+    frames = _reduced_frames(br)
+    first = next(frames, None)
+    if first is None:
+        raise NoFrameError(_NO_FRAME)
+    return sorted([_oriented(y) for y in first]), itertools.chain((first,), frames)
 
 
 def _frames(br: BracketTable, base, first):
@@ -247,14 +258,11 @@ def normalized_at(br: BracketTable, base) -> Configuration | None:
     the same canonical form and the same zero brackets, and its heights do
     not depend on the frame the configuration is written in.
     """
-    best = None
-    for u, ys in _frames(br, base, 1):
-        size = sum(abs(v).bit_length() for y in ys for v in y)
-        if best is None or size < best[0]:
-            best = size, u, ys
-    if best is None:
+    sized = [(sum(abs(v).bit_length() for y in ys for v in y), u, ys)
+             for u, ys in _frames(br, base, 1)]
+    if not sized:
         return None
-    _, u, ys = best
+    _, u, ys = min(sized)  # u breaks ties, so the images are never compared
     points = dict(zip(base, _VERTICES))
     points[u] = ProjectivePoint((1, 1, 1, 1))
     rest = [t for t in range(1, br.k + 1) if t not in points]
@@ -266,11 +274,11 @@ def equivalent(a: Configuration, b: Configuration) -> bool:
     """True iff some relabeling plus a projective map carries b onto a.
 
     The target is one candidate of ``a`` (``canonical_form``): its first
-    image set, read in the given vertex order.  Each configuration's bracket
-    table starts empty and is filled only as far as the bases scanned, so a
-    verdict of True reads ``b``'s brackets only up to the match.  The
-    candidate multiset is invariant under PGL(4) x S_k, so if a ~ b the
-    target is a candidate of ``b``.  Conversely, a candidate of ``b`` equal
+    image set, read in the given vertex order (``_scan``).  Each
+    configuration's bracket table starts empty and is filled only as far as
+    the bases scanned, so a verdict of True reads ``b``'s brackets only up
+    to the match.  The candidate multiset is invariant under PGL(4) x S_k,
+    so if a ~ b the target is a candidate of ``b``.  Conversely, a candidate of ``b`` equal
     to it comes from frames F of a and F' of b with T_F(a) = T_F'(b) as
     point sets, so T_F'^{-1} T_F carries a onto b up to relabeling.  So the
     image sets of ``b`` are scanned until one of their 24 orders gives the
@@ -281,20 +289,15 @@ def equivalent(a: Configuration, b: Configuration) -> bool:
     whose bound ``_frame_low`` (the least |coordinate| over its five unit
     choices) exceeds it is skipped before any unit swap is built; on a
     verdict of False every 5-subset of ``b`` is read.  When the sizes
-    differ, only whether ``b`` has a frame is read: without one the input
-    is rejected, as at equal sizes.
+    differ, the verdict is False once ``b``'s first frame is read: without
+    one the input is rejected, as at equal sizes.
     """
-    first = next(_reduced_frames(BracketTable(a)), None)
-    if first is None:
-        raise NoFrameError(_NO_FRAME)
-    target = sorted([_oriented(y) for y in first])
-    profile = _abs_profile(target)
-    frames = _reduced_frames(BracketTable(b))
+    target, _ = _scan(BracketTable(a))
+    _, frames = _scan(BracketTable(b))
     if a.k != b.k:
-        frames = itertools.islice(frames, 1)  # no image set of b can match: only its frame is read
-    framed = False
+        return False  # no image set of b can match: only its first frame is read
+    profile = _abs_profile(target)
     for reduced in frames:
-        framed = True
         if _frame_low(reduced) > profile[0]:
             continue  # no unit choice has the target's least |coordinate|
         for ys in _unit_choices(reduced):
@@ -303,8 +306,6 @@ def equivalent(a: Configuration, b: Configuration) -> bool:
             for order in _ORDERS:
                 if sorted([_oriented(order(y)) for y in ys]) == target:
                     return True
-    if not framed:
-        raise NoFrameError(_NO_FRAME)
     return False
 
 

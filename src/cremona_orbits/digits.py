@@ -20,7 +20,7 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+\Z")
 
 @functools.cache
 def _rung(j: int) -> int:
-    """10 ** (579 * 2 ** j), a split point of ``int_to_decimal``.
+    """10 ** (579 * 2 ** j), a split point of ``int_to_decimal`` and ``_parse_digits``.
 
     A number of d digits needs the rungs j <= log2(d / 579), so the cache
     holds one rung per doubling of the widest number converted so far.
@@ -59,5 +59,11 @@ def _parse_digits(text: str) -> int:
         return int(text)
     if text[0] == "-":
         return -_parse_digits(text[1:])
-    half = len(text) // 2
-    return _parse_digits(text[:-half]) * 10 ** half + _parse_digits(text[-half:])
+    # the highest rung 10 ** width with width below the length: the high part
+    # keeps at least one digit and at most as many as the low part, which
+    # splits at the next rung down
+    j = 0
+    while _DIRECT_DIGITS << (j + 1) < len(text):
+        j += 1
+    width = _DIRECT_DIGITS << j
+    return _parse_digits(text[:-width]) * _rung(j) + _parse_digits(text[-width:])

@@ -12,7 +12,7 @@ centers to build a frame-normalized copy, and condition (*), the canonical
 form, the coplanar scan and the next move from the copy's 70-bracket table; it
 stores the configuration each move produces, 4.1k bits tall at step 17 of
 ``random_config(7, 10)``.  ``consistency_check`` rescans the stored points
-through a ``ZeroTable`` (zero tests only).
+with no table, residue first (``_zero_subsets``).
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from .canonical import bracket_form, canonical_form, normalized_at
 from .errors import NoFrameError, StarViolationError, UsageError
 from .lattice import DivisorClass, cyclic_shift, iterate_class, plane_through_last_four
-from .projective import (BracketTable, CenterSet, Configuration, ZeroTable, cremona_image,
-                         permute_config, star_witness)
+from .linalg import det4
+from .projective import (BracketTable, CenterSet, Configuration, cremona_image, permute_config,
+                         star_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +151,14 @@ def consistency_check(report: IterationReport) -> bool:
     """Rescan the stored points and test each step's scan against its tracked class.
 
     The zero scan of each configuration, which covers the 17 brackets of
-    (*), comes from one fresh ``ZeroTable`` (zero tests only) of its stored
-    points, independent of the normalized copies the iterate scanned.
+    (*), comes from its stored points (``_zero_subsets``), independent of
+    the normalized copies the iterate scanned.
 
     Coplanar 4-tuples may only occur where the step's tracked class is a plane
     class H - E_a - E_b - E_c - E_d, and then only at exactly {a,b,c,d}.
     """
     for cfg, found, cls in zip(report.configs, report.coplanar_tuples, report.tracked):
-        if _zero_brackets(ZeroTable(cfg)) != found:
+        if _zero_subsets(cfg) != found:
             return False
         if found:
             if cls.d != 1 or any(mi not in (0, 1) for mi in cls.m):
@@ -166,6 +167,28 @@ def consistency_check(report: IterationReport) -> bool:
             if len(ones) != 4 or found != (ones,):
                 return False
     return True
+
+
+# the prime of _zero_subsets' residues, and the bound (p - 1) / 2 of their size
+_P = (1 << 61) - 1
+_H = _P // 2
+
+
+def _zero_subsets(config: Configuration):
+    """The sorted 4-subsets with a zero bracket, in lexicographic order, residue first.
+
+    Each bracket is read once, as its residue mod the prime p = 2^61 - 1: a
+    nonzero residue proves the bracket nonzero, and a zero one is confirmed
+    by the exact bracket, so every zero stays exact.  The coordinates are
+    reduced mod p once, to the representative of least absolute value, so a
+    tall configuration pays for short determinants and a short one keeps
+    its coordinates.
+    """
+    pts = (None,) + tuple(p.coords for p in config.points)
+    res = (None,) + tuple(tuple((v + _H) % _P - _H for v in p) for p in pts[1:])
+    return tuple((a, b, c, d) for a, b, c, d in itertools.combinations(range(1, config.k + 1), 4)
+                 if det4((res[a], res[b], res[c], res[d])) % _P == 0
+                 and det4((pts[a], pts[b], pts[c], pts[d])) == 0)
 
 
 # ---------------------------------------------------------------------------

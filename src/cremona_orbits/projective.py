@@ -11,8 +11,8 @@ coplanar scan read it directly; the Cremona image and the canonical form read
 it through one Cramer rule (``cramer``).  Each reader builds its own table
 and fills only what it reads: a lone ``cremona_at`` or ``star_violation``
 reads the 1 + 4(k - 4) brackets around its centers.  ``orbit``'s rescan of
-the stored points, which only tests their brackets against zero, reads a
-``ZeroTable`` instead.
+the stored points, which only tests their brackets against zero, reads no
+table: it takes each residue first (``orbit._zero_subsets``).
 """
 
 from __future__ import annotations
@@ -148,39 +148,6 @@ class BracketTable(dict):
     def __missing__(self, sub):
         pts = self._pts
         value = self[sub] = det4((pts[sub[0]], pts[sub[1]], pts[sub[2]], pts[sub[3]]))
-        return value
-
-
-# the prime of ZeroTable's residues, and the bound (p - 1) / 2 of their size
-_P = (1 << 61) - 1
-_H = _P // 2
-
-
-class ZeroTable(BracketTable):
-    """Zero tests of the brackets of a configuration, by sorted 4-subset: not brackets.
-
-    A value is nonzero exactly when the bracket is, and that is all it says.
-    It is the bracket's residue mod the prime p = 2^61 - 1 when that residue
-    is nonzero, which proves the bracket nonzero; a zero residue is confirmed
-    by the exact bracket from ``BracketTable``, so every zero stays exact.
-    The residues come from coordinates reduced mod p once, when the table is
-    built, to the representative of least absolute value, so a tall
-    configuration pays for short determinants and a short one keeps its
-    coordinates.  Read it only against zero: ``cramer`` must never read one.
-    """
-
-    __slots__ = ("_res",)
-
-    def __init__(self, config: Configuration):
-        super().__init__(config)
-        self._res = (None,) + tuple(tuple((v + _H) % _P - _H for v in p) for p in self._pts[1:])
-
-    def __missing__(self, sub):
-        res = self._res
-        value = det4((res[sub[0]], res[sub[1]], res[sub[2]], res[sub[3]])) % _P
-        if value == 0:
-            return BracketTable.__missing__(self, sub)
-        self[sub] = value
         return value
 
 

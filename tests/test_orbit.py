@@ -1,10 +1,13 @@
 """Orbit drivers: the Cremona-then-shift iteration and the BFS exploration."""
 
+import collections
 import dataclasses
+import itertools
 
 import pytest
 
 import cremona_orbits as co
+from cremona_orbits import linalg
 from cremona_orbits import orbit as orbit_mod
 from cremona_orbits import serialize
 from cremona_orbits.canonical import normalized_at
@@ -72,6 +75,7 @@ def test_one_bracket_table_per_configuration(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(co.projective, name, counted)
+    monkeypatch.setattr(orbit_mod, "det4", co.projective.det4)  # the rescan's det4
     report = co.coxeter_iterate(cfg, 3)
     # per configuration: the 17 brackets around the centers, the 70 of its normalized copy
     iterate = 4 * (17 + 70)
@@ -135,13 +139,13 @@ def test_consistency_check_reads_only_residues_of_a_tall_report(monkeypatch):
     report = stored_stepping_iterate(co.random_config(7, 10), 17)
     assert report.coplanar_tuples == ((),) * 18 and max(report.bit_lengths) > 15000
     operands = []
-    real = co.projective.det4
+    real = orbit_mod.det4
 
     def counted(m):
         operands.extend(v for row in m for v in row)
         return real(m)
 
-    monkeypatch.setattr(co.projective, "det4", counted)
+    monkeypatch.setattr(orbit_mod, "det4", counted)
     assert co.consistency_check(report)
     assert len(operands) == 18 * 70 * 16
     assert all(abs(v) <= ((1 << 61) - 1) // 2 for v in operands)
@@ -239,6 +243,70 @@ def test_consistency_check_detects_corruption():
         canonical_forms=special.canonical_forms[:1] * 2)
     assert repeated.tracked[1].d == 3
     assert not co.consistency_check(repeated)
+
+
+# ---------------------------------------------------------------------------
+# the zero rescan
+
+P = (1 << 61) - 1  # the prime of the rescan's residues
+
+
+def test_zero_subsets_are_the_bracket_zeros():
+    configs = list(co.coxeter_iterate(co.random_config(7, 10), 17).configs)
+    for seed in range(4):
+        special = special_coplanar_config(seed)
+        configs += [special, co.cremona_at(special, CENTERS)]
+    # the stored points of the iterate's partial reports
+    for bad in star_failing_configs():
+        with pytest.raises(co.StarViolationError) as err:
+            co.coxeter_iterate(bad, 1)
+        configs += err.value.partial_report.configs
+    for cfg in configs:
+        exact = BracketTable(cfg)
+        want = tuple(sub for sub in itertools.combinations(range(1, cfg.k + 1), 4)
+                     if exact[sub] == 0)
+        assert orbit_mod._zero_subsets(cfg) == want
+
+
+# e0, e1, e2 and a point whose last coordinate is +-p or 2p, so [1234] is a
+# nonzero multiple of p; every other point has a coordinate of absolute value
+# at least p, and so does every 4-subset
+E0, E1, E2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)
+TALL = [(1, 5, 3, P + 2), (2, 1, P + 4, 3), (3, 2 * P + 1, 1, 1), (P + 6, 1, 1, 5)]
+MULTIPLE_OF_P = [
+    [E0, E1, E2, (1, 2, 3, P)] + TALL,
+    [E0, E1, E2, (1, 2, 3, 2 * P)] + TALL,
+    [E0, E1, E2, (1, 2, 3, -P)] + TALL,
+    # tall and negative coordinates; e1 and points 5 and 6 are collinear, so five
+    # 4-subsets are coplanar
+    [E0, E1, E2, (4, -3, P + 2, P), (1, 5, P + 1, 2), (2, -3, 2 * P + 2, 4),
+     (3, -(P + 7), 11, P + 5), (5, 1, -(2 * P + 3), -1)],
+]
+
+
+@pytest.mark.parametrize("rows", MULTIPLE_OF_P)
+def test_zero_subsets_confirm_each_zero_residue_exactly_once(rows, monkeypatch):
+    cfg = cfg_from_rows(rows)
+    subsets = list(itertools.combinations(range(1, 9), 4))
+    exact = {sub: linalg.det_bareiss([cfg.point(i).coords for i in sub]) for sub in subsets}
+    assert exact[(1, 2, 3, 4)] in (P, -P, 2 * P, -2 * P)
+    assert all(any(abs(v) >= P for i in sub for v in cfg.point(i).coords) for sub in subsets)
+    # residues lie in -(p - 1)/2..(p - 1)/2, so a det4 call with an operand of
+    # absolute value above p - 1 is an exact one; its rows name its 4-subset
+    label = {p.coords: t for t, p in enumerate(cfg.points, 1)}
+    tall = collections.Counter()
+    real = orbit_mod.det4
+
+    def counted(m):
+        if any(abs(v) >= P for row in m for v in row):
+            tall[tuple(label[row] for row in m)] += 1
+        return real(m)
+
+    monkeypatch.setattr(orbit_mod, "det4", counted)
+    zeros = orbit_mod._zero_subsets(cfg)
+    assert tall == {sub: 1 for sub in subsets if exact[sub] % P == 0}
+    assert zeros == tuple(sub for sub in subsets if exact[sub] == 0)
+    assert (1, 2, 3, 4) not in zeros
 
 
 # ---------------------------------------------------------------------------

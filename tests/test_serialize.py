@@ -88,6 +88,23 @@ def test_decimal_text_splits_at_a_bounded_ladder():
     assert digits._rung.cache_info().currsize == 7
 
 
+def test_decimal_reading_splits_at_the_same_ladder():
+    # int(Decimal(text)) is decimal's own conversion, under no int/str digit
+    # cap.  Texts on both sides of each rung width 579 * 2 ** j, signed and
+    # with leading zeros; a 50k-digit read takes the rungs j = 0..6 alone
+    rng = random.Random(11)
+    lengths = [1, 578, 579, 580, 1158, 1159, 1160, 2316, 2317, 2318, 4633, 9265, 18529,
+               37055, 37056, 37057, 50000]
+    for n in lengths:
+        body = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(n - 1))
+        for text in (body, "-" + body, "+" + body, "0" * rng.randint(1, 700) + body,
+                     "-" + "0" * 579 + body):
+            assert decimal_to_int(text) == int(decimal.Decimal(text)), (n, text[:3])
+    digits._rung.cache_clear()
+    assert decimal_to_int("7" * 50000) == int(decimal.Decimal("7" * 50000))
+    assert digits._rung.cache_info().currsize == 7
+
+
 def test_reader_rejects_zero_point(tmp_path):
     obj = serialize.config_to_obj(co.random_config(10, 9))
     obj["points"][0] = [0, "0", 0, 0]
