@@ -1,14 +1,16 @@
 """Configuration invariants under PGL(4) x permutation.
 
 ``canonical_form`` normalizes the configuration by every ordered 5-point
-frame (send it to e0, e1, e2, e3, (1:1:1:1)) and sorts the resulting
-canonical points; of these candidates it keeps the least in the order of
-integer point tuples and writes it as ``k|x0,x1,x2,x3;...`` in decimal.  Two
-configurations are equivalent iff their canonical forms agree; ``equivalent``
-decides this without building either form, by looking for one candidate of
-the first configuration among the candidates of the second.
+frame (send it to the standard frame ``projective._FRAME``: e0, e1, e2, e3,
+(1:1:1:1)) and sorts the resulting canonical points; of these candidates it
+keeps the least in the order of integer point tuples and writes it as
+``k|x0,x1,x2,x3;...`` in decimal.  Two configurations are equivalent iff
+their canonical forms agree; ``equivalent`` decides this without building
+either form, by looking for one candidate of the first configuration among
+the candidates of the second.  Both read the frames from one scan
+(``_scan``), in one order.
 ``normalized_at`` gives the same configuration in the frame of one base and
-unit point of its own, read from the brackets around that base.
+a unit point of its own above it, read from the brackets around that base.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ import operator
 
 from .digits import int_to_decimal
 from .errors import NoFrameError
-from .projective import (
-    _VERTICES,
-    BracketTable,
-    Configuration,
-    ProjectivePoint,
-    _oriented,
-    cramer,
-)
+from .projective import _FRAME, BracketTable, Configuration, ProjectivePoint, _oriented, cramer
 
 # the 24 orders of the four frame vertices as coordinate getters, grouped by
 # the coordinate they put first
@@ -37,9 +32,6 @@ _ORDERS_BY_LEAD = tuple(
 
 # the same 24 getters in one tuple
 _ORDERS = tuple(itertools.chain.from_iterable(_ORDERS_BY_LEAD))
-
-# images of the frame points themselves, shared by every candidate
-_FRAME_IMAGES = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1))
 
 _NO_FRAME = "no 5 points of the configuration form a projective frame"
 
@@ -178,29 +170,37 @@ def bracket_form(br: BracketTable) -> bytes:
                     cand = sorted([_oriented(order(y)) for y in ys])
                     if cand < best:
                         best = cand
-    return serialize_points(br.k, sorted(_FRAME_IMAGES + tuple(best)))
+    return serialize_points(br.k, sorted([p.coords for p in _FRAME] + best))
 
 
 def _scan(br: BracketTable):
-    """The first candidate of ``br``, and every reduced image set (``_reduced_frames``).
+    """The first candidate of ``br``, and the reduced image set of every frame, in scan order.
 
+    For each base of labels below k, in lexicographic order, and each unit
+    point u above its last label that makes base + u a frame (``_frames``),
+    the image sets hold the k - 5 other points reduced in that frame.  The
+    candidate order is this one with each image set followed by its four
+    unit swaps (``_unit_choices``); ``bracket_form`` and ``equivalent`` both
+    expand a frame only past its bound (``_frame_low``).  A reader that
+    stops early has read only the brackets around the bases scanned so far.
     The candidate is the first image set read in the given vertex order; the
     image sets start with that one.  NoFrameError if there is none.
     """
-    frames = _reduced_frames(br)
+    frames = (reduced for base in itertools.combinations(range(1, br.k), 4)
+              for _, reduced in _frames(br, base))
     first = next(frames, None)
     if first is None:
         raise NoFrameError(_NO_FRAME)
     return sorted([_oriented(y) for y in first]), itertools.chain((first,), frames)
 
 
-def _frames(br: BracketTable, base, first):
-    """u and the images of the other k - 5 points for each frame base + u with u >= first.
+def _frames(br: BracketTable, base):
+    """u and the images of the other k - 5 points for each frame base + u, u above the base.
 
-    ``base`` is a sorted 4-subset of labels and u runs upward over the other
-    labels; the images (``_reduce``, in label order) are in the frame sending
-    the base to e0..e3 and u to (1:1:1:1).  Only the brackets of base plus
-    one point are read.
+    ``base`` is a sorted 4-subset of labels and u runs upward over the
+    labels above its last one; the images (``_reduce``, in label order) are
+    in the frame sending the base to e0..e3 and u to (1:1:1:1).  Only the
+    brackets of base plus one point are read.
     """
     if br[base] == 0:
         return
@@ -208,25 +208,9 @@ def _frames(br: BracketTable, base, first):
     vecs = [cramer(br, base, t) for t in others]
     for n, u in enumerate(others):
         c = vecs[n]
-        if u < first or not all(c):
-            continue  # below first, or a zero c_i: u lies on a plane of three base points
+        if u < base[3] or not all(c):
+            continue  # below the base, or a zero c_i: u lies on a plane of three base points
         yield u, _reduce(vecs[:n] + vecs[n + 1:], c)
-
-
-def _reduced_frames(br: BracketTable):
-    """The reduced image set of every frame with its largest label as unit point, in scan order.
-
-    For each base of labels below k, in lexicographic order, and each unit
-    point u above its last label that makes base + u a frame (``_frames``),
-    this yields the k - 5 other points reduced in that frame.  The candidate
-    order is this one with each image set followed by its four unit swaps
-    (``_unit_choices``); ``bracket_form`` and ``equivalent`` both expand a
-    frame only past its bound (``_frame_low``).  A reader that stops early
-    has read only the brackets around the bases scanned so far.
-    """
-    for base in itertools.combinations(range(1, br.k), 4):
-        for _, reduced in _frames(br, base, base[3] + 1):
-            yield reduced
 
 
 def _unit_choices(ys):
@@ -250,21 +234,21 @@ def normalized_at(br: BracketTable, base) -> Configuration | None:
     """The configuration of ``br`` moved by the map sending ``base`` to e0..e3 and u to (1:1:1:1).
 
     Only the brackets of the sorted labels ``base`` plus one point are read.
-    The unit point u is the label whose images (``_frames``) are shortest in
-    total bit length, ties going to the lower label; every other point p_t
-    becomes (w_i / c_i) for w, c the Cramer vectors of t and u, as in
+    The unit point u is the label above the base whose images (``_frames``)
+    are shortest in total bit length, ties going to the lower label; above
+    the iterate's base (1,2,3,4) is every other label.  Every other point
+    p_t becomes (w_i / c_i) for w, c the Cramer vectors of t and u, as in
     ``canonical_form``.  None if base + u is a frame for no u.  The copy is
     PGL(4)-equivalent to the configuration with the same labels, so it has
     the same canonical form and the same zero brackets, and its heights do
     not depend on the frame the configuration is written in.
     """
     sized = [(sum(abs(v).bit_length() for y in ys for v in y), u, ys)
-             for u, ys in _frames(br, base, 1)]
+             for u, ys in _frames(br, base)]
     if not sized:
         return None
     _, u, ys = min(sized)  # u breaks ties, so the images are never compared
-    points = dict(zip(base, _VERTICES))
-    points[u] = ProjectivePoint((1, 1, 1, 1))
+    points = dict(zip((*base, u), _FRAME))
     rest = [t for t in range(1, br.k + 1) if t not in points]
     points.update((t, ProjectivePoint(y)) for t, y in zip(rest, ys))
     return Configuration(tuple(points[t] for t in range(1, br.k + 1)))

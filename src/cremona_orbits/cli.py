@@ -178,7 +178,6 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_lattice_cert(args) -> int:
-    # first, so that a bad k is rejected: plane_through_last_four would turn a negative k into 0
     msigma = coxeter_element(args.k)
     distinctness = distinctness_certificate(plane_through_last_four(args.k), args.N)
     relations = coxeter_relations(args.k)

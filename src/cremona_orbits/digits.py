@@ -28,20 +28,22 @@ def _rung(j: int) -> int:
     return 10 ** (_DIRECT_DIGITS << j)
 
 
+def _top_rung(d: int) -> int:
+    """The largest rung index j with 579 << j <= d, or 0: the one split rule of both directions."""
+    return max(0, (d // _DIRECT_DIGITS).bit_length() - 1)
+
+
 def int_to_decimal(n: int) -> str:
     """``str(n)`` for an int of any size."""
     if n < 0:
         return "-" + int_to_decimal(-n)
     if n < _DIRECT_LIMIT:
         return str(n)
-    # the highest rung 10 ** width with width <= low, a lower bound of the
+    # the highest rung 10 ** width with width at most a lower bound of the
     # digit count of n less one (log10(2) > 0.30102): the rung is at most n, so
     # the high part is nonzero and writes no leading zero, and the low part
     # holds at least half the digits and splits at the next rung down
-    low = (n.bit_length() - 1) * 30102 // 100000
-    j = 0
-    while _DIRECT_DIGITS << (j + 1) <= low:
-        j += 1
+    j = _top_rung((n.bit_length() - 1) * 30102 // 100000)
     hi, lo = divmod(n, _rung(j))
     return int_to_decimal(hi) + int_to_decimal(lo).rjust(_DIRECT_DIGITS << j, "0")
 
@@ -62,8 +64,6 @@ def _parse_digits(text: str) -> int:
     # the highest rung 10 ** width with width below the length: the high part
     # keeps at least one digit and at most as many as the low part, which
     # splits at the next rung down
-    j = 0
-    while _DIRECT_DIGITS << (j + 1) < len(text):
-        j += 1
+    j = _top_rung(len(text) - 1)
     width = _DIRECT_DIGITS << j
     return _parse_digits(text[:-width]) * _rung(j) + _parse_digits(text[-width:])

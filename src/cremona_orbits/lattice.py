@@ -63,11 +63,9 @@ class LatticeMap:
 # basic classes
 
 def plane_through_last_four(k: int = 8) -> DivisorClass:
-    """H - E_{k-3} - E_{k-2} - E_{k-1} - E_k (H minus every E_i when k < 4)."""
-    m = [0] * k
-    for i in range(max(k - 4, 0), k):
-        m[i] = 1
-    return DivisorClass(1, tuple(m))
+    """H - E_{k-3} - E_{k-2} - E_{k-1} - E_k, for k checked by ``_check_rank``."""
+    _check_rank(k)
+    return DivisorClass(1, (0,) * (k - 4) + (1, 1, 1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ centers to build a frame-normalized copy, and condition (*), the canonical
 form, the coplanar scan and the next move from the copy's 70-bracket table; it
 stores the configuration each move produces, 4.1k bits tall at step 17 of
 ``random_config(7, 10)``.  ``consistency_check`` rescans the stored points
-with no table, residue first (``_zero_subsets``).
+with ``coplanar_scan``, the one zero scan of a configuration's points: it
+builds no table and takes each bracket's residue first.
 """
 
 from __future__ import annotations
@@ -38,9 +39,26 @@ def _zero_brackets(br: BracketTable):
     return tuple(sub for sub in itertools.combinations(range(1, br.k + 1), 4) if br[sub] == 0)
 
 
+# the prime of coplanar_scan's residues, and the bound (p - 1) / 2 of their size
+_P = (1 << 61) - 1
+_H = _P // 2
+
+
 def coplanar_scan(config: Configuration) -> tuple[tuple[int, int, int, int], ...]:
-    """All 4-subsets of labels (sorted) whose points lie on a common plane."""
-    return _zero_brackets(BracketTable(config))
+    """All 4-subsets of labels (sorted) whose points lie on a common plane, residue first.
+
+    Each bracket is read once, as its residue mod the prime p = 2^61 - 1: a
+    nonzero residue proves the bracket nonzero, and a zero one is confirmed
+    by the exact bracket, so every zero stays exact.  The coordinates are
+    reduced mod p once, to the representative of least absolute value, so a
+    tall configuration pays for short determinants and a short one keeps
+    its coordinates.  No bracket table is built.
+    """
+    pts = (None,) + tuple(p.coords for p in config.points)
+    res = (None,) + tuple(tuple((v + _H) % _P - _H for v in p) for p in pts[1:])
+    return tuple((a, b, c, d) for a, b, c, d in itertools.combinations(range(1, config.k + 1), 4)
+                 if det4((res[a], res[b], res[c], res[d])) % _P == 0
+                 and det4((pts[a], pts[b], pts[c], pts[d])) == 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,14 +169,14 @@ def consistency_check(report: IterationReport) -> bool:
     """Rescan the stored points and test each step's scan against its tracked class.
 
     The zero scan of each configuration, which covers the 17 brackets of
-    (*), comes from its stored points (``_zero_subsets``), independent of
+    (*), comes from its stored points (``coplanar_scan``), independent of
     the normalized copies the iterate scanned.
 
     Coplanar 4-tuples may only occur where the step's tracked class is a plane
     class H - E_a - E_b - E_c - E_d, and then only at exactly {a,b,c,d}.
     """
     for cfg, found, cls in zip(report.configs, report.coplanar_tuples, report.tracked):
-        if _zero_subsets(cfg) != found:
+        if coplanar_scan(cfg) != found:
             return False
         if found:
             if cls.d != 1 or any(mi not in (0, 1) for mi in cls.m):
@@ -167,28 +185,6 @@ def consistency_check(report: IterationReport) -> bool:
             if len(ones) != 4 or found != (ones,):
                 return False
     return True
-
-
-# the prime of _zero_subsets' residues, and the bound (p - 1) / 2 of their size
-_P = (1 << 61) - 1
-_H = _P // 2
-
-
-def _zero_subsets(config: Configuration):
-    """The sorted 4-subsets with a zero bracket, in lexicographic order, residue first.
-
-    Each bracket is read once, as its residue mod the prime p = 2^61 - 1: a
-    nonzero residue proves the bracket nonzero, and a zero one is confirmed
-    by the exact bracket, so every zero stays exact.  The coordinates are
-    reduced mod p once, to the representative of least absolute value, so a
-    tall configuration pays for short determinants and a short one keeps
-    its coordinates.
-    """
-    pts = (None,) + tuple(p.coords for p in config.points)
-    res = (None,) + tuple(tuple((v + _H) % _P - _H for v in p) for p in pts[1:])
-    return tuple((a, b, c, d) for a, b, c, d in itertools.combinations(range(1, config.k + 1), 4)
-                 if det4((res[a], res[b], res[c], res[d])) % _P == 0
-                 and det4((pts[a], pts[b], pts[c], pts[d])) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +283,6 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
             else:
                 hits.append((canon, parent_canon, centers, child))
         hits.sort(key=lambda r: (r[0], r[1], r[2].indices))
-        degenerate.sort(key=lambda r: (r[0], r[1].indices))
         frontier = []
         for canon, parent_canon, centers, child in hits:
             if canon not in nodes:
@@ -298,5 +293,6 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
                 frontier.append((canon, BracketTable(child)))
             edges.append((parent_canon, canon, centers))
         depth += 1
+    degenerate.sort(key=lambda r: (r[0], r[1].indices))  # (parent form, centers): one per child
     return OrbitGraph(nodes=nodes, edges=tuple(edges), truncated=truncated,
                       frontier_remaining=len(frontier), degenerate=tuple(degenerate))

@@ -7,12 +7,17 @@ exact integer decisions; floats are rejected outright.
 
 Every bracket comes from one table (``BracketTable``), which starts empty
 and computes a bracket the first time it is read.  Condition (*) and the
-coplanar scan read it directly; the Cremona image and the canonical form read
-it through one Cramer rule (``cramer``).  Each reader builds its own table
-and fills only what it reads: a lone ``cremona_at`` or ``star_violation``
-reads the 1 + 4(k - 4) brackets around its centers.  ``orbit``'s rescan of
-the stored points, which only tests their brackets against zero, reads no
-table: it takes each residue first (``orbit._zero_subsets``).
+iterate's zero scan read it directly; the Cremona image and the canonical
+form read it through one Cramer rule (``cramer``).  Each reader builds its
+own table and fills only what it reads: a lone ``cremona_at`` or
+``star_violation`` reads the 1 + 4(k - 4) brackets around its centers.
+``orbit.coplanar_scan``, which only tests brackets against zero, reads no
+table: it takes each residue first.
+
+The standard frame (``_FRAME``: e0, e1, e2, e3, (1:1:1:1)) is written once:
+the Cremona image puts its centers at the first four points, and the
+canonical form and the normalized copy send a frame of the configuration to
+all five.
 """
 
 from __future__ import annotations
@@ -60,8 +65,8 @@ class ProjectivePoint:
         object.__setattr__(self, "coords", _primitive(c))
 
 
-# the coordinate vertices e0, e1, e2, e3
-_VERTICES = tuple(ProjectivePoint(tuple(int(i == j) for j in range(4))) for i in range(4))
+# the standard frame: the coordinate vertices e0, e1, e2, e3, then the unit point (1:1:1:1)
+_FRAME = tuple(ProjectivePoint(tuple(int(i in (j, 4)) for j in range(4))) for i in range(5))
 
 
 def normalize_point(raw) -> ProjectivePoint:
@@ -275,7 +280,7 @@ def cremona_image(br: BracketTable, centers: CenterSet) -> Configuration:
     coordinate-wise reciprocal of its T-image, a multiple of ``cramer(br, centers, t)``.
     """
     idx = centers.indices
-    vertex = dict(zip(idx, _VERTICES))
+    vertex = dict(zip(idx, _FRAME[:4]))
     return Configuration(tuple(
         vertex[t] if t in vertex else ProjectivePoint(_reciprocal(cramer(br, idx, t)))
         for t in range(1, br.k + 1)))

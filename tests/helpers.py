@@ -113,6 +113,13 @@ def star_failing_configs() -> tuple[co.Configuration, ...]:
     return unit_not_5, no_base, two_planes
 
 
+def table_zeros(config) -> tuple[tuple[int, int, int, int], ...]:
+    """The sorted 4-subsets with a zero bracket, read from the full exact ``BracketTable``."""
+    exact = BracketTable(config)
+    return tuple(sub for sub in itertools.combinations(range(1, config.k + 1), 4)
+                 if exact[sub] == 0)
+
+
 def coxeter_chain(config, steps) -> co.Configuration:
     """``steps`` Coxeter moves on the stored points: Cremona at {1,2,3,4}, then the cyclic shift.
 
@@ -184,21 +191,18 @@ def unpruned_form(config) -> bytes:
     """``canonical_form`` with its selection done the long way.
 
     The least candidate over every image set of the candidate order (each
-    frame of ``canonical._reduced_frames`` with its five
-    ``canonical._unit_choices``) and all 24 vertex orders, with no prune.
-    Cheaper than the two references above at k = 10, it checks the
-    selection, not the image sets.
+    frame of ``canonical._scan`` with its five ``canonical._unit_choices``)
+    and all 24 vertex orders, with no prune.  Cheaper than the two
+    references above at k = 10, it checks the selection, not the image sets.
     """
     best = None
-    for reduced in canonical._reduced_frames(co.projective.BracketTable(config)):
+    for reduced in canonical._scan(co.projective.BracketTable(config))[1]:
         for ys in canonical._unit_choices(reduced):
             for sigma in itertools.permutations(range(4)):
                 cand = sorted(_signed(y, sigma) for y in ys)
                 if best is None or cand < best:
                     best = cand
-    if best is None:
-        raise co.NoFrameError("no frame among the test points")
-    return _encode(config.k, sorted(canonical._FRAME_IMAGES + tuple(best)))
+    return _encode(config.k, sorted([p.coords for p in co.projective._FRAME] + best))
 
 
 # ---------------------------------------------------------------------------

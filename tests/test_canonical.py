@@ -56,7 +56,7 @@ def test_brute_force_oracles_share_no_rule_with_the_form(monkeypatch):
         raise AssertionError("the oracle reached the rule it checks")
 
     for module, name in ((co.projective, "cramer"), (canonical, "cramer"),
-                         (canonical, "_reduced_frames")):
+                         (canonical, "_scan")):
         monkeypatch.setattr(module, name, broken)
     assert brute_force_canonical(cfg) == form
     assert brute_force_canonical_bytes(cfg) == brute_force_canonical_bytes(image)
@@ -88,7 +88,7 @@ def test_matches_brute_force_k9(make):
 @pytest.mark.parametrize("j", range(4))
 def test_unit_swap_is_unimodular_involution_of_the_frame(j):
     # _swap_unit maps a whole image set at once, in order
-    frame = set(canonical._FRAME_IMAGES)
+    frame = {p.coords for p in co.projective._FRAME}
     basis = [tuple(int(i == c) for i in range(4)) for c in range(4)]
     columns = canonical._swap_unit(basis, j)
     assert det4(columns) in (1, -1)
@@ -153,7 +153,7 @@ def test_selection_matches_unpruned_oracle(k):
         late = [_on_planes(2203, {4: (1, 2, 3)}),
                 _on_planes(2204, {5: (1, 2, 3), 6: (1, 2, 4), 7: (1, 3, 4), 8: (2, 3, 4)})]
         for cfg in late:
-            assert not list(canonical._frames(co.projective.BracketTable(cfg), CENTERS.indices, 1))
+            assert not list(canonical._frames(co.projective.BracketTable(cfg), CENTERS.indices))
         cfgs += late
     for cfg in cfgs:
         assert co.canonical_form(cfg) == unpruned_form(cfg)
@@ -164,7 +164,7 @@ def test_frame_bound_is_the_least_coordinate_of_the_unit_choices(k):
     # on every frame of the corpus; the small and coplanar inputs have zero coordinates
     zeros = 0
     for cfg in _selection_corpus(k):
-        for reduced in canonical._reduced_frames(co.projective.BracketTable(cfg)):
+        for reduced in canonical._scan(co.projective.BracketTable(cfg))[1]:
             sets = [reduced] + [canonical._swap_unit(reduced, j) for j in range(4)]
             want = min(abs(v) for ys in sets for y in ys for v in y)
             assert canonical._frame_low(reduced) == want
@@ -229,8 +229,8 @@ def test_equivalence_target_from_the_brackets_around_1234(make, lone, monkeypatc
     full = co.projective.BracketTable(a)
     for sub in itertools.combinations(range(1, a.k + 1), 4):
         full[sub]  # a miss: the table computes it
-    want = next(canonical._reduced_frames(full))
-    assert next(canonical._reduced_frames(co.projective.BracketTable(a))) == want
+    want = next(canonical._scan(full)[1])
+    assert next(canonical._scan(co.projective.BracketTable(a))[1]) == want
 
 
 def test_equivalence_target_with_1234_coplanar_counts_det4(monkeypatch):

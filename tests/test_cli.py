@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, file outputs."""
 
+import ast
 import hashlib
 import json
 import shlex
@@ -488,3 +489,22 @@ def test_public_names_are_pinned():
         "normalize_point", "orbit_bfs", "permute_config", "plane_through_last_four",
         "random_config", "star_violation",
     ]
+
+
+def test_library_imports_no_test_code_and_no_sympy():
+    # sympy is a test oracle only, and the tests' modules are not installed
+    tests = Path(__file__).parent
+    banned = {"sympy", "tests"} | {p.stem for p in tests.glob("*.py")}
+    src = Path(co.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in banned, (path.name, name)

@@ -152,8 +152,9 @@ def test_coxeter_element_is_shift_after_cremona():
 
 
 def test_rank_below_eight_is_rejected():
-    v = co.plane_through_last_four(7)
+    v = co.DivisorClass(1, (0, 0, 0, 1, 1, 1, 1))
     for call in (
+        lambda: co.plane_through_last_four(7),
         lambda: co.coxeter_element(7),
         lambda: co.coxeter_relations(7),
         lambda: co.iterate_class(v, 0),
@@ -162,6 +163,8 @@ def test_rank_below_eight_is_rejected():
     ):
         with pytest.raises(co.UsageError, match="need k >= 8"):
             call()
+    with pytest.raises(co.UsageError, match="need k <= %d" % co.lattice.MAX_K):
+        co.plane_through_last_four(co.lattice.MAX_K + 1)
 
 
 def test_generated_maps_are_unimodular():

@@ -13,7 +13,7 @@ from cremona_orbits import serialize
 from cremona_orbits.canonical import normalized_at
 from cremona_orbits.projective import BracketTable, star_witness
 from helpers import (cfg_from_rows, same_labelled_points, special_coplanar_config,
-                     star_failing_configs, stored_stepping_iterate)
+                     star_failing_configs, stored_stepping_iterate, table_zeros)
 
 CENTERS = co.CenterSet((1, 2, 3, 4))
 
@@ -88,7 +88,7 @@ def test_one_bracket_table_per_configuration(monkeypatch):
 
 
 def test_iterate_scans_from_normalized_copy_match_full_tables():
-    # oracles: canonical_form and coplanar_scan build the full table of the stored points
+    # oracles: canonical_form and table_zeros build the full table of the stored points
     # two_planes: the scan must not follow the order in which the iterate's table read
     # its brackets
     unit_not_5, no_base, two_planes = star_failing_configs()
@@ -105,7 +105,7 @@ def test_iterate_scans_from_normalized_copy_match_full_tables():
     for report in reports:
         for i, cfg in enumerate(report.configs):
             assert report.canonical_forms[i] == co.canonical_form(cfg)
-            assert report.coplanar_tuples[i] == co.coplanar_scan(cfg)
+            assert report.coplanar_tuples[i] == table_zeros(cfg)
     assert reports[1].coplanar_tuples[0] == ((5, 6, 7, 8),)
     assert reports[3].coplanar_tuples[0] == ((1, 2, 3, 4),)
     assert reports[4].coplanar_tuples[0] == ((1, 2, 3, 4), (1, 2, 7, 8), (2, 3, 5, 8), (5, 6, 7, 8))
@@ -251,21 +251,22 @@ def test_consistency_check_detects_corruption():
 P = (1 << 61) - 1  # the prime of the rescan's residues
 
 
-def test_zero_subsets_are_the_bracket_zeros():
+def test_coplanar_scan_is_the_bracket_zeros():
     configs = list(co.coxeter_iterate(co.random_config(7, 10), 17).configs)
     for seed in range(4):
         special = special_coplanar_config(seed)
         configs += [special, co.cremona_at(special, CENTERS)]
+    # past k = 8: general position, and its Cremona image at the centers
+    for k in (9, 10, 12):
+        cfg = co.random_config(60 + k, 10, k=k)
+        configs += [cfg, co.cremona_at(cfg, CENTERS)]
     # the stored points of the iterate's partial reports
     for bad in star_failing_configs():
         with pytest.raises(co.StarViolationError) as err:
             co.coxeter_iterate(bad, 1)
         configs += err.value.partial_report.configs
     for cfg in configs:
-        exact = BracketTable(cfg)
-        want = tuple(sub for sub in itertools.combinations(range(1, cfg.k + 1), 4)
-                     if exact[sub] == 0)
-        assert orbit_mod._zero_subsets(cfg) == want
+        assert co.coplanar_scan(cfg) == table_zeros(cfg)
 
 
 # e0, e1, e2 and a point whose last coordinate is +-p or 2p, so [1234] is a
@@ -285,7 +286,7 @@ MULTIPLE_OF_P = [
 
 
 @pytest.mark.parametrize("rows", MULTIPLE_OF_P)
-def test_zero_subsets_confirm_each_zero_residue_exactly_once(rows, monkeypatch):
+def test_coplanar_scan_confirms_each_zero_residue_exactly_once(rows, monkeypatch):
     cfg = cfg_from_rows(rows)
     subsets = list(itertools.combinations(range(1, 9), 4))
     exact = {sub: linalg.det_bareiss([cfg.point(i).coords for i in sub]) for sub in subsets}
@@ -303,7 +304,7 @@ def test_zero_subsets_confirm_each_zero_residue_exactly_once(rows, monkeypatch):
         return real(m)
 
     monkeypatch.setattr(orbit_mod, "det4", counted)
-    zeros = orbit_mod._zero_subsets(cfg)
+    zeros = co.coplanar_scan(cfg)
     assert tall == {sub: 1 for sub in subsets if exact[sub] % P == 0}
     assert zeros == tuple(sub for sub in subsets if exact[sub] == 0)
     assert (1, 2, 3, 4) not in zeros
