@@ -8,12 +8,13 @@ the full orbit under all center choices with canonical-form deduplication.
 Every reader builds its own bracket table, empty at first: ``orbit_bfs`` reads
 each child's form from a table in the worker, and an expanded node's children
 from one in the parent.  ``coxeter_iterate`` reads the 17 brackets around the
-centers to build a frame-normalized copy, and condition (*), the canonical
-form, the coplanar scan and the next move from the copy's 70-bracket table; it
-stores the configuration each move produces, 4.1k bits tall at step 17 of
-``random_config(7, 10)``.  ``consistency_check`` rescans the stored points
-with ``coplanar_scan``, the one zero scan of a configuration's points: it
-builds no table and takes each bracket's residue first.
+centers to build a frame-normalized copy, and the canonical form, the
+coplanar scan and the next move, which decides condition (*), from the copy's
+70-bracket table; it stores the configuration each move produces, 4.1k bits
+tall at step 17 of ``random_config(7, 10)``.  ``consistency_check`` rescans
+the stored points with ``coplanar_scan``, the one zero scan of a
+configuration's points: it builds no table and takes each bracket's residue
+first.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .canonical import bracket_form, canonical_form, normalized_at
 from .errors import NoFrameError, StarViolationError, UsageError
 from .lattice import DivisorClass, cyclic_shift, iterate_class, plane_through_last_four
 from .linalg import det4
-from .projective import (BracketTable, CenterSet, Configuration, cremona_image, permute_config,
-                         star_witness)
+from .projective import BracketTable, CenterSet, Configuration, cremona_image, permute_config
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +118,15 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     Each configuration's table, which starts empty, reads only the 1 + 4 * 4
     brackets around {1,2,3,4}: they give the copy of the configuration
     normalized at base (1,2,3,4) (``normalized_at``), and the copy's table
-    gives condition (*), the coplanar 4-tuples, the canonical form and the
-    next move.  The copy is T applied to the points with T in PGL(4), each
-    point rescaled, so each of its brackets is the stored one times det(T)
-    and the four point scales, all nonzero: the zero brackets are the same,
-    and so are the witness of (*) and the form.  Without a unit point for
-    that base ([1234] = 0, or every other point on a plane of three centers)
-    condition (*) fails, the last step reads the rest of the stored points'
-    table, and no move is taken, so every move has a copy.
+    gives the coplanar 4-tuples, the canonical form and the next move, whose
+    Cramer vectors decide condition (*) (``cremona_image``).  The copy is T
+    applied to the points with T in PGL(4), each point rescaled, so each of
+    its brackets is the stored one times det(T) and the four point scales,
+    all nonzero: the zero brackets are the same, and so are the witness of
+    (*) and the form.  Without a unit point for that base ([1234] = 0, or
+    every other point on a plane of three centers) condition (*) fails, the
+    last step reads the rest of the stored points' table, and no move is
+    taken, so every move has a copy.
 
     The move from the copy gives the configuration that the move from the
     stored points gives, in another frame: the Cremona map at the centers is
@@ -139,9 +140,10 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
     step 17 of ``random_config(7, 10)`` they are 4.1k bits tall, the copy
     2.3k bits.  The report stores the configuration the move produced, not
     the copy, so ``consistency_check`` rescans a table other than the one the
-    iterate scanned.  When condition (*) fails before the last step, a
-    StarViolationError carries the witness and the partial report of the
-    configurations reached, whose last step is the failing one.
+    iterate scanned.  The last step takes no move, so a failure of (*)
+    there raises nothing.  When the move of an earlier step raises
+    StarViolationError, it is raised again with the witness and the partial
+    report of the configurations reached, whose last step is the failing one.
     """
     if config.k != 8:
         raise UsageError("iteration is defined for k = 8, got k = %d" % config.k)
@@ -154,15 +156,14 @@ def coxeter_iterate(config: Configuration, steps: int) -> IterationReport:
         br = BracketTable(cfg)
         short = normalized_at(br, centers.indices)
         table = br if short is None else BracketTable(short)
-        viol = star_witness(table, centers)
         rows.append((cfg, _zero_brackets(table), bracket_form(table)))
-        if len(rows) > steps or viol is not None:
+        if len(rows) > steps:
             break
-        cfg = permute_config(cremona_image(table, centers), shift)
-    report = IterationReport(steps, *zip(*rows))  # each row holds one step's fields in order
-    if report.truncated:
-        raise StarViolationError(viol, report)
-    return report
+        try:
+            cfg = permute_config(cremona_image(table, centers), shift)
+        except StarViolationError as err:
+            raise StarViolationError(err.violation, IterationReport(steps, *zip(*rows))) from None
+    return IterationReport(steps, *zip(*rows))  # each row holds one step's fields in order
 
 
 def consistency_check(report: IterationReport) -> bool:
@@ -247,7 +248,8 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
 
     A node to be expanded has a bracket table here: the root keeps the one
     its form filled, and a node of a later level gets an empty one.  The
-    table decides condition (*) at each center set and gives each admissible
+    table gives the Cremona move at each center set (``cremona_image``); a
+    center set where condition (*) fails, so that the move raises, has no
     child.  The workers receive only the children and return only their
     forms (``_visit``); a child's own table stays in its worker.
     Results are level-synchronous and sorted before insertion, so the node
@@ -272,9 +274,13 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
     center_sets = [CenterSet(sub) for sub in itertools.combinations(range(1, config.k + 1), 4)]
     depth = 0
     while frontier and depth < max_depth and not truncated:
-        tasks = [(canon, centers, cremona_image(br, centers))
-                 for canon, br in frontier for centers in center_sets
-                 if star_witness(br, centers) is None]
+        tasks = []
+        for canon, br in frontier:
+            for centers in center_sets:
+                try:
+                    tasks.append((canon, centers, cremona_image(br, centers)))
+                except StarViolationError:
+                    continue  # condition (*) fails: no move at these centers
         forms = _visit_all([child for *_, child in tasks], worker_count(requested, len(tasks)))
         hits = []
         for (parent_canon, centers, child), canon in zip(tasks, forms, strict=True):

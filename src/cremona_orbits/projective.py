@@ -6,11 +6,12 @@ positive), which ``ProjectivePoint`` alone builds from any nonzero integer
 exact integer decisions; floats are rejected outright.
 
 Every bracket comes from one table (``BracketTable``), which starts empty
-and computes a bracket the first time it is read.  Condition (*) and the
-iterate's zero scan read it directly; the Cremona image and the canonical
-form read it through one Cramer rule (``cramer``).  Each reader builds its
-own table and fills only what it reads: a lone ``cremona_at`` or
-``star_violation`` reads the 1 + 4(k - 4) brackets around its centers.
+and computes a bracket the first time it is read.  The iterate's zero scan
+reads it directly; the Cremona move and the canonical form read it through
+one Cramer rule (``cramer``), and the move decides condition (*) from the
+same Cramer vectors it inverts.  Each reader builds its own table and fills
+only what it reads: a lone ``cremona_at`` or ``star_violation`` reads the
+1 + 4(k - 4) brackets around its centers.
 ``orbit.coplanar_scan``, which only tests brackets against zero, reads no
 table: it takes each residue first.
 
@@ -22,6 +23,7 @@ all five.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -160,30 +162,18 @@ class BracketTable(dict):
 _DROP_SIGNS = tuple(tuple((-1) ** r for r in range(5) if r != j) for j in range(5))
 
 
+@functools.lru_cache(maxsize=4096)
 def _signed_drops(base, t):
     """The four 4-subsets S - S_r that ``cramer`` reads, then their signs (-1)^r.
 
     S = sorted(base + t), and r runs over the positions of the base labels
-    in S.  When no label exceeds ``_DROPS_LABELS`` the result is kept in
-    ``_DROPS``, its 4-subsets shared through ``_SUBSETS``.
+    in S.  The result depends on the labels only; the cache holds every
+    (base, t) with labels up to 12 (C(12, 4) * 8 = 3960 pairs) and evicts
+    above that, where an unbounded one would grow as C(k, 4)(k - 4).
     """
     s = sorted((*base, t))
     subs = reversed(list(itertools.combinations(s, 4)))  # S - S_r for r = 0..4
-    kept = s[4] <= _DROPS_LABELS
-    drops = (*(_SUBSETS.setdefault(sub, sub) if kept else sub
-               for label, sub in zip(s, subs) if label != t),
-             _DROP_SIGNS[s.index(t)])
-    if kept:
-        _DROPS[base, t] = drops
-    return drops
-
-
-# _signed_drops by (base, t) for labels up to 12 (at most C(12, 4) * 8 = 3960
-# entries), filled on first use, and the 4-subsets its entries share.  Built at
-# import, the table would take its memory in every process, used or not.
-_DROPS = {}
-_SUBSETS = {}
-_DROPS_LABELS = 12
+    return (*(sub for label, sub in zip(s, subs) if label != t), _DROP_SIGNS[s.index(t)])
 
 
 def cramer(br, base, t):
@@ -194,45 +184,15 @@ def cramer(br, base, t):
     of the base with p_t in column i.  Let S = sorted(base + t) hold t at
     position j and base[i] at position r: sorting that column order takes
     r + j + 1 transpositions mod 2, so (adj(A) p_t)_i = (-1)^(r+j+1) [S - S_r].
-    The common sign (-1)^(j+1) is dropped.  The vector is nonzero if [base] is.
-    The signed drops depend on the labels only, so they are kept in a table
-    bounded by the largest label.
+    The common sign (-1)^(j+1) is dropped.  The vector is nonzero if [base] is,
+    and then coordinate i is zero iff p_t lies on the plane through the other
+    three base points: the one rule by which the frame scan and condition (*)
+    find a point on a plane.
     """
-    s0, s1, s2, s3, (e0, e1, e2, e3) = _DROPS.get((base, t)) or _signed_drops(base, t)
+    s0, s1, s2, s3, (e0, e1, e2, e3) = _signed_drops(base, t)
     v0, v1, v2, v3 = e0 * br[s0], e1 * br[s1], e2 * br[s2], e3 * br[s3]
     g = math.gcd(v0, v1, v2, v3)
     return v0 // g, v1 // g, v2 // g, v3 // g
-
-
-def star_witness(br: BracketTable, centers: CenterSet) -> StarViolation | None:
-    """``star_violation`` read from the bracket table ``br``, up to its first zero bracket.
-
-    The bracket of the centers with p_t in place of c_{i+1}, coordinate i of
-    ``cramer(br, centers, t)`` up to sign, is zero iff p_t lies on the plane
-    through the other three centers.
-    """
-    idx = centers.indices
-    if br[idx] == 0:
-        return StarViolation(plane=idx)
-    others = centers.complement(br.k)
-    for i in (3, 2, 1, 0):  # dropping c4 leaves the plane (c1, c2, c3), which comes first
-        plane = idx[:i] + idx[i + 1:]
-        for t in others:
-            if br[tuple(sorted((*plane, t)))] == 0:
-                return StarViolation(plane=plane, point=t)
-    return None
-
-
-def star_violation(config: Configuration, centers: CenterSet) -> StarViolation | None:
-    """First witness against condition (*), or None if it holds.
-
-    Condition (*): the centers span P^3 and no other point of the
-    configuration lies on any plane through three of them.  The witness is
-    the first failure in this order: the four centers themselves; then the
-    planes (c1,c2,c3), (c1,c2,c4), (c1,c3,c4), (c2,c3,c4) of the sorted
-    centers, each against the other points in ascending label order.
-    """
-    return star_witness(BracketTable(config), centers.within(config.k))
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +218,16 @@ def cremona_at(config: Configuration, centers: CenterSet) -> Configuration:
 
     Raises StarViolationError when condition (*) fails.
     """
-    br = BracketTable(config)
-    viol = star_witness(br, centers.within(config.k))
-    if viol is not None:
-        raise StarViolationError(viol)
-    return cremona_image(br, centers)
+    return cremona_image(BracketTable(config), centers.within(config.k))
+
+
+def star_violation(config: Configuration, centers: CenterSet) -> StarViolation | None:
+    """The witness against condition (*) that ``cremona_at`` raises, or None if it holds."""
+    try:
+        cremona_at(config, centers)
+    except StarViolationError as err:
+        return err.violation
+    return None
 
 
 def _reciprocal(y):
@@ -271,19 +236,34 @@ def _reciprocal(y):
 
 
 def cremona_image(br: BracketTable, centers: CenterSet) -> Configuration:
-    """The Cremona move at centers where (*) holds, read from the configuration's bracket table.
+    """The Cremona move at the centers, read from the configuration's bracket table.
 
     Output is written in the Cremona frame: T = adj(A), A the matrix whose
     columns are the sorted centers, puts the centers at the coordinate
     vertices.  Each center maps to the vertex it occupies (the image of the
     plane through the other three centers), and every other point p_t to the
     coordinate-wise reciprocal of its T-image, a multiple of ``cramer(br, centers, t)``.
+
+    The move exists iff condition (*) holds: the centers span P^3 and no
+    other point lies on a plane through three of them, that is [centers] is
+    nonzero and so is every coordinate of every Cramer vector.  Otherwise a
+    StarViolationError carries the first failure in this order: the four
+    centers themselves; then the planes (c1,c2,c3), (c1,c2,c4), (c1,c3,c4),
+    (c2,c3,c4) of the sorted centers, each against the other points in
+    ascending label order.
     """
     idx = centers.indices
-    vertex = dict(zip(idx, _FRAME[:4]))
-    return Configuration(tuple(
-        vertex[t] if t in vertex else ProjectivePoint(_reciprocal(cramer(br, idx, t)))
-        for t in range(1, br.k + 1)))
+    if br[idx] == 0:
+        raise StarViolationError(StarViolation(plane=idx))
+    others = centers.complement(br.k)
+    vecs = [cramer(br, idx, t) for t in others]
+    for i in (3, 2, 1, 0):  # coordinate 3 drops c4: the plane (c1, c2, c3) comes first
+        for t, v in zip(others, vecs):
+            if v[i] == 0:
+                raise StarViolationError(StarViolation(plane=idx[:i] + idx[i + 1:], point=t))
+    image = dict(zip(idx, _FRAME[:4]))
+    image.update((t, ProjectivePoint(_reciprocal(v))) for t, v in zip(others, vecs))
+    return Configuration(tuple(image[t] for t in range(1, br.k + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import random
 import cremona_orbits as co
 from cremona_orbits import canonical, linalg, orbit
 from cremona_orbits.lattice import _from_vector, _pushforward, _to_vector
-from cremona_orbits.projective import BracketTable, cremona_image, star_witness
+from cremona_orbits.projective import BracketTable, cremona_image
 
 
 def cfg_from_rows(rows) -> co.Configuration:
@@ -216,8 +216,8 @@ def stored_stepping_iterate(config, steps) -> co.IterationReport:
     the step count (15.9k bits at step 17 of ``random_config(7, 10)``).  The
     form and the zero scan still come from the copy normalized at (1,2,3,4),
     or from the stored table when there is none; condition (*) is read from
-    the stored table.  Same report, same StarViolationError with its partial
-    report.
+    the stored points by ``star_violation``.  Same report, same
+    StarViolationError with its partial report.
     """
     centers = co.CenterSet((1, 2, 3, 4))
     shift = co.cyclic_shift(8)
@@ -225,7 +225,7 @@ def stored_stepping_iterate(config, steps) -> co.IterationReport:
     rows = []
     while True:
         br = BracketTable(cfg)
-        viol = star_witness(br, centers)
+        viol = co.star_violation(cfg, centers)
         short = canonical.normalized_at(br, centers.indices)
         table = br if short is None else BracketTable(short)
         rows.append((cfg, orbit._zero_brackets(table), canonical.bracket_form(table)))

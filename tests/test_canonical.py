@@ -451,7 +451,7 @@ def _small_config(rng, k):
 
 def test_cramer_matches_adjugate():
     # the signed 5-subset rule against the adjugate itself, up to sign; at
-    # k = 13 some labels lie above the bound of the table of signed drops
+    # k = 13 the 6435 (base, t) pairs outnumber the cache of signed drops
     rng = random.Random(38)
     cfgs = [co.random_config(1700, 6, k=k) for k in (8, 9, 10, 13)]
     cfgs += [_small_config(rng, k) for k in (8, 9, 10) for _ in range(3)]

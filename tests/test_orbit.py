@@ -11,7 +11,7 @@ from cremona_orbits import linalg
 from cremona_orbits import orbit as orbit_mod
 from cremona_orbits import serialize
 from cremona_orbits.canonical import normalized_at
-from cremona_orbits.projective import BracketTable, star_witness
+from cremona_orbits.projective import BracketTable
 from helpers import (cfg_from_rows, same_labelled_points, special_coplanar_config,
                      star_failing_configs, stored_stepping_iterate, table_zeros)
 
@@ -111,7 +111,9 @@ def test_iterate_scans_from_normalized_copy_match_full_tables():
     assert reports[4].coplanar_tuples[0] == ((1, 2, 3, 4), (1, 2, 7, 8), (2, 3, 5, 8), (5, 6, 7, 8))
 
 
-def test_condition_star_reads_brackets_without_cramer(monkeypatch):
+def test_condition_star_is_read_off_the_cramer_vectors_of_the_move(monkeypatch):
+    # a lone star_violation or cremona_at builds the k - 4 Cramer vectors of
+    # the move, which decide (*); consistency_check builds none
     generic, special = co.random_config(7, 10), special_coplanar_config(0)
     report = co.coxeter_iterate(generic, 3)  # built before counting: its moves use cramer
     calls = {"cramer": 0}
@@ -122,13 +124,21 @@ def test_condition_star_reads_brackets_without_cramer(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(co.projective, "cramer", counted)
-    assert co.star_violation(generic, CENTERS) is None
-    witness = co.StarViolation(plane=(5, 6, 7), point=8)
-    assert co.star_violation(special, co.CenterSet((1, 5, 6, 7))) == witness
     assert co.consistency_check(report)
     assert calls["cramer"] == 0
-    co.cremona_at(generic, CENTERS)
+    witness = co.StarViolation(plane=(5, 6, 7), point=8)
+    assert co.star_violation(special, co.CenterSet((1, 5, 6, 7))) == witness
     assert calls["cramer"] == 8 - 4
+    with pytest.raises(co.StarViolationError) as err:
+        co.cremona_at(special, co.CenterSet((1, 5, 6, 7)))
+    assert err.value.violation == witness
+    assert calls["cramer"] == 2 * (8 - 4)
+    for cfg in (generic, co.random_config(7, 10, k=13)):
+        calls["cramer"] = 0
+        assert co.star_violation(cfg, CENTERS) is None
+        assert calls["cramer"] == cfg.k - 4
+        co.cremona_at(cfg, CENTERS)
+        assert calls["cramer"] == 2 * (cfg.k - 4)
 
 
 def test_consistency_check_reads_only_residues_of_a_tall_report(monkeypatch):
@@ -218,7 +228,7 @@ def test_derived_star_matches_the_stored_points_own_table():
     verdicts = []
     for report in reports:
         for i, cfg in enumerate(report.configs):
-            assert report.star_ok[i] == (star_witness(BracketTable(cfg), CENTERS) is None), i
+            assert report.star_ok[i] == (co.star_violation(cfg, CENTERS) is None), i
             verdicts.append(report.star_ok[i])
     assert len(verdicts) == 18 + 2 + 1 + 1 + 1 + 4 and verdicts.count(False) == 4
 

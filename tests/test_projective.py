@@ -10,7 +10,8 @@ import sympy
 
 import cremona_orbits as co
 from cremona_orbits import linalg
-from helpers import cfg_from_rows, coxeter_chain, frame_matrix, moved, rand_invertible_map
+from helpers import (cfg_from_rows, coxeter_chain, frame_matrix, moved, rand_invertible_map,
+                     special_coplanar_config)
 
 E0, E1, E2, E3 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 ONES = (1, 1, 1, 1)
@@ -228,13 +229,49 @@ def brute_force_star_violation(cfg, centers):
     return None
 
 
+@pytest.mark.parametrize("k", [8, 13])
+def test_lone_move_reads_the_brackets_around_its_centers(k, monkeypatch):
+    # a lone star_violation or cremona_at reads the 1 + 4(k - 4) brackets
+    # around its centers: all of them where (*) holds, some where it fails
+    tables = []
+
+    class Recorded(co.projective.BracketTable):
+        __slots__ = ()
+
+        def __init__(self, config):
+            super().__init__(config)
+            tables.append(self)
+
+    monkeypatch.setattr(co.projective, "BracketTable", Recorded)
+    holds = co.random_config(2300 + k, 6, k=k)
+    p1, p2, p3 = (holds.point(i).coords for i in (1, 2, 3))  # p_k moves to their plane
+    on_plane = co.normalize_point(tuple(a + 2 * b - 3 * c for a, b, c in zip(p1, p2, p3)))
+    fails = co.Configuration(holds.points[:-1] + (on_plane,))
+    for centers, witness in ((co.CenterSet((1, 2, 3, 4)), co.StarViolation((1, 2, 3), k)),
+                             (co.CenterSet((1, 2, 3, k)), co.StarViolation((1, 2, 3, k)))):
+        near = {sub for t in centers.complement(k)
+                for sub in itertools.combinations(sorted((*centers.indices, t)), 4)}
+        assert len(near) == 1 + 4 * (k - 4)
+        tables.clear()
+        assert co.star_violation(holds, centers) is None
+        co.cremona_at(holds, centers)
+        assert co.star_violation(fails, centers) == witness
+        with pytest.raises(co.StarViolationError):
+            co.cremona_at(fails, centers)
+        assert len(tables) == 4
+        assert set(tables[0]) == set(tables[1]) == near
+        assert set(tables[2]) == set(tables[3]) <= near
+
+
 def test_star_violation_matches_brute_force_on_small_coordinates():
     # points with coordinates in {-1, 0, 1}: most center sets violate (*)
     small = sorted({pt(*v) for v in itertools.product((-1, 0, 1), repeat=4) if any(v)})
     rng = random.Random(16)
     kinds = {"coplanar centers": 0, "point on plane": 0, "holds": 0}
-    for trial in range(12):
-        cfg = co.Configuration(tuple(rng.sample(small, 8 + trial % 2)))
+    # at k = 13 the C(13, 4) * 9 = 6435 (base, t) pairs of the Cramer rule
+    # outnumber its cache of signed drops, so entries are evicted mid-run
+    for k in (8, 9) * 6 + (13,) * 2:
+        cfg = co.Configuration(tuple(rng.sample(small, k)))
         for sub in itertools.combinations(range(1, cfg.k + 1), 4):
             centers = co.CenterSet(sub)
             viol = co.star_violation(cfg, centers)
@@ -302,9 +339,15 @@ def test_cremona_noncenter_coordinates_all_nonzero():
 
 
 def test_cremona_is_involution_up_to_equivalence():
-    for seed in range(3):
-        cfg = co.random_config(400 + seed, 7)
-        centers = co.CenterSet((1, 2, 3, 4))
+    # general position at k = 8..13, and the special roots, whose coplanar
+    # 4-tuple {5,6,7,8} holds at most two centers of each set, so (*) holds
+    cases = [(co.random_config(400 + seed, 7), (1, 2, 3, 4)) for seed in range(3)]
+    cases += [(co.random_config(410 + k, 7, k=k), c) for k in range(9, 14)
+              for c in ((1, 2, 3, 4), (2, 5, 7, k))]
+    cases += [(special_coplanar_config(s), c) for s in (0, 1) for c in ((1, 2, 3, 4), (1, 2, 5, 6))]
+    for cfg, sub in cases:
+        centers = co.CenterSet(sub)
+        assert co.star_violation(cfg, centers) is None
         twice = co.cremona_at(co.cremona_at(cfg, centers), centers)
         assert co.equivalent(twice, cfg)
 
