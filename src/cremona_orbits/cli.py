@@ -157,9 +157,6 @@ def cmd_iterate(args) -> int:
 def cmd_orbit(args) -> int:
     config = serialize.load_config(args.input)
     graph = orbit_bfs(config, args.max_depth, args.max_nodes)
-    for parent, centers in graph.degenerate:
-        print("warning: degenerate child of %s at centers %s skipped"
-              % (parent.decode("ascii")[:40], centers.indices), file=sys.stderr)
     _write(args, "orbit",
            {"input": args.input, "max_depth": args.max_depth, "max_nodes": args.max_nodes},
            serialize.orbit_to_obj(graph))

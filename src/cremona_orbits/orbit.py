@@ -4,7 +4,8 @@
 four points, then the cyclic shift) on configurations alone; its report
 derives each step's tracked divisor class from the step count, and
 ``consistency_check`` tests the geometry against it.  ``orbit_bfs`` explores
-the full orbit under all center choices with canonical-form deduplication.
+the full orbit under all center choices with canonical-form deduplication;
+every child of an admissible move has a frame, so every child gets a form.
 Every reader builds its own bracket table, empty at first: ``orbit_bfs`` reads
 each child's form from a table in the worker, and an expanded node's children
 from one in the parent.  ``coxeter_iterate`` reads the 17 brackets around the
@@ -25,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .canonical import bracket_form, canonical_form, normalized_at
-from .errors import NoFrameError, StarViolationError, UsageError
+from .errors import StarViolationError, UsageError
 from .lattice import DivisorClass, cyclic_shift, iterate_class, plane_through_last_four
 from .linalg import det4
 from .projective import BracketTable, CenterSet, Configuration, cremona_image, permute_config
@@ -205,24 +206,16 @@ class OrbitGraph:
     edges: tuple
     truncated: bool
     frontier_remaining: int
-    degenerate: tuple
-
-
-def _visit(config: Configuration):
-    """A configuration's canonical form; None if it has no frame."""
-    try:
-        return canonical_form(config)
-    except NoFrameError:
-        return None
+    degenerate = ()  # no child lacks a frame (orbit_bfs); kept for the readers of the name
 
 
 def _visit_all(configs, nworkers: int):
-    """``_visit`` of each configuration in order, as it comes, on ``nworkers`` processes."""
+    """``canonical_form`` of each configuration in order, as it comes, on ``nworkers`` processes."""
     if nworkers == 1:
-        yield from map(_visit, configs)
+        yield from map(canonical_form, configs)
     else:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            yield from pool.map(_visit, configs)
+            yield from pool.map(canonical_form, configs)
 
 
 def env_workers() -> int:
@@ -238,8 +231,13 @@ def env_workers() -> int:
 
 
 def worker_count(requested: int, tasks: int) -> int:
-    """Processes to start: min(requested, os.cpu_count(), tasks), at least 1."""
-    return max(1, min(requested, os.cpu_count() or 1, tasks))
+    """Processes to start: min(requested, usable CPUs, tasks), at least 1.
+
+    Usable CPUs: the affinity set where there is one, else ``os.cpu_count()`` (macOS).
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(requested, cpus, tasks))
 
 
 def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
@@ -251,13 +249,20 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
     table gives the Cremona move at each center set (``cremona_image``); a
     center set where condition (*) fails, so that the move raises, has no
     child.  The workers receive only the children and return only their
-    forms (``_visit``); a child's own table stays in its worker.
+    forms (``canonical_form``); a child's own table stays in its worker.
     Results are level-synchronous and sorted before insertion, so the node
     and edge sets do not depend on worker count or scheduling.  ``workers``
     defaults to the CREMONA_ORBITS_WORKERS environment variable (1 if unset,
     UsageError if not an integer); each level starts
     ``worker_count(workers, tasks)`` processes.  Every node outside the final
     frontier has been expanded.
+
+    Every child has a frame, so no form raises NoFrameError.  (*) at C says
+    [C] != 0 and no ``cramer(br, C, t)`` has a zero coordinate; the child puts
+    C at e0..e3 and each other p_t at the ``_reciprocal`` of one, which has
+    none either.  So for t outside C the five brackets of C + t are +-1 and
+    +- the coordinates of p_t: C + t is a frame, which ``canonical._scan``
+    finds, as it reads every 5-subset with its largest label as unit point.
     """
     if max_depth < 0:
         raise UsageError("max_depth must be >= 0")
@@ -268,12 +273,12 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
     root_canon = bracket_form(root_br)
     nodes = {root_canon: OrbitNode(config, 0)}
     edges = []
-    degenerate = []
     truncated = False
     frontier = [(root_canon, root_br)]
     center_sets = [CenterSet(sub) for sub in itertools.combinations(range(1, config.k + 1), 4)]
-    depth = 0
-    while frontier and depth < max_depth and not truncated:
+    for depth in range(max_depth):
+        if not frontier or truncated:
+            break
         tasks = []
         for canon, br in frontier:
             for centers in center_sets:
@@ -282,15 +287,10 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
                 except StarViolationError:
                     continue  # condition (*) fails: no move at these centers
         forms = _visit_all([child for *_, child in tasks], worker_count(requested, len(tasks)))
-        hits = []
-        for (parent_canon, centers, child), canon in zip(tasks, forms, strict=True):
-            if canon is None:
-                degenerate.append((parent_canon, centers))
-            else:
-                hits.append((canon, parent_canon, centers, child))
-        hits.sort(key=lambda r: (r[0], r[1], r[2].indices))
+        hits = sorted(zip(forms, tasks, strict=True),
+                      key=lambda r: (r[0], r[1][0], r[1][1].indices))  # form, parent, centers
         frontier = []
-        for canon, parent_canon, centers, child in hits:
+        for canon, (parent_canon, centers, child) in hits:
             if canon not in nodes:
                 if len(nodes) >= max_nodes:
                     truncated = True
@@ -298,7 +298,5 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
                 nodes[canon] = OrbitNode(child, depth + 1)
                 frontier.append((canon, BracketTable(child)))
             edges.append((parent_canon, canon, centers))
-        depth += 1
-    degenerate.sort(key=lambda r: (r[0], r[1].indices))  # (parent form, centers): one per child
     return OrbitGraph(nodes=nodes, edges=tuple(edges), truncated=truncated,
-                      frontier_remaining=len(frontier), degenerate=tuple(degenerate))
+                      frontier_remaining=len(frontier))

@@ -162,6 +162,9 @@ class BracketTable(dict):
 _DROP_SIGNS = tuple(tuple((-1) ** r for r in range(5) if r != j) for j in range(5))
 
 
+_intern = functools.lru_cache(maxsize=4096)(tuple)  # the first equal 4-subset seen: one key object
+
+
 @functools.lru_cache(maxsize=4096)
 def _signed_drops(base, t):
     """The four 4-subsets S - S_r that ``cramer`` reads, then their signs (-1)^r.
@@ -169,10 +172,11 @@ def _signed_drops(base, t):
     S = sorted(base + t), and r runs over the positions of the base labels
     in S.  The result depends on the labels only; the cache holds every
     (base, t) with labels up to 12 (C(12, 4) * 8 = 3960 pairs) and evicts
-    above that, where an unbounded one would grow as C(k, 4)(k - 4).
+    above that, where an unbounded one would grow as C(k, 4)(k - 4).  Its
+    subsets are interned, so a table read finds the key it stored by identity.
     """
     s = sorted((*base, t))
-    subs = reversed(list(itertools.combinations(s, 4)))  # S - S_r for r = 0..4
+    subs = reversed(list(map(_intern, itertools.combinations(s, 4))))  # S - S_r, r = 0..4
     return (*(sub for label, sub in zip(s, subs) if label != t), _DROP_SIGNS[s.index(t)])
 
 

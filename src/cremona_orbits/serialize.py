@@ -252,7 +252,7 @@ def report_from_obj(obj) -> IterationReport:
 
 
 def orbit_to_obj(graph: OrbitGraph) -> dict:
-    """Nodes in (depth, form) order; edges and degenerate children name them by index."""
+    """Nodes in (depth, form) order; edges name them by index."""
     order = sorted(graph.nodes.items(), key=lambda item: (item[1].depth, item[0]))
     index = {form: i for i, (form, _) in enumerate(order)}
     return {
@@ -262,7 +262,7 @@ def orbit_to_obj(graph: OrbitGraph) -> dict:
         "edges": sorted([index[s], index[t], list(c.indices)] for s, t, c in graph.edges),
         "truncated": graph.truncated,
         "frontier_remaining": graph.frontier_remaining,
-        "degenerate": sorted([index[p], list(c.indices)] for p, c in graph.degenerate),
+        "degenerate": [],  # every child has a frame (orbit_bfs); files keep their bytes
     }
 
 

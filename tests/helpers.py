@@ -16,6 +16,18 @@ def cfg_from_rows(rows) -> co.Configuration:
     return co.Configuration(tuple(co.normalize_point(tuple(r)) for r in rows))
 
 
+# the 40 canonical points with coordinates in {-1, 0, 1}: random picks of 8-11
+# of them are full of coplanar 4-tuples and zero image coordinates
+_SMALL_POINTS = sorted(
+    {co.normalize_point(p).coords for p in itertools.product((-1, 0, 1), repeat=4) if any(p)}
+)
+
+
+def small_config(rng, k) -> co.Configuration:
+    """k distinct points drawn by ``rng`` from those with coordinates in {-1, 0, 1}."""
+    return cfg_from_rows(rng.sample(_SMALL_POINTS, k))
+
+
 def rand_invertible_map(rng, bound=9):
     """The rows of a random invertible 4x4 integer matrix, an element of PGL(4)."""
     while True:

@@ -19,6 +19,7 @@ from helpers import (
     moved,
     rand_invertible_map,
     rand_permutation,
+    small_config,
     special_coplanar_config,
     unpruned_form,
 )
@@ -137,7 +138,7 @@ def _selection_corpus(k):
     rng = random.Random(40 + k)
     cfgs = [co.random_config(2000 + k, 6, k=k), co.random_config(2100 + k, 3, k=k)]
     cfgs += [co.cremona_at(c, CENTERS) for c in cfgs]
-    cfgs.append(_small_config(rng, k))
+    cfgs.append(small_config(rng, k))
     if k == 8:
         cfgs += [special_coplanar_config(3), co.cremona_at(special_coplanar_config(4), CENTERS)]
     return cfgs
@@ -438,23 +439,12 @@ def test_form_is_ascii_and_starts_with_k():
     form.decode("ascii")
 
 
-# the 40 canonical points with coordinates in {-1, 0, 1}: random picks of 8-10
-# of them are full of coplanar 4-tuples and zero image coordinates
-_SMALL_POINTS = sorted(
-    {co.normalize_point(p).coords for p in itertools.product((-1, 0, 1), repeat=4) if any(p)}
-)
-
-
-def _small_config(rng, k):
-    return cfg_from_rows(rng.sample(_SMALL_POINTS, k))
-
-
 def test_cramer_matches_adjugate():
     # the signed 5-subset rule against the adjugate itself, up to sign; at
     # k = 13 the 6435 (base, t) pairs outnumber the cache of signed drops
     rng = random.Random(38)
     cfgs = [co.random_config(1700, 6, k=k) for k in (8, 9, 10, 13)]
-    cfgs += [_small_config(rng, k) for k in (8, 9, 10) for _ in range(3)]
+    cfgs += [small_config(rng, k) for k in (8, 9, 10) for _ in range(3)]
     checked = 0
     for cfg in cfgs:
         br = co.projective.BracketTable(cfg)
@@ -482,7 +472,7 @@ def test_canonical_forms_of_a_corpus_are_pinned():
     cfgs += [co.cremona_at(c, CENTERS) for c in cfgs]
     cfgs += [special_coplanar_config(s) for s in (5, 6)]
     cfgs += [co.cremona_at(c, co.CenterSet((1, 2, 3, 5))) for c in cfgs[-2:]]
-    cfgs += [_small_config(rng, k) for k in (8, 9, 10) for _ in range(4)]
+    cfgs += [small_config(rng, k) for k in (8, 9, 10) for _ in range(4)]
     blob = b"\n".join(co.canonical_form(c) for c in cfgs)
     assert hashlib.sha256(blob).hexdigest() == (
         "73052cb96e4f0a495ee077a0c857faf5679ddcec57f7c459755113b837693f9d")

@@ -2,18 +2,19 @@
 
 import ast
 import hashlib
+import itertools
 import json
+import random
 import shlex
 from pathlib import Path
 
 import pytest
 
 import cremona_orbits as co
-from cremona_orbits import orbit as orbit_mod
 from cremona_orbits import serialize
 from cremona_orbits.cli import main
 from cremona_orbits.digits import decimal_to_int
-from helpers import cfg_from_rows, special_coplanar_config
+from helpers import cfg_from_rows, small_config, special_coplanar_config
 
 GOOD = ["--seed", "7", "--height", "50", "--k", "8"]
 
@@ -165,27 +166,26 @@ def test_orbit_depth_zero(tmp_path):
     assert graph["truncated"] is False
 
 
-def test_orbit_warns_of_degenerate_children(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("CREMONA_ORBITS_WORKERS", raising=False)  # one worker, in this process
-    real = orbit_mod.canonical_form
-    calls = {"n": 0}
-
-    def flaky(config):
-        calls["n"] += 1
-        if calls["n"] in (1, 2):  # the root's form is not a worker's
-            raise co.NoFrameError("synthetic degenerate child")
-        return real(config)
-
-    monkeypatch.setattr(orbit_mod, "canonical_form", flaky)
-    src = write_config(tmp_path / "p.json", co.random_config(58, 8))
-    out = tmp_path / "orbit.json"
-    assert run(["orbit", src, "--max-depth", 1, "--out", out]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2
-    assert all(line.startswith("warning: degenerate child of 8|") and line.endswith(" skipped")
-               for line in err)
-    degenerate = json.loads(out.read_text())["degenerate"]
-    assert len(degenerate) == 2 and all(parent == 0 for parent, _ in degenerate)
+@pytest.mark.parametrize("root", [
+    co.random_config(9, 3, 9),
+    small_config(random.Random(3), 10),  # 3 of its 210 center sets satisfy (*)
+    special_coplanar_config(3),
+], ids=["random-k9", "small-k10", "coplanar-k8"])
+def test_orbit_away_from_k8_and_general_position(tmp_path, monkeypatch, capsys, root):
+    # every child has a frame (orbit_bfs), so no run warns and none is degenerate
+    src = write_config(tmp_path / "p.json", root)
+    moves = sum(co.star_violation(root, co.CenterSet(sub)) is None
+                for sub in itertools.combinations(range(1, root.k + 1), 4))
+    files = []
+    for workers in (1, 2):
+        monkeypatch.setenv("CREMONA_ORBITS_WORKERS", str(workers))
+        files.append(tmp_path / ("orbit-%d.json" % workers))
+        assert run(["orbit", src, "--max-depth", 1, "--out", files[-1]]) == 0
+        assert capsys.readouterr().err == ""
+    graph = json.loads(files[0].read_text())
+    assert len(graph["edges"]) == moves > 0
+    assert graph["degenerate"] == []
+    assert files[0].read_bytes() == files[1].read_bytes()
 
 
 def test_orbit_depth_one_node_count(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -10,9 +11,9 @@ import cremona_orbits as co
 from cremona_orbits import linalg
 from cremona_orbits import orbit as orbit_mod
 from cremona_orbits import serialize
-from cremona_orbits.canonical import normalized_at
-from cremona_orbits.projective import BracketTable
-from helpers import (cfg_from_rows, same_labelled_points, special_coplanar_config,
+from cremona_orbits.canonical import _scan, normalized_at
+from cremona_orbits.projective import BracketTable, cremona_image
+from helpers import (cfg_from_rows, same_labelled_points, small_config, special_coplanar_config,
                      star_failing_configs, stored_stepping_iterate, table_zeros)
 
 CENTERS = co.CenterSet((1, 2, 3, 4))
@@ -426,12 +427,20 @@ def test_orbit_validates_limits():
 
 
 def test_worker_count_is_capped(monkeypatch):
-    monkeypatch.setattr(orbit_mod.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(orbit_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
     assert orbit_mod.worker_count(1000, 70) == 4
     assert orbit_mod.worker_count(1000, 3) == 3
     assert orbit_mod.worker_count(2, 70) == 2
     assert orbit_mod.worker_count(0, 70) == 1
     assert orbit_mod.worker_count(5, 0) == 1
+    # pinned to fewer CPUs than the machine has: the affinity set caps the count
+    monkeypatch.setattr(orbit_mod.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(orbit_mod.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert orbit_mod.worker_count(8, 70) == 1
+    # without an affinity call, as on macOS, the machine's count caps it
+    monkeypatch.delattr(orbit_mod.os, "sched_getaffinity", raising=False)
+    assert orbit_mod.worker_count(1000, 70) == 8
     monkeypatch.setattr(orbit_mod.os, "cpu_count", lambda: None)
     assert orbit_mod.worker_count(8, 70) == 1
 
@@ -462,33 +471,42 @@ def test_orbit_bfs_starts_capped_pool(monkeypatch):
 
         def map(self, fn, tasks):
             results = list(map(fn, tasks))
-            # a worker sends back a form or None, never a bracket table
-            assert all(r is None or type(r) is bytes for r in results)
+            # a worker sends back a form, never a bracket table
+            assert all(type(r) is bytes for r in results)
             return results
 
     monkeypatch.setattr(orbit_mod, "ProcessPoolExecutor", Recording)
-    monkeypatch.setattr(orbit_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(orbit_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     graph = co.orbit_bfs(co.random_config(56, 6), 1, 1000, workers=10 ** 6)
     assert sizes == [2]
     assert len(graph.nodes) == 71
 
 
-def test_orbit_records_degenerate_children(monkeypatch):
-    cfg = co.random_config(58, 8)
-    real = orbit_mod.canonical_form
-    root = co.canonical_form(cfg)
-    calls = {"n": 0}
-
-    def flaky(config):
-        calls["n"] += 1
-        if calls["n"] in (1, 2):  # the root's form is not a worker's
-            raise co.NoFrameError("synthetic degenerate child")
-        return real(config)
-
-    monkeypatch.setattr(orbit_mod, "canonical_form", flaky)
-    graph = co.orbit_bfs(cfg, 1, 1000, workers=1)
-    assert len(graph.degenerate) == 2
-    assert all(parent == root for parent, _ in graph.degenerate)
-    assert serialize.orbit_to_obj(graph)["degenerate"] == [
-        [0, list(centers.indices)] for _, centers in graph.degenerate]
-    assert len(graph.nodes) == 69  # two children were skipped
+def test_every_admissible_child_has_a_frame():
+    # orbit_bfs's proof, on roots full of coplanar 4-tuples and zero brackets:
+    # where (*) holds at C, the child has five nonzero brackets on C + t for
+    # every t, so the frame scan, where alone a form can raise NoFrameError,
+    # finds a frame; each special root's first child also gets its form
+    rng = random.Random(37)
+    special = [special_coplanar_config(s) for s in range(8)]
+    roots = special + [small_config(rng, k) for k in (8, 9, 10, 11) for _ in range(30)]
+    roots += [co.random_config(s, 3, k) for s in range(5) for k in (8, 9, 10)]
+    moves = 0
+    for root in roots:
+        br = BracketTable(root)
+        children = []
+        for sub in itertools.combinations(range(1, root.k + 1), 4):
+            centers = co.CenterSet(sub)
+            try:
+                child = cremona_image(br, centers)
+            except co.StarViolationError:
+                continue
+            child_br = BracketTable(child)
+            for t in centers.complement(root.k):
+                assert all(child_br[s] for s in itertools.combinations(sorted(sub + (t,)), 4))
+            _scan(child_br)
+            children.append(child)
+        moves += len(children)
+        if root in special:
+            assert co.canonical_form(children[0]).startswith(b"8|")
+    assert moves == 3134
