@@ -43,7 +43,7 @@ def serialize_points(k, pts) -> bytes:
 
 
 def _reduce(ws, c):
-    """The primitive integer points (w0/c0 : .. : w3/c3), one for each primitive w in ``ws``.
+    """The bound of an image set and its primitive points (w0/c0 : .. : w3/c3), one per w in ``ws``.
 
     c is the Cramer vector of the unit point, w those of the other points.
     Each coordinate is cancelled on its own, w_i/c_i = n_i/d_i with
@@ -51,18 +51,25 @@ def _reduce(ws, c):
     the d_i.  That is already primitive: a prime dividing m misses the
     coordinate whose d_i holds its full power in m, and any other common
     prime divides every n_i, hence every w_i, and w is primitive.  No c_i
-    may be zero.
+    may be zero, and each w must be primitive.  The bound is the least gap
+    between neighbours of sorted((0, *y)) over the images y, which is the
+    least of |y_i| and |y_i - y_j|: the least |coordinate| over the five
+    unit choices of the image set (``_unit_choices``).
     """
     c0, c1, c2, c3 = c
     gcd = math.gcd
     out = []
+    gaps = []
     for w0, w1, w2, w3 in ws:
         g0, g1, g2, g3 = gcd(w0, c0), gcd(w1, c1), gcd(w2, c2), gcd(w3, c3)
         d0, d1, d2, d3 = c0 // g0, c1 // g1, c2 // g2, c3 // g3
         m = math.lcm(d0, d1, d2, d3)
-        out.append((w0 // g0 * (m // d0), w1 // g1 * (m // d1),
-                    w2 // g2 * (m // d2), w3 // g3 * (m // d3)))
-    return out
+        y = (w0 // g0 * (m // d0), w1 // g1 * (m // d1),
+             w2 // g2 * (m // d2), w3 // g3 * (m // d3))
+        out.append(y)
+        z0, z1, z2, z3, z4 = sorted((0, *y))
+        gaps.append(min(z1 - z0, z2 - z1, z3 - z2, z4 - z3))
+    return min(gaps), out
 
 
 def _swap_unit(ys, j):
@@ -118,53 +125,68 @@ def canonical_form(config: Configuration) -> bytes:
     its sign is left to fix.  The five unit points of S thus give exactly the
     candidates of every (base, u) with base + u = S.
 
-    Kernel.  Per base, ``cramer`` gives the vector of each other point once,
-    its four signed brackets looked up by label.  Per frame, ``_reduce``
-    turns all k - 5 vectors into images in one call, cancelling each
-    coordinate w_i / c_i by gcd(w_i, c_i) and scaling by the lcm of the
-    reduced denominators, so the images come out primitive with no further
-    gcd; cancelling per coordinate keeps the products short on tall
-    configurations, where gcd(w_i, c_i) is large.  ``_swap_unit`` applies
-    M_j to a whole image set in one comprehension.
+    Kernel.  Per base, one ``cramer`` call gives the vectors of all k - 4
+    other points, read through the base's cached plan of signed 4-subsets.
+    Per frame, ``_reduce`` turns all k - 5 vectors into images in one call,
+    cancelling each coordinate w_i / c_i by gcd(w_i, c_i) and scaling by the
+    lcm of the reduced denominators, so the images come out primitive with
+    no further gcd; cancelling per coordinate keeps the products short on
+    tall configurations, where gcd(w_i, c_i) is large.  As it reduces, it
+    takes the image set's bound: the least gap between neighbours of
+    sorted((0, *y)) over its images y.  The least gap of a set of numbers
+    is its least pairwise distance, so the bound is the least of |y_i| and
+    |y_i - y_j|; as M_j turns the coordinates y_i of an image into y_i - y_j
+    and -y_j, that is the least |coordinate| over the five unit choices of
+    the 5-subset.  ``_swap_unit`` applies M_j to a whole image set in one
+    comprehension.
 
     Cost.  C(k, 5) five-subsets times 5 unit points give 280, 630 and 1260
-    image sets of k - 5 images at k = 8, 9 and 10.  The two bounds below drop
-    most 5-subsets before any unit swap is built (16 of the 224 swaps are
-    built for ``random_config(7, 10)``) and all but a few image sets before
-    any vertex order is sorted.
+    image sets of k - 5 images at k = 8, 9 and 10.  Every 5-subset is
+    reduced once and carries its bound; only those that tie the least bound
+    build their unit swaps (4 of the 56 x 4 swaps for ``random_config(7,
+    10)``, where one 5-subset ties), and the per-coordinate bound below
+    keeps all but a few image sets from sorting any vertex order.  Where
+    points lie on frame planes the least bound is 0 and most 5-subsets tie
+    at it, so the expansion saves little there.
 
     Selection.  The five frame images are in every candidate and differ from
     every other image, so comparing candidates is comparing the sorted images
     of the k - 5 remaining points.  A vertex order sigma turns an image set
     into a candidate: each image is read in the order sigma, oriented
     (``_oriented``: a tuple exceeds zero iff its first nonzero entry is
-    positive), and the results are sorted.  The search starts from the first
-    candidate, the first image set read in the given vertex order
-    (``_scan``).  The first coordinate of the least image is
-    min_t |T(p_t)_{sigma_0}|, so two lower bounds on it prune, each against
-    the lead of the best so far.  Per 5-subset, ``_frame_low`` is the least
-    |coordinate| over its five unit choices: M_j turns the coordinates y_i
-    of an image into y_i - y_j and -y_j, so it is the least of |y_i| and
-    |y_i - y_j| over the one reduced image set, and a 5-subset whose bound
-    exceeds the best lead is skipped before any unit swap is built.  Per
-    image set and leading coordinate, the six orders are skipped when the
-    least |coordinate| in that position exceeds the best lead, so an image
-    set whose every |coordinate| exceeds it sorts no order.  Only the winner
-    is encoded.
+    positive), and the results are sorted.  The lead of a candidate, the
+    first coordinate of its least image, is min_t |T(p_t)_{sigma_0}|.
+    Lemma: the least candidate's lead is the least bound over all
+    5-subsets, and no 5-subset whose bound exceeds it holds the winner.  For
+    the least candidate minimizes the lead first, and the least lead over
+    the candidates of one 5-subset, over its five unit choices, four leading
+    positions and k - 5 images, is its least |coordinate|, its bound.  So
+    ``bracket_form`` streams the scan (``_scan``), keeps only the image sets
+    that tie the running least bound, and expands those alone, holding no
+    more than the ties.  Per expanded image set and leading coordinate, the
+    six orders are skipped when the least |coordinate| in that position
+    exceeds the least bound, as every candidate they give has a larger lead.
+    Only the winner is encoded.
     """
     return bracket_form(BracketTable(config))
 
 
 def bracket_form(br: BracketTable) -> bytes:
     """``canonical_form`` of a configuration, from its bracket table ``br``."""
-    best, frames = _scan(br)
-    for reduced in frames:
-        if _frame_low(reduced) > best[0][0]:
-            continue  # every lead of the five unit choices exceeds the best
+    items = _scan(br)
+    low, first = next(items)
+    ties = [first]
+    for bound, ys in items:
+        if bound < low:
+            low, ties = bound, [ys]
+        elif bound == low:
+            ties.append(ys)
+    best = sorted([_oriented(y) for y in ties[0]])  # one candidate of a tie, to improve on
+    for reduced in ties:
         for ys in _unit_choices(reduced):
             lows = [min(map(abs, col)) for col in zip(*ys)]
             for lead, orders in enumerate(_ORDERS_BY_LEAD):
-                if lows[lead] > best[0][0]:
+                if lows[lead] > low:
                     continue
                 for order in orders:
                     cand = sorted([_oriented(order(y)) for y in ys])
@@ -174,38 +196,39 @@ def bracket_form(br: BracketTable) -> bytes:
 
 
 def _scan(br: BracketTable):
-    """The first candidate of ``br``, and the reduced image set of every frame, in scan order.
+    """The bound and the reduced image set of every frame, in scan order.
 
     For each base of labels below k, in lexicographic order, and each unit
     point u above its last label that makes base + u a frame (``_frames``),
-    the image sets hold the k - 5 other points reduced in that frame.  The
-    candidate order is this one with each image set followed by its four
-    unit swaps (``_unit_choices``); ``bracket_form`` and ``equivalent`` both
-    expand a frame only past its bound (``_frame_low``).  A reader that
-    stops early has read only the brackets around the bases scanned so far.
-    The candidate is the first image set read in the given vertex order; the
-    image sets start with that one.  NoFrameError if there is none.
+    an item holds the k - 5 other points reduced in that frame, with its
+    bound (``_reduce``).  The candidate order is this one with each image
+    set followed by its four unit swaps (``_unit_choices``); ``bracket_form``
+    and ``equivalent`` both expand an image set only as its bound allows.  A
+    reader that stops early has read only the brackets around the bases
+    scanned so far.  The first item is read here: NoFrameError if there is
+    none.
     """
-    frames = (reduced for base in itertools.combinations(range(1, br.k), 4)
-              for _, reduced in _frames(br, base))
-    first = next(frames, None)
+    items = (item for base in itertools.combinations(range(1, br.k), 4)
+             for _, item in _frames(br, base))
+    first = next(items, None)
     if first is None:
         raise NoFrameError(_NO_FRAME)
-    return sorted([_oriented(y) for y in first]), itertools.chain((first,), frames)
+    return itertools.chain((first,), items)
 
 
 def _frames(br: BracketTable, base):
-    """u and the images of the other k - 5 points for each frame base + u, u above the base.
+    """u and the scan item of each frame base + u, u above the base.
 
     ``base`` is a sorted 4-subset of labels and u runs upward over the
-    labels above its last one; the images (``_reduce``, in label order) are
-    in the frame sending the base to e0..e3 and u to (1:1:1:1).  Only the
-    brackets of base plus one point are read.
+    labels above its last one; the item (``_reduce``) is the bound and the
+    images, in label order, of the other k - 5 points in the frame sending
+    the base to e0..e3 and u to (1:1:1:1).  Only the brackets of base plus
+    one point are read, through one ``cramer`` call.
     """
     if br[base] == 0:
         return
     others = [t for t in range(1, br.k + 1) if t not in base]
-    vecs = [cramer(br, base, t) for t in others]
+    vecs = cramer(br, base)
     for n, u in enumerate(others):
         c = vecs[n]
         if u < base[3] or not all(c):
@@ -218,16 +241,6 @@ def _unit_choices(ys):
     yield ys
     for j in range(4):
         yield _swap_unit(ys, j)
-
-
-def _frame_low(ys):
-    """The least |coordinate| over the five image sets of ``_unit_choices(ys)``.
-
-    Their coordinates are the y_i (unit u) and the y_i - y_j and -y_j (M_j)
-    of each image y, so the least is that of |y_i| and |y_i - y_j|, i < j.
-    """
-    return min([min(abs(a), abs(b), abs(c), abs(d), abs(a - b), abs(a - c), abs(a - d),
-                    abs(b - c), abs(b - d), abs(c - d)) for a, b, c, d in ys])
 
 
 def normalized_at(br: BracketTable, base) -> Configuration | None:
@@ -244,7 +257,7 @@ def normalized_at(br: BracketTable, base) -> Configuration | None:
     not depend on the frame the configuration is written in.
     """
     sized = [(sum(abs(v).bit_length() for y in ys for v in y), u, ys)
-             for u, ys in _frames(br, base)]
+             for u, (_, ys) in _frames(br, base)]
     if not sized:
         return None
     _, u, ys = min(sized)  # u breaks ties, so the images are never compared
@@ -262,27 +275,28 @@ def equivalent(a: Configuration, b: Configuration) -> bool:
     configuration's bracket table starts empty and is filled only as far as
     the bases scanned, so a verdict of True reads ``b``'s brackets only up
     to the match.  The candidate multiset is invariant under PGL(4) x S_k,
-    so if a ~ b the target is a candidate of ``b``.  Conversely, a candidate of ``b`` equal
-    to it comes from frames F of a and F' of b with T_F(a) = T_F'(b) as
-    point sets, so T_F'^{-1} T_F carries a onto b up to relabeling.  So the
-    image sets of ``b`` are scanned until one of their 24 orders gives the
-    target.  Reordering the vertices and orienting and sorting the images
-    leave the multiset of |coordinates| of an image set as it is, so an
-    image set whose multiset differs from the target's is skipped.  A
-    matching image set has the target's least |coordinate|, so a 5-subset
-    whose bound ``_frame_low`` (the least |coordinate| over its five unit
-    choices) exceeds it is skipped before any unit swap is built; on a
-    verdict of False every 5-subset of ``b`` is read.  When the sizes
-    differ, the verdict is False once ``b``'s first frame is read: without
-    one the input is rejected, as at equal sizes.
+    so if a ~ b the target is a candidate of ``b``.  Conversely, a candidate
+    of ``b`` equal to it comes from frames F of a and F' of b with
+    T_F(a) = T_F'(b) as point sets, so T_F'^{-1} T_F carries a onto b up to
+    relabeling.  So the image sets of ``b`` are scanned until one of their
+    24 orders gives the target.  Reordering the vertices and orienting and
+    sorting the images leave the multiset of |coordinates| of an image set
+    as it is, so an image set whose multiset differs from the target's is
+    skipped.  A matching image set has the target's least |coordinate|, so
+    a 5-subset whose carried bound (``_reduce``: the least |coordinate| over
+    its five unit choices) exceeds it is skipped before any unit swap is
+    built; on a verdict of False every 5-subset of ``b`` is read.  When the
+    sizes differ, the verdict is False once ``b``'s first frame is read:
+    without one the input is rejected, as at equal sizes.
     """
-    target, _ = _scan(BracketTable(a))
-    _, frames = _scan(BracketTable(b))
+    _, first = next(_scan(BracketTable(a)))
+    target = sorted([_oriented(y) for y in first])
+    frames = _scan(BracketTable(b))
     if a.k != b.k:
         return False  # no image set of b can match: only its first frame is read
-    profile = _abs_profile(target)
-    for reduced in frames:
-        if _frame_low(reduced) > profile[0]:
+    profile = _abs_profile(first)
+    for bound, reduced in frames:
+        if bound > profile[0]:
             continue  # no unit choice has the target's least |coordinate|
         for ys in _unit_choices(reduced):
             if _abs_profile(ys) != profile:

@@ -258,11 +258,12 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
     frontier has been expanded.
 
     Every child has a frame, so no form raises NoFrameError.  (*) at C says
-    [C] != 0 and no ``cramer(br, C, t)`` has a zero coordinate; the child puts
-    C at e0..e3 and each other p_t at the ``_reciprocal`` of one, which has
-    none either.  So for t outside C the five brackets of C + t are +-1 and
-    +- the coordinates of p_t: C + t is a frame, which ``canonical._scan``
-    finds, as it reads every 5-subset with its largest label as unit point.
+    [C] != 0 and no vector of ``cramer(br, C)`` has a zero coordinate; the
+    child puts C at e0..e3 and each other p_t at the ``_reciprocal`` of one,
+    which has none either.  So for t outside C the five brackets of C + t
+    are +-1 and +- the coordinates of p_t: C + t is a frame, which
+    ``canonical._scan`` finds, as it reads every 5-subset with its largest
+    label as unit point.
     """
     if max_depth < 0:
         raise UsageError("max_depth must be >= 0")

@@ -8,10 +8,12 @@ exact integer decisions; floats are rejected outright.
 Every bracket comes from one table (``BracketTable``), which starts empty
 and computes a bracket the first time it is read.  The iterate's zero scan
 reads it directly; the Cremona move and the canonical form read it through
-one Cramer rule (``cramer``), and the move decides condition (*) from the
-same Cramer vectors it inverts.  Each reader builds its own table and fills
-only what it reads: a lone ``cremona_at`` or ``star_violation`` reads the
-1 + 4(k - 4) brackets around its centers.
+one Cramer rule (``cramer``), which gives the vectors of every point outside
+a base in one call, reading the table through that base's plan
+(``_cramer_plan``, cached per k and base).  The move decides condition (*)
+from the same Cramer vectors it inverts.  Each reader builds its own table
+and fills only what it reads: a lone ``cremona_at`` or ``star_violation``
+reads the 1 + 4(k - 4) brackets around its centers.
 ``orbit.coplanar_scan``, which only tests brackets against zero, reads no
 table: it takes each residue first.
 
@@ -158,45 +160,60 @@ class BracketTable(dict):
         return value
 
 
-# the signs (-1)^r of the four positions r != j of a sorted 5-subset
-_DROP_SIGNS = tuple(tuple((-1) ** r for r in range(5) if r != j) for j in range(5))
-
-
-_intern = functools.lru_cache(maxsize=4096)(tuple)  # the first equal 4-subset seen: one key object
+# the 4-subsets the Cramer plans read, each kept as the first tuple equal to
+# it, so that every plan reads the same key object for one subset
+_SUBSETS: dict = {}
 
 
 @functools.lru_cache(maxsize=4096)
-def _signed_drops(base, t):
-    """The four 4-subsets S - S_r that ``cramer`` reads, then their signs (-1)^r.
+def _cramer_plan(k, base):
+    """For each label t outside ``base``, in order: the four 4-subsets S - S_r, then their signs.
 
     S = sorted(base + t), and r runs over the positions of the base labels
-    in S.  The result depends on the labels only; the cache holds every
-    (base, t) with labels up to 12 (C(12, 4) * 8 = 3960 pairs) and evicts
-    above that, where an unbounded one would grow as C(k, 4)(k - 4).  Its
-    subsets are interned, so a table read finds the key it stored by identity.
+    in S, with sign (-1)^r.  The plan depends on k and the labels only.  The
+    cache holds 4096 plans, every base up to k = 19 (C(19, 4) = 3876), so
+    the 715 bases of k = 13 never evict one another.  A plan is a tuple of
+    k - 4 rows of eight references: 40 + 112(k - 4) bytes (``sys.getsizeof``
+    of the tuple and its rows), 712 at k = 10 and 1048 at k = 13, about
+    7 MB for a full cache at k = 19, besides the cache's own key and link.
+    Its subsets are shared: ``_SUBSETS`` keeps the first 72-byte tuple equal
+    to each 4-subset a plan read, at most C(k, 4) of them for labels up to
+    k, so a table read finds the key it stored by identity.  Plans are built
+    on first use, none at import.
     """
-    s = sorted((*base, t))
-    subs = reversed(list(map(_intern, itertools.combinations(s, 4))))  # S - S_r, r = 0..4
-    return (*(sub for label, sub in zip(s, subs) if label != t), _DROP_SIGNS[s.index(t)])
+    rows = []
+    for t in range(1, k + 1):
+        if t in base:
+            continue
+        s = sorted((*base, t))
+        subs = [_SUBSETS.setdefault(sub, sub) for sub in itertools.combinations(s, 4)][::-1]
+        drops = [r for r in range(5) if s[r] != t]  # S - S_r is subs[r]
+        rows.append((*(subs[r] for r in drops), *((-1) ** r for r in drops)))
+    return tuple(rows)
 
 
-def cramer(br, base, t):
-    """adj(A) p_t up to a common sign, divided by its gcd: the signed 5-subset rule.
+def cramer(br, base):
+    """adj(A) p_t up to a common sign, divided by its gcd, for each label t outside ``base``.
 
-    A has the points of the sorted labels ``base`` as columns; the brackets
-    of base + t are read from the table ``br``.  By Cramer's rule (adj(A) p_t)_i is the bracket
-    of the base with p_t in column i.  Let S = sorted(base + t) hold t at
-    position j and base[i] at position r: sorting that column order takes
-    r + j + 1 transpositions mod 2, so (adj(A) p_t)_i = (-1)^(r+j+1) [S - S_r].
-    The common sign (-1)^(j+1) is dropped.  The vector is nonzero if [base] is,
-    and then coordinate i is zero iff p_t lies on the plane through the other
-    three base points: the one rule by which the frame scan and condition (*)
-    find a point on a plane.
+    The one Cramer rule: the signed 5-subset rule, read through the plan of
+    ``base`` (``_cramer_plan``), one row per t in label order.  A has the
+    points of the sorted labels ``base`` as columns; the brackets of base + t
+    are read from the table ``br``.  By Cramer's rule (adj(A) p_t)_i is the
+    bracket of the base with p_t in column i.  Let S = sorted(base + t) hold
+    t at position j and base[i] at position r: sorting that column order
+    takes r + j + 1 transpositions mod 2, so (adj(A) p_t)_i =
+    (-1)^(r+j+1) [S - S_r].  The common sign (-1)^(j+1) is dropped.  A vector
+    is nonzero if [base] is, and then coordinate i is zero iff p_t lies on
+    the plane through the other three base points: the one rule by which the
+    frame scan and condition (*) find a point on a plane.
     """
-    s0, s1, s2, s3, (e0, e1, e2, e3) = _signed_drops(base, t)
-    v0, v1, v2, v3 = e0 * br[s0], e1 * br[s1], e2 * br[s2], e3 * br[s3]
-    g = math.gcd(v0, v1, v2, v3)
-    return v0 // g, v1 // g, v2 // g, v3 // g
+    gcd = math.gcd
+    vecs = []
+    for s0, s1, s2, s3, e0, e1, e2, e3 in _cramer_plan(br.k, base):
+        v0, v1, v2, v3 = e0 * br[s0], e1 * br[s1], e2 * br[s2], e3 * br[s3]
+        g = gcd(v0, v1, v2, v3)
+        vecs.append((v0 // g, v1 // g, v2 // g, v3 // g))
+    return vecs
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +263,8 @@ def cremona_image(br: BracketTable, centers: CenterSet) -> Configuration:
     columns are the sorted centers, puts the centers at the coordinate
     vertices.  Each center maps to the vertex it occupies (the image of the
     plane through the other three centers), and every other point p_t to the
-    coordinate-wise reciprocal of its T-image, a multiple of ``cramer(br, centers, t)``.
+    coordinate-wise reciprocal of its T-image, a multiple of its vector in
+    ``cramer(br, centers)``.
 
     The move exists iff condition (*) holds: the centers span P^3 and no
     other point lies on a plane through three of them, that is [centers] is
@@ -260,7 +278,7 @@ def cremona_image(br: BracketTable, centers: CenterSet) -> Configuration:
     if br[idx] == 0:
         raise StarViolationError(StarViolation(plane=idx))
     others = centers.complement(br.k)
-    vecs = [cramer(br, idx, t) for t in others]
+    vecs = cramer(br, idx)
     for i in (3, 2, 1, 0):  # coordinate 3 drops c4: the plane (c1, c2, c3) comes first
         for t, v in zip(others, vecs):
             if v[i] == 0:

@@ -204,11 +204,12 @@ def unpruned_form(config) -> bytes:
 
     The least candidate over every image set of the candidate order (each
     frame of ``canonical._scan`` with its five ``canonical._unit_choices``)
-    and all 24 vertex orders, with no prune.  Cheaper than the two
-    references above at k = 10, it checks the selection, not the image sets.
+    and all 24 vertex orders, with no prune: the bound each scan item
+    carries is not read.  Cheaper than the two references above at k = 10,
+    it checks the selection, not the image sets.
     """
     best = None
-    for reduced in canonical._scan(co.projective.BracketTable(config))[1]:
+    for _, reduced in canonical._scan(co.projective.BracketTable(config)):
         for ys in canonical._unit_choices(reduced):
             for sigma in itertools.permutations(range(4)):
                 cand = sorted(_signed(y, sigma) for y in ys)

@@ -108,7 +108,8 @@ def _frames(cfg):
     for base in itertools.combinations(range(1, cfg.k + 1), 4):
         if br[base] == 0:
             continue
-        vecs = {t: co.projective.cramer(br, base, t) for t in range(1, cfg.k + 1) if t not in base}
+        others = [t for t in range(1, cfg.k + 1) if t not in base]
+        vecs = dict(zip(others, co.projective.cramer(br, base)))
         for u, c in vecs.items():
             if all(c):
                 yield [w for t, w in vecs.items() if t != u], c
@@ -124,7 +125,7 @@ def test_frame_reduction_matches_exact_fractions():
     cancelled = zeros = 0
     for cfg in (step12, step17, special_coplanar_config(3)):
         for ws, c in _frames(cfg):
-            images = canonical._reduce(ws, c)
+            _, images = canonical._reduce(ws, c)
             assert len(images) == len(ws) == cfg.k - 5
             for w, y in zip(ws, images):
                 want = co.normalize_point(tuple(Fraction(a, b) for a, b in zip(w, c)))
@@ -162,20 +163,47 @@ def test_selection_matches_unpruned_oracle(k):
 
 @pytest.mark.parametrize("k", (8, 9, 10))
 def test_frame_bound_is_the_least_coordinate_of_the_unit_choices(k):
-    # on every frame of the corpus; the small and coplanar inputs have zero coordinates
+    # the bound each scan item carries, on every frame of the corpus, against
+    # the least |coordinate| of its five unit choices, all built; the small
+    # and coplanar inputs have zero coordinates
     zeros = 0
     for cfg in _selection_corpus(k):
-        for reduced in canonical._scan(co.projective.BracketTable(cfg))[1]:
+        for bound, reduced in canonical._scan(co.projective.BracketTable(cfg)):
             sets = [reduced] + [canonical._swap_unit(reduced, j) for j in range(4)]
             want = min(abs(v) for ys in sets for y in ys for v in y)
-            assert canonical._frame_low(reduced) == want
+            assert bound == want
             zeros += want == 0
     assert zeros > 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: co.random_config(7, 10),
+    lambda: special_coplanar_config(3),
+    lambda: small_config(random.Random(2), 10),  # 124 of its 126 image sets tie at bound 0
+], ids=["random", "coplanar", "small-k10"])
+def test_form_expands_exactly_the_least_bound_image_sets(make, monkeypatch):
+    # the lemma of canonical_form: the winner's lead is the least bound, so
+    # bracket_form expands the image sets whose bound equals it, and no other
+    cfg = make()
+    items = list(canonical._scan(co.projective.BracketTable(cfg)))
+    least = min(bound for bound, _ in items)
+    want = [ys for bound, ys in items if bound == least]
+    oracle = unpruned_form(cfg)
+    expanded = []
+    real = canonical._unit_choices
+
+    def recorded(ys):
+        expanded.append(ys)
+        return real(ys)
+
+    monkeypatch.setattr(canonical, "_unit_choices", recorded)
+    assert co.canonical_form(cfg) == oracle
+    assert expanded == want and len(want) < len(items)
+
+
 def test_frame_bound_skips_most_unit_swaps(monkeypatch):
-    # 16 of the 56 x 4 unit swaps of this form are built, counted when the
-    # frame bound came in: a change that disables the bound builds all 224
+    # 4 of the 56 x 4 unit swaps of this form are built, as one image set
+    # alone has the least bound; a change that disables the bound builds all 224
     calls = []
     real = canonical._swap_unit
 
@@ -185,7 +213,7 @@ def test_frame_bound_skips_most_unit_swaps(monkeypatch):
 
     monkeypatch.setattr(canonical, "_swap_unit", counted)
     co.canonical_form(co.random_config(7, 10))
-    assert len(calls) == 16
+    assert len(calls) == 4
 
 
 def _on_planes(seed, planes):
@@ -230,8 +258,8 @@ def test_equivalence_target_from_the_brackets_around_1234(make, lone, monkeypatc
     full = co.projective.BracketTable(a)
     for sub in itertools.combinations(range(1, a.k + 1), 4):
         full[sub]  # a miss: the table computes it
-    want = next(canonical._scan(full)[1])
-    assert next(canonical._scan(co.projective.BracketTable(a))[1]) == want
+    want = next(canonical._scan(full))
+    assert next(canonical._scan(co.projective.BracketTable(a))) == want
 
 
 def test_equivalence_target_with_1234_coplanar_counts_det4(monkeypatch):
@@ -440,8 +468,8 @@ def test_form_is_ascii_and_starts_with_k():
 
 
 def test_cramer_matches_adjugate():
-    # the signed 5-subset rule against the adjugate itself, up to sign; at
-    # k = 13 the 6435 (base, t) pairs outnumber the cache of signed drops
+    # the signed 5-subset rule against the adjugate itself, up to sign, for
+    # every base and every point outside it; k = 13 has 715 bases
     rng = random.Random(38)
     cfgs = [co.random_config(1700, 6, k=k) for k in (8, 9, 10, 13)]
     cfgs += [small_config(rng, k) for k in (8, 9, 10) for _ in range(3)]
@@ -454,13 +482,14 @@ def test_cramer_matches_adjugate():
             adj = adjugate4(
                 [[cfg.point(b).coords[i] for b in base] for i in range(4)]
             )
-            for t in range(1, cfg.k + 1):
-                if t in base:
-                    continue
+            others = [t for t in range(1, cfg.k + 1) if t not in base]
+            vecs = co.projective.cramer(br, base)
+            assert len(vecs) == len(others)
+            for t, v in zip(others, vecs):
                 w = mat_vec(adj, cfg.point(t).coords)
                 g = math.gcd(*w)
-                w = tuple(v // g for v in w)
-                assert co.projective.cramer(br, base, t) in (w, tuple(-v for v in w))
+                w = tuple(x // g for x in w)
+                assert v in (w, tuple(-x for x in w))
                 checked += 1
     assert checked > 1000
 

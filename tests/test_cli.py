@@ -166,13 +166,19 @@ def test_orbit_depth_zero(tmp_path):
     assert graph["truncated"] is False
 
 
-@pytest.mark.parametrize("root", [
-    co.random_config(9, 3, 9),
-    small_config(random.Random(3), 10),  # 3 of its 210 center sets satisfy (*)
-    special_coplanar_config(3),
+@pytest.mark.parametrize("root, digest", [
+    (co.random_config(9, 3, 9),
+     "54b4cd61df79fac2e5c1f4b00eb2a0b19102df39bf818e47dda510be77b0f852"),
+    (small_config(random.Random(3), 10),  # 3 of its 210 center sets satisfy (*)
+     "5f4a81a1641d484859fbfab294e86f23d0d72efc8819e1c1aacf4bda9c4c0be9"),
+    (special_coplanar_config(3),
+     "339575a2f85c0654d363995a8ca547c4d854d8bb010138ef049f38e8b4e26f9e"),
 ], ids=["random-k9", "small-k10", "coplanar-k8"])
-def test_orbit_away_from_k8_and_general_position(tmp_path, monkeypatch, capsys, root):
-    # every child has a frame (orbit_bfs), so no run warns and none is degenerate
+def test_orbit_away_from_k8_and_general_position(tmp_path, monkeypatch, capsys, root, digest):
+    # every child has a frame (orbit_bfs), so no run warns and none is
+    # degenerate; the digests were measured before the form expanded only
+    # the least-bound image sets, so they guard its bytes at k = 9, 10 and
+    # on a coplanar root
     src = write_config(tmp_path / "p.json", root)
     moves = sum(co.star_violation(root, co.CenterSet(sub)) is None
                 for sub in itertools.combinations(range(1, root.k + 1), 4))
@@ -186,6 +192,7 @@ def test_orbit_away_from_k8_and_general_position(tmp_path, monkeypatch, capsys, 
     assert len(graph["edges"]) == moves > 0
     assert graph["degenerate"] == []
     assert files[0].read_bytes() == files[1].read_bytes()
+    assert hashlib.sha256(files[0].read_bytes()).hexdigest() == digest
 
 
 def test_orbit_depth_one_node_count(tmp_path, monkeypatch):

@@ -3,7 +3,10 @@
 import collections
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -113,33 +116,60 @@ def test_iterate_scans_from_normalized_copy_match_full_tables():
 
 
 def test_condition_star_is_read_off_the_cramer_vectors_of_the_move(monkeypatch):
-    # a lone star_violation or cremona_at builds the k - 4 Cramer vectors of
-    # the move, which decide (*); consistency_check builds none
+    # a lone star_violation or cremona_at makes one Cramer call at the
+    # centers, which gives the k - 4 vectors that decide (*);
+    # consistency_check makes none
     generic, special = co.random_config(7, 10), special_coplanar_config(0)
     report = co.coxeter_iterate(generic, 3)  # built before counting: its moves use cramer
-    calls = {"cramer": 0}
+    calls = []
     real = co.projective.cramer
 
-    def counted(*args):
-        calls["cramer"] += 1
-        return real(*args)
+    def counted(br, base):
+        vecs = real(br, base)
+        calls.append(len(vecs))
+        return vecs
 
     monkeypatch.setattr(co.projective, "cramer", counted)
     assert co.consistency_check(report)
-    assert calls["cramer"] == 0
+    assert calls == []
     witness = co.StarViolation(plane=(5, 6, 7), point=8)
     assert co.star_violation(special, co.CenterSet((1, 5, 6, 7))) == witness
-    assert calls["cramer"] == 8 - 4
+    assert calls == [8 - 4]
     with pytest.raises(co.StarViolationError) as err:
         co.cremona_at(special, co.CenterSet((1, 5, 6, 7)))
     assert err.value.violation == witness
-    assert calls["cramer"] == 2 * (8 - 4)
+    assert calls == [8 - 4] * 2
     for cfg in (generic, co.random_config(7, 10, k=13)):
-        calls["cramer"] = 0
+        calls.clear()
         assert co.star_violation(cfg, CENTERS) is None
-        assert calls["cramer"] == cfg.k - 4
+        assert calls == [cfg.k - 4]
         co.cremona_at(cfg, CENTERS)
-        assert calls["cramer"] == 2 * (cfg.k - 4)
+        assert calls == [cfg.k - 4] * 2
+
+
+def test_cramer_plans_hold_every_base_of_k13():
+    # one plan per base: the 715 bases of k = 13 fit the cache, so a second
+    # sweep of star_violation over every center set builds none.  A fresh
+    # import builds no plan and interns no subset
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import cremona_orbits.projective as p; "
+         "print(p._cramer_plan.cache_info().currsize, len(p._SUBSETS))"],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(co.__file__))},
+        capture_output=True, text=True, check=True)
+    assert fresh.stdout.split() == ["0", "0"]
+    cfg = co.random_config(5, 10, k=13)
+    plans = co.projective._cramer_plan
+    subsets = [co.CenterSet(sub) for sub in itertools.combinations(range(1, 14), 4)]
+    assert len(subsets) == 715
+    for centers in subsets:
+        assert co.star_violation(cfg, centers) is None
+    before = plans.cache_info()
+    for centers in subsets:
+        co.star_violation(cfg, centers)
+    after = plans.cache_info()
+    assert after.hits - before.hits == 715
+    assert after.misses == before.misses
+    assert after.currsize >= 715
 
 
 def test_consistency_check_reads_only_residues_of_a_tall_report(monkeypatch):
