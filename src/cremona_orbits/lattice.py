@@ -9,10 +9,14 @@ on raw (d, m); the Coxeter step, the orbit loops and the relation checks call
 it directly and shift or swap the multiplicities by slicing, so a long orbit
 checks its rank once and not once per step.  The one dense matrix is the
 Coxeter element's, built from the images of the basis classes.
+The distinctness orbit is stepped in exact ``decimal.Decimal`` arithmetic
+(``_EXACT``), so its degrees are written as decimal text without a binary
+to decimal conversion.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 from dataclasses import dataclass
 
@@ -71,13 +75,15 @@ def plane_through_last_four(k: int = 8) -> DivisorClass:
 # ---------------------------------------------------------------------------
 # the Cremona pushforward and the Coxeter element
 
-def _pushforward(d: int, m, idx) -> tuple[int, list[int]]:
+def _pushforward(d, m, idx) -> tuple:
     """Strict-transform class under the Cremona transformation at 1-based center labels idx.
 
     With s the sum of the center multiplicities: d' = 3d - s, and
     m'_i = 2d + m_i - s on centers, m'_i = m_i off them.  Raw (d, m) in and
     out, unchecked; the four centers are unpacked and read by index, since
-    a long orbit runs this once per step.
+    a long orbit runs this once per step.  Only adds, subtracts and
+    multiplies by 2 and 3, so it takes raw ints or integral Decimals under
+    ``_EXACT`` alike and returns the same kind.
     """
     i1, i2, i3, i4 = idx
     s = m[i1 - 1] + m[i2 - 1] + m[i3 - 1] + m[i4 - 1]
@@ -112,8 +118,11 @@ def _check_rank(k: int) -> None:
         raise UsageError("need k <= %d, got %d" % (MAX_K, k))
 
 
-def _coxeter(d: int, m) -> tuple[int, tuple[int, ...]]:
-    """The Coxeter step on raw coefficients, for k >= 8 already checked."""
+def _coxeter(d, m) -> tuple:
+    """The Coxeter step on raw coefficients, for k >= 8 already checked.
+
+    Raw ints or integral Decimals under ``_EXACT``, as ``_pushforward`` takes them.
+    """
     d2, m2 = _pushforward(d, m, (1, 2, 3, 4))
     return d2, (*m2[1:], m2[0])
 
@@ -199,7 +208,9 @@ class DistinctnessReport:
     Only the data the verdicts are read from is stored; the verdicts are
     properties.  ``degrees[n]`` is the degree of M^n v for n = 0..N, so N is
     ``len(degrees) - 1`` and any degree-growth reading (trailing minima, say)
-    comes from ``degrees``.  ``quadratic_part_nonzero`` records
+    comes from ``degrees``.  ``distinctness_certificate`` stores them as
+    integral Decimals, which equal and hash like the ints they are.
+    ``quadratic_part_nonzero`` records
     (M - I)^2 v != 0.  That alone does not make the growth quadratic: at
     k = 8 it holds for the plane class, whose degrees grow linearly (168,
     335, 668 at n = 500, 1000, 2000), while those of H grow quadratically.
@@ -207,7 +218,7 @@ class DistinctnessReport:
 
     start: DivisorClass
     first_collision: tuple[int, int] | None
-    degrees: tuple[int, ...]
+    degrees: tuple[decimal.Decimal, ...]
     quadratic_part_nonzero: bool
 
     @property
@@ -215,8 +226,17 @@ class DistinctnessReport:
         return self.first_collision is None
 
 
-# the largest N distinctness_certificate accepts; its docstring has the measurements
+# The largest N distinctness_certificate accepts.  Time and peak memory grow
+# like N^2 (about 1.8 s and 320 MB for lattice-cert at N = 50000, k = 24 or 64);
+# the docstring has the measurements.
 MAX_ORBIT_STEPS = 50000
+
+# Integer arithmetic in decimal with no digit to lose: a result that would
+# need rounding raises Inexact or Rounded instead, and no exponent bound is in
+# reach.  Integral operands of +, - and * stay integral, with exponent 0.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow,
+                                decimal.InvalidOperation])
 
 
 def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
@@ -227,16 +247,25 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
     least n >= 1 with M^n v = v.  Comparing each class with v alone is
     therefore exact, and only the degrees are kept.
 
+    The orbit is stepped in Decimals under ``_EXACT``, whatever the caller's
+    decimal context: v is converted once, the kernel only adds, subtracts and
+    doubles or triples, and the kept degrees are integral Decimals whose
+    ``str`` is linear in their digits, where CPython's int to str is
+    quadratic.  Never convert a degree back to int: that is quadratic too.
+
     N is capped at MAX_ORBIT_STEPS = 50000.  Degrees grow at most quadratically
     for k = 8 and exponentially for k >= 9, by 0.36 bits per step at k = 9 and
     0.544 to 0.551 for every k from 16 to 24, so the kept degrees and the
-    decimal text ``lattice-cert`` writes grow like N^2 for any k >= 16.
-    ``lattice-cert`` (Python 3.11.7, 2 cores, two or three runs each) takes
-    4.2-4.9 s and 128 MB peak at N = 3 * 10^4 and 16.6-19.3 s / 316 MB at
-    5 * 10^4 for k = 24, and 5.4-5.6 s / 130 MB and 18.1-20.5 s / 318 MB for
-    k = 64 (0.551 bits per step): the degrees, not k, set the cost.  The peak
-    is the degrees and their decimal text, held at once.  By the N^2 law
-    N = 10^5 would need about 1.3 GB (not run).
+    decimal text ``lattice-cert`` writes grow like N^2 for any k >= 16, and
+    so do the time to step them and to write them.  ``lattice-cert`` (Python
+    3.11.7, 2 cores, two runs each) takes 0.64-0.80 s and 130 MB peak at
+    N = 3 * 10^4 and 1.4-1.8 s / 318 MB at 5 * 10^4 for k = 24, and
+    0.74-0.91 s / 133 MB and 1.7-1.8 s / 322 MB for k = 64: the degrees, not
+    k, set the cost.  With int degrees rendered by ``digits.int_to_decimal``
+    the same runs took 2.9-3.0 s / 128 MB and 11.8-11.9 s / 315 MB at k = 24,
+    2.8-3.3 s / 130 MB and 11.2-12.5 s / 317 MB at k = 64, the rendering
+    growing like N^3.  The peak is the degrees and their decimal text, held
+    at once; by the N^2 law N = 10^5 would need about 1.3 GB (not run).
     """
     if N < 1:
         raise UsageError("N must be >= 1")
@@ -245,14 +274,16 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
     one = coxeter_step(v)
     # (M - I)^2 v = M^2 v - 2 M v + v, read off the first two steps even when N == 1
     quad = [c - 2 * b + a for a, b, c in zip(*map(_to_vector, (v, one, coxeter_step(one))))]
-    d, m = v.d, v.m
+    d0, m0 = decimal.Decimal(v.d), tuple(map(decimal.Decimal, v.m))
+    d, m = d0, m0
     degrees = [d]
     first_collision = None
-    for n in range(1, N + 1):
-        d, m = _coxeter(d, m)
-        degrees.append(d)
-        if first_collision is None and d == v.d and m == v.m:
-            first_collision = (0, n)
+    with decimal.localcontext(_EXACT):
+        for n in range(1, N + 1):
+            d, m = _coxeter(d, m)
+            degrees.append(d)
+            if first_collision is None and d == d0 and m == m0:
+                first_collision = (0, n)
     return DistinctnessReport(v, first_collision, tuple(degrees), any(quad))
 
 

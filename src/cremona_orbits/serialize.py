@@ -5,7 +5,8 @@ never overflow a 64-bit integer; the reader accepts plain ints as well and
 passes each row to ``ProjectivePoint``, which makes it canonical.  Integers
 of any size are converted by ``digits``, past Python's int/str digit cap, in
 both directions and in the JSON integers and CSV cells written too; integers
-written to two files are rendered once, as ``DecimalTexts``.  Floats and
+written to two files are rendered once, as ``DecimalTexts``, which renders an
+integral ``Decimal`` by ``str`` (linear in its digits) instead.  Floats and
 booleans are rejected, never truncated.  All JSON is dumped as
 ``json.dumps(obj, indent=2, sort_keys=True)`` lays it out, with a trailing
 newline, so reruns are byte-identical.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import datetime
 import json
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
@@ -28,14 +30,18 @@ from .projective import Configuration, ProjectivePoint
 class DecimalTexts(tuple):
     """Integers rendered once as decimal text, to be written by ``dump_json`` and the CSV writer.
 
-    ``dump_json`` writes the items bare, as the JSON integers they spell, so
-    a caller that writes the same integers twice converts each only once.
+    One rule: a ``Decimal`` (integral, as ``lattice.distinctness_certificate``
+    keeps its degrees) is rendered by ``str``, linear in its digits and with
+    no digit cap, and an ``int`` by ``int_to_decimal``.  ``dump_json`` writes
+    the items bare, as the JSON integers they spell, so a caller that writes
+    the same integers twice converts each only once.
     """
 
     __slots__ = ()
 
     def __new__(cls, ints):
-        return super().__new__(cls, map(int_to_decimal, ints))
+        return super().__new__(cls, [str(n) if type(n) is Decimal else int_to_decimal(n)
+                                     for n in ints])
 
 
 def dump_json(path, obj) -> None:
@@ -272,9 +278,9 @@ def orbit_to_obj(graph: OrbitGraph) -> dict:
 def write_degree_csv(path, degrees) -> None:
     """The rows ``step,degree``, then ``n,degrees[n]``, with CRLF line ends as ``csv`` writes.
 
-    ``degrees`` holds ints or is ``DecimalTexts``; each row is written as it is formatted.
+    ``degrees`` is ``DecimalTexts`` or holds what it renders; each row is written as it is formatted.
     """
-    texts = degrees if type(degrees) is DecimalTexts else map(int_to_decimal, degrees)
+    texts = degrees if type(degrees) is DecimalTexts else DecimalTexts(degrees)
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write("step,degree\r\n")
         fh.writelines(map("%d,%s\r\n".__mod__, enumerate(texts)))

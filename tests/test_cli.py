@@ -369,8 +369,10 @@ def test_lattice_cert_bytes_are_pinned(tmp_path, k, digest):
 
 
 def test_lattice_cert_bytes_past_the_digit_split_are_pinned(tmp_path):
-    # at N = 4000 the k = 24 degrees pass 10 ** 579 (about 1923 bits), where
-    # digits.int_to_decimal splits, so both files pin the text of split degrees
+    # at N = 4000, 518 of the k = 24 degrees pass 10 ** 579 (about 1923 bits);
+    # they are Decimals rendered by str, not by digits.int_to_decimal, whose
+    # split test_serialize's test_degree_csv_matches_csv_writer checks against
+    # the csv module at 1919-4000 bits
     out = tmp_path / "cert.json"
     table = tmp_path / "cert.json.degrees.csv"
     assert run(["lattice-cert", "--k", 24, "--N", 4000, "--out", out]) == 0

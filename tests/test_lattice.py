@@ -1,5 +1,6 @@
 """Divisor lattice: pushforward, Coxeter element, root classes, certificates."""
 
+import decimal
 import itertools
 import random
 import re
@@ -351,6 +352,20 @@ def test_distinctness_matches_dict_oracle(k):
             rep = co.distinctness_certificate(v, N)
             assert rep == distinctness_by_dict(v, N), (v, N)
             assert rep.first_collision is None or rep.first_collision[1] <= N
+
+
+@pytest.mark.parametrize("k", [9, 24])
+def test_distinctness_is_exact_in_any_decimal_context(k):
+    # the orbit is stepped in Decimals under the module's own exact context, so
+    # a caller's 3-digit context without traps neither rounds a degree nor changes
+    v = co.plane_through_last_four(k)
+    with decimal.localcontext(decimal.Context(prec=3, traps=[])) as caller:
+        before = repr(caller)
+        rep = co.distinctness_certificate(v, 4000)
+        assert decimal.getcontext() is caller and repr(caller) == before
+    assert rep.degrees == tuple(c.d for c in co.iterate_class(v, 4000))
+    assert all(d.as_tuple().exponent == 0 for d in rep.degrees)
+    assert max(rep.degrees) > 10 ** 400  # far past the caller's 3 digits
 
 
 def test_distinctness_reports_the_first_return():

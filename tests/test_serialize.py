@@ -318,6 +318,20 @@ def test_decimal_texts_write_as_the_ints_they_render(tmp_path):
     assert (tmp_path / "texts.csv").read_bytes() == (tmp_path / "ints.csv").read_bytes()
 
 
+def test_decimal_texts_render_a_decimal_as_the_equal_int(tmp_path):
+    # a Decimal by str, an int by int_to_decimal: one text, past the 4300-digit cap too
+    ints = [0, -7, 10 ** 579 - 1, 10 ** 579 + 1, random.Random(8).getrandbits(1921) | 1 << 1920,
+            10 ** 4999 + 7, -(10 ** 4999)]
+    decimals = [decimal.Decimal(n) for n in ints]
+    assert decimals == ints
+    texts = serialize.DecimalTexts(decimals)
+    assert texts == serialize.DecimalTexts(ints) == tuple(map(int_to_decimal, ints))
+    assert texts[-2:] == ("1" + "0" * 4998 + "7", "-1" + "0" * 4999)
+    serialize.write_degree_csv(tmp_path / "decimals.csv", decimals)
+    serialize.write_degree_csv(tmp_path / "ints.csv", ints)
+    assert (tmp_path / "decimals.csv").read_bytes() == (tmp_path / "ints.csv").read_bytes()
+
+
 def test_json_writer_matches_json_dumps(tmp_path):
     cfg = co.random_config(7, 10)
     objs = [
