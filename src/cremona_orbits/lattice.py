@@ -234,6 +234,8 @@ MAX_ORBIT_STEPS = 50000
 # Integer arithmetic in decimal with no digit to lose: a result that would
 # need rounding raises Inexact or Rounded instead, and no exponent bound is in
 # reach.  Integral operands of +, - and * stay integral, with exponent 0.
+# Nothing divides under it: a division would try to allocate MAX_PREC digits
+# and raise MemoryError.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
                          traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow,
                                 decimal.InvalidOperation])

@@ -278,7 +278,8 @@ def orbit_to_obj(graph: OrbitGraph) -> dict:
 def write_degree_csv(path, degrees) -> None:
     """The rows ``step,degree``, then ``n,degrees[n]``, with CRLF line ends as ``csv`` writes.
 
-    ``degrees`` is ``DecimalTexts`` or holds what it renders; each row is written as it is formatted.
+    ``degrees`` is ``DecimalTexts`` or holds what it renders; each row is written as it is
+    formatted.
     """
     texts = degrees if type(degrees) is DecimalTexts else DecimalTexts(degrees)
     with open(path, "w", newline="", encoding="ascii") as fh:
