@@ -4,14 +4,17 @@ A divisor class d*H - sum(m_i * E_i) is stored as (d, m).  Matrices act on
 coefficient vectors in the (H, E_1..E_k) basis, where the E_i-coefficient
 of d*H - sum(m_i E_i) is -m_i; ``_to_vector`` / ``_from_vector`` own that
 sign convention, nothing else converts by hand.
-The pushforward formula lives once, in the unchecked kernel ``_pushforward``
-on raw (d, m); the Coxeter step, the orbit loops and the relation checks call
-it directly and shift or swap the multiplicities by slicing, so a long orbit
-checks its rank once and not once per step.  The one dense matrix is the
-Coxeter element's, built from the images of the basis classes.
-The distinctness orbit is stepped in exact ``decimal.Decimal`` arithmetic
-(``_EXACT``), so its degrees are written as decimal text without a binary
-to decimal conversion.
+The pushforward formula lives once, in the unchecked in-place kernel
+``_push_in_place`` on a raw degree and a list of multiplicities;
+``_pushforward`` runs it on a copy, and the Coxeter step, ``iterate_class``
+and the relation checks call that and shift or swap the multiplicities by
+slicing, so a long orbit checks its rank once and not once per step.  The
+one dense matrix is the Coxeter element's, built from the images of the
+basis classes.  The distinctness orbit runs the kernel on one ring of
+multiplicities and shifts by an offset into it, so a step moves no data
+but the four centers and the degree; it is stepped in exact
+``decimal.Decimal`` arithmetic (``_EXACT``), so its degrees are written as
+decimal text without a binary to decimal conversion.
 """
 
 from __future__ import annotations
@@ -75,25 +78,35 @@ def plane_through_last_four(k: int = 8) -> DivisorClass:
 # ---------------------------------------------------------------------------
 # the Cremona pushforward and the Coxeter element
 
+def _push_in_place(d, m, pos):
+    """The pushforward formula, in place: returns d' and steps the list m to m'.
+
+    With s the sum of the multiplicities at the 0-based positions pos:
+    d' = 3d - s, and m'_i = 2d + m_i - s on those positions, m_i off them.
+    It adds shift = d + d - s to the four positions and returns d + shift,
+    which is 3d - s exactly: only additions and subtractions, no literal,
+    so raw ints or integral Decimals under ``_EXACT`` alike, and the same
+    kind back.  Unchecked; a long orbit runs this once per step.
+    """
+    i1, i2, i3, i4 = pos
+    shift = d + d - m[i1] - m[i2] - m[i3] - m[i4]
+    m[i1] += shift
+    m[i2] += shift
+    m[i3] += shift
+    m[i4] += shift
+    return d + shift
+
+
 def _pushforward(d, m, idx) -> tuple:
     """Strict-transform class under the Cremona transformation at 1-based center labels idx.
 
-    With s the sum of the center multiplicities: d' = 3d - s, and
-    m'_i = 2d + m_i - s on centers, m'_i = m_i off them.  Raw (d, m) in and
-    out, unchecked; the four centers are unpacked and read by index, since
-    a long orbit runs this once per step.  Only adds, subtracts and
-    multiplies by 2 and 3, so it takes raw ints or integral Decimals under
-    ``_EXACT`` alike and returns the same kind.
+    Raw (d, m) in, (d', a new list m') out, unchecked: m is copied and the
+    copy stepped by ``_push_in_place``, so a tuple or a list passed in is
+    left as it was.
     """
     i1, i2, i3, i4 = idx
-    s = m[i1 - 1] + m[i2 - 1] + m[i3 - 1] + m[i4 - 1]
-    shift = 2 * d - s
     m2 = list(m)
-    m2[i1 - 1] += shift
-    m2[i2 - 1] += shift
-    m2[i3 - 1] += shift
-    m2[i4 - 1] += shift
-    return 3 * d - s, m2
+    return _push_in_place(d, m2, (i1 - 1, i2 - 1, i3 - 1, i4 - 1)), m2
 
 
 def cyclic_shift(k: int) -> tuple[int, ...]:
@@ -121,7 +134,7 @@ def _check_rank(k: int) -> None:
 def _coxeter(d, m) -> tuple:
     """The Coxeter step on raw coefficients, for k >= 8 already checked.
 
-    Raw ints or integral Decimals under ``_EXACT``, as ``_pushforward`` takes them.
+    Raw ints or integral Decimals under ``_EXACT``, as ``_push_in_place`` takes them.
     """
     d2, m2 = _pushforward(d, m, (1, 2, 3, 4))
     return d2, (*m2[1:], m2[0])
@@ -227,8 +240,8 @@ class DistinctnessReport:
 
 
 # The largest N distinctness_certificate accepts.  Time and peak memory grow
-# like N^2 (about 1.8 s and 320 MB for lattice-cert at N = 50000, k = 24 or 64);
-# the docstring has the measurements.
+# like N^2 (about 1.6-1.8 s and 320 MB for lattice-cert at N = 50000, k = 24
+# or 64); the docstring has the measurements.
 MAX_ORBIT_STEPS = 50000
 
 # Integer arithmetic in decimal with no digit to lose: a result that would
@@ -250,24 +263,33 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
     therefore exact, and only the degrees are kept.
 
     The orbit is stepped in Decimals under ``_EXACT``, whatever the caller's
-    decimal context: v is converted once, the kernel only adds, subtracts and
-    doubles or triples, and the kept degrees are integral Decimals whose
-    ``str`` is linear in their digits, where CPython's int to str is
-    quadratic.  Never convert a degree back to int: that is quadratic too.
+    decimal context: v is converted once, the kernel only adds and
+    subtracts, and the kept degrees are integral Decimals whose ``str`` is
+    linear in their digits, where CPython's int to str is quadratic.  Never
+    convert a degree back to int: that is quadratic too.
+
+    The multiplicities live in one ring of k Decimals that the kernel steps
+    in place.  The cyclic shift is an offset: step n's class is the ring
+    read from offset n % k, so step n moves the centers at ring offsets
+    n - 1 .. n + 2.  A class can only return when its degree does, so the
+    ring is rotated into a list and compared with v only at a step whose
+    degree equals v's.
 
     N is capped at MAX_ORBIT_STEPS = 50000.  Degrees grow at most quadratically
     for k = 8 and exponentially for k >= 9, by 0.36 bits per step at k = 9 and
     0.544 to 0.551 for every k from 16 to 24, so the kept degrees and the
     decimal text ``lattice-cert`` writes grow like N^2 for any k >= 16, and
     so do the time to step them and to write them.  ``lattice-cert`` (Python
-    3.11.7, 2 cores, two runs each) takes 0.64-0.80 s and 130 MB peak at
-    N = 3 * 10^4 and 1.4-1.8 s / 318 MB at 5 * 10^4 for k = 24, and
-    0.74-0.91 s / 133 MB and 1.7-1.8 s / 322 MB for k = 64: the degrees, not
-    k, set the cost.  With int degrees rendered by ``digits.int_to_decimal``
-    the same runs took 2.9-3.0 s / 128 MB and 11.8-11.9 s / 315 MB at k = 24,
-    2.8-3.3 s / 130 MB and 11.2-12.5 s / 317 MB at k = 64, the rendering
-    growing like N^3.  The peak is the degrees and their decimal text, held
-    at once; by the N^2 law N = 10^5 would need about 1.3 GB (not run).
+    3.11.7, 2 cores, two runs each) takes 0.59-0.67 s and 130 MB peak at
+    N = 3 * 10^4 and 1.72-1.75 s / 317 MB at 5 * 10^4 for k = 24, and
+    0.83-0.96 s / 131 MB and 1.61-1.73 s / 319 MB for k = 64: the degrees,
+    not k, set the cost.  Of that, the stepping alone takes 0.11-0.16 s at
+    N = 3 * 10^4 and 0.28-0.34 s at 5 * 10^4.  With int degrees rendered by
+    ``digits.int_to_decimal`` the same runs took 2.9-3.0 s / 128 MB and
+    11.8-11.9 s / 315 MB at k = 24, 2.8-3.3 s / 130 MB and 11.2-12.5 s /
+    317 MB at k = 64, the rendering growing like N^3.  The peak is the
+    degrees and their decimal text, held at once; by the N^2 law N = 10^5
+    would need about 1.3 GB (not run).
     """
     if N < 1:
         raise UsageError("N must be >= 1")
@@ -276,16 +298,19 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
     one = coxeter_step(v)
     # (M - I)^2 v = M^2 v - 2 M v + v, read off the first two steps even when N == 1
     quad = [c - 2 * b + a for a, b, c in zip(*map(_to_vector, (v, one, coxeter_step(one))))]
-    d0, m0 = decimal.Decimal(v.d), tuple(map(decimal.Decimal, v.m))
-    d, m = d0, m0
+    d0, m0 = decimal.Decimal(v.d), [*map(decimal.Decimal, v.m)]
+    k, d, ring = v.k, d0, m0.copy()
+    centers = itertools.cycle([(o, (o + 1) % k, (o + 2) % k, (o + 3) % k) for o in range(k)])
     degrees = [d]
     first_collision = None
     with decimal.localcontext(_EXACT):
-        for n in range(1, N + 1):
-            d, m = _coxeter(d, m)
+        for n, pos in zip(range(1, N + 1), centers):
+            d = _push_in_place(d, ring, pos)
             degrees.append(d)
-            if first_collision is None and d == d0 and m == m0:
-                first_collision = (0, n)
+            if first_collision is None and d == d0:
+                o = n % k
+                if ring[o:] + ring[:o] == m0:
+                    first_collision = (0, n)
     return DistinctnessReport(v, first_collision, tuple(degrees), any(quad))
 
 

@@ -67,6 +67,17 @@ def test_pushforward_fixes_quadric_through_all_points():
     assert _pushforward(2, (1,) * 8, CENTERS) == (2, [1] * 8)
 
 
+def test_pushforward_leaves_its_input_alone():
+    # the kernel steps a list in place; _pushforward copies first, so neither
+    # a tuple nor a list it is given changes, and its result is a new list
+    for m in ((0, 1, 2, 3, 4, 5, 6, 7), [0, 1, 2, 3, 4, 5, 6, 7]):
+        before = tuple(m)
+        d2, m2 = _pushforward(5, m, CENTERS)
+        assert tuple(m) == before
+        assert type(m2) is list and m2 is not m
+        assert (d2, m2) == (9, [4, 5, 6, 7, 4, 5, 6, 7])
+
+
 def test_pushforward_at_other_centers_is_conjugate():
     rng = random.Random(41)
     for _ in range(50):
@@ -341,7 +352,7 @@ PERIODIC_K8 = {4: co.DivisorClass(0, (1, 0, 0, 0, 0, 0, -1, 0)),
                3: co.DivisorClass(0, (0, 1, 0, 0, 0, -1, 0, 0))}
 
 
-@pytest.mark.parametrize("k", [8, 9, 12, 24])
+@pytest.mark.parametrize("k", [8, 9, 12, 24, 64])
 def test_distinctness_matches_dict_oracle(k):
     starts = [co.plane_through_last_four(k), hyperplane(k), exceptional(1, k),
               anticanonical(k), co.DivisorClass(2, (1,) * k)]
@@ -352,6 +363,22 @@ def test_distinctness_matches_dict_oracle(k):
             rep = co.distinctness_certificate(v, N)
             assert rep == distinctness_by_dict(v, N), (v, N)
             assert rep.first_collision is None or rep.first_collision[1] <= N
+
+
+# classes whose shift 2d - s is 0 at every step: the degree returns at every
+# step while the multiplicities only rotate, so the first return is at the
+# rotation's period, never at step 1
+ROTATING = [(co.DivisorClass(1, (1, 0) * 4), 2), (co.DivisorClass(1, (1, 0) * 5), 2),
+            (co.DivisorClass(1, (1, 1, 0, 0) * 3), 4), (co.DivisorClass(1, (0, 1, 1, 0) * 4), 4)]
+
+
+@pytest.mark.parametrize("v, period", ROTATING, ids=lambda x: getattr(x, "k", x))
+def test_distinctness_first_return_of_a_rotation(v, period):
+    for N in range(1, 31):
+        rep = co.distinctness_certificate(v, N)
+        assert rep.first_collision == (None if N < period else (0, period)), N
+        assert rep == distinctness_by_dict(v, N), N
+        assert rep.degrees == (1,) * (N + 1)
 
 
 @pytest.mark.parametrize("k", [9, 24])
