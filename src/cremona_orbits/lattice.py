@@ -5,16 +5,17 @@ coefficient vectors in the (H, E_1..E_k) basis, where the E_i-coefficient
 of d*H - sum(m_i E_i) is -m_i; ``_to_vector`` / ``_from_vector`` own that
 sign convention, nothing else converts by hand.
 The pushforward formula lives once, in the unchecked in-place kernel
-``_push_in_place`` on a raw degree and a list of multiplicities;
-``_pushforward`` runs it on a copy, and the Coxeter step, ``iterate_class``
-and the relation checks call that and shift or swap the multiplicities by
-slicing, so a long orbit checks its rank once and not once per step.  The
-one dense matrix is the Coxeter element's, built from the images of the
-basis classes.  The distinctness orbit runs the kernel on one ring of
-multiplicities and shifts by an offset into it, so a step moves no data
-but the four centers and the degree; it is stepped in exact
-``decimal.Decimal`` arithmetic (``_EXACT``), so its degrees are written as
-decimal text without a binary to decimal conversion.
+``_push_in_place`` on a raw degree and a list of multiplicities.  Every
+class orbit is stepped by one generator, ``_orbit``: it runs the kernel on
+one ring of multiplicities and shifts by an offset into it, so a step moves
+no data but the four centers and the degree.  ``iterate_class`` and the
+Coxeter matrix copy each class out of the ring as they read it; the
+distinctness orbit reads the ring only to compare it with its start, and is
+stepped in exact ``decimal.Decimal`` arithmetic (``_EXACT``), so its
+degrees are written as decimal text without a binary to decimal
+conversion.  The relation checks step one packed class as a list, with the
+kernel for r and a swap for s_i.  The one dense matrix is the Coxeter
+element's, built from the images of the basis classes.
 """
 
 from __future__ import annotations
@@ -97,16 +98,23 @@ def _push_in_place(d, m, pos):
     return d + shift
 
 
-def _pushforward(d, m, idx) -> tuple:
-    """Strict-transform class under the Cremona transformation at 1-based center labels idx.
+def _orbit(d, m):
+    """Yield (degree, ring, offset) for v, Mv, M^2 v, .. of the class (d, m), without end.
 
-    Raw (d, m) in, (d', a new list m') out, unchecked: m is copied and the
-    copy stepped by ``_push_in_place``, so a tuple or a list passed in is
-    left as it was.
+    M is the Coxeter element: Cremona at {1,2,3,4}, then the cyclic shift.
+    The k multiplicities live in one list, the ring, which ``_push_in_place``
+    steps in place; the shift is the offset, so M^n v's multiplicities are
+    the ring read from offset n % k, ``ring[o:] + ring[:o]``, and step n
+    moves the centers at ring offsets n - 1 .. n + 2.  The ring is the
+    generator's own list: copy what you keep out of it before the next step.
+    Raw ints, or integral Decimals under ``_EXACT``; k >= 4 and unchecked.
     """
-    i1, i2, i3, i4 = idx
-    m2 = list(m)
-    return _push_in_place(d, m2, (i1 - 1, i2 - 1, i3 - 1, i4 - 1)), m2
+    ring = list(m)
+    k = len(ring)
+    yield d, ring, 0
+    for pos in itertools.cycle([(o, (o + 1) % k, (o + 2) % k, (o + 3) % k) for o in range(k)]):
+        d = _push_in_place(d, ring, pos)
+        yield d, ring, pos[1]
 
 
 def cyclic_shift(k: int) -> tuple[int, ...]:
@@ -131,25 +139,16 @@ def _check_rank(k: int) -> None:
         raise UsageError("need k <= %d, got %d" % (MAX_K, k))
 
 
-def _coxeter(d, m) -> tuple:
-    """The Coxeter step on raw coefficients, for k >= 8 already checked.
-
-    Raw ints or integral Decimals under ``_EXACT``, as ``_push_in_place`` takes them.
-    """
-    d2, m2 = _pushforward(d, m, (1, 2, 3, 4))
-    return d2, (*m2[1:], m2[0])
-
-
-def coxeter_step(c: DivisorClass) -> DivisorClass:
-    """The Coxeter element on one class: Cremona at {1,2,3,4}, then the cyclic shift."""
-    _check_rank(c.k)
-    return DivisorClass(*_coxeter(c.d, c.m))
+def _iterate(v: DivisorClass, n: int) -> list[DivisorClass]:
+    """[v, Mv, .., M^n v], each class copied out of ``_orbit``'s ring; k and n unchecked."""
+    return [DivisorClass(d, ring[o:] + ring[:o])
+            for d, ring, o in itertools.islice(_orbit(v.d, v.m), n + 1)]
 
 
 def coxeter_element(k: int = 8) -> LatticeMap:
     """Cremona at {1,2,3,4} followed by the cyclic shift, as one lattice map."""
     _check_rank(k)
-    cols = [_to_vector(coxeter_step(_from_vector(e))) for e in linalg.identity(k + 1)]
+    cols = [_to_vector(_iterate(_from_vector(e), 1)[1]) for e in linalg.identity(k + 1)]
     return LatticeMap(tuple(zip(*cols)))
 
 
@@ -157,14 +156,11 @@ def coxeter_element(k: int = 8) -> LatticeMap:
 # iteration and certificates
 
 def iterate_class(v: DivisorClass, n: int) -> list[DivisorClass]:
-    """[v, Mv, .., M^n v] for M the Coxeter element of the same k."""
+    """[v, Mv, .., M^n v] for M the Coxeter element of the same k, for n >= 0."""
     _check_rank(v.k)
-    out = [v]
-    d, m = v.d, v.m
-    for _ in range(n):
-        d, m = _coxeter(d, m)
-        out.append(DivisorClass(d, m))
-    return out
+    if n < 0:
+        raise UsageError("n must be >= 0, got %d" % n)
+    return _iterate(v, n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,7 +180,8 @@ class JordanCertificate:
 
     @property
     def multiplicity_of_one(self) -> int:
-        return linalg.multiplicity_at_one(self.charpoly)
+        """The algebraic multiplicity of 1, n - rank((M - I)^4) (needs stabilized ranks)."""
+        return sum(self.eigenvalue_one_block_sizes())
 
     @property
     def stabilized(self) -> bool:
@@ -268,12 +265,10 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
     linear in their digits, where CPython's int to str is quadratic.  Never
     convert a degree back to int: that is quadratic too.
 
-    The multiplicities live in one ring of k Decimals that the kernel steps
-    in place.  The cyclic shift is an offset: step n's class is the ring
-    read from offset n % k, so step n moves the centers at ring offsets
-    n - 1 .. n + 2.  A class can only return when its degree does, so the
-    ring is rotated into a list and compared with v only at a step whose
-    degree equals v's.
+    ``_orbit`` steps the k multiplicities in place on one ring of Decimals,
+    the cyclic shift an offset into it.  A class can only return when its
+    degree does, so the ring is rotated into a list and compared with v
+    only at a step whose degree equals v's.
 
     N is capped at MAX_ORBIT_STEPS = 50000.  Degrees grow at most quadratically
     for k = 8 and exponentially for k >= 9, by 0.36 bits per step at k = 9 and
@@ -295,23 +290,20 @@ def distinctness_certificate(v: DivisorClass, N: int) -> DistinctnessReport:
         raise UsageError("N must be >= 1")
     if N > MAX_ORBIT_STEPS:
         raise UsageError("N must be <= %d" % MAX_ORBIT_STEPS)
-    one = coxeter_step(v)
-    # (M - I)^2 v = M^2 v - 2 M v + v, read off the first two steps even when N == 1
-    quad = [c - 2 * b + a for a, b, c in zip(*map(_to_vector, (v, one, coxeter_step(one))))]
+    _check_rank(v.k)
+    # (M - I)^2 v = M^2 v - 2 M v + v, read off the orbit's first three classes even when N == 1
+    a, b, c = ((d, *ring[o:], *ring[:o]) for d, ring, o in itertools.islice(_orbit(v.d, v.m), 3))
+    quad = any(z - 2 * y + x for x, y, z in zip(a, b, c))
     d0, m0 = decimal.Decimal(v.d), [*map(decimal.Decimal, v.m)]
-    k, d, ring = v.k, d0, m0.copy()
-    centers = itertools.cycle([(o, (o + 1) % k, (o + 2) % k, (o + 3) % k) for o in range(k)])
-    degrees = [d]
     first_collision = None
     with decimal.localcontext(_EXACT):
-        for n, pos in zip(range(1, N + 1), centers):
-            d = _push_in_place(d, ring, pos)
+        orbit = _orbit(d0, m0)
+        degrees = [next(orbit)[0]]
+        for n, (d, ring, o) in zip(range(1, N + 1), orbit):
             degrees.append(d)
-            if first_collision is None and d == d0:
-                o = n % k
-                if ring[o:] + ring[:o] == m0:
-                    first_collision = (0, n)
-    return DistinctnessReport(v, first_collision, tuple(degrees), any(quad))
+            if first_collision is None and d == d0 and ring[o:] + ring[:o] == m0:
+                first_collision = (0, n)
+    return DistinctnessReport(v, first_collision, tuple(degrees), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +326,14 @@ def _word_is_identity(k: int, word, power: int) -> bool:
     """
     letters = word * power
     base = 2 * 8 ** len(letters)
-    c = x = _from_vector([base ** j for j in range(k + 1)])
+    x = _from_vector([base ** j for j in range(k + 1)])
+    d, m = x.d, list(x.m)
     for g in reversed(letters):
-        c = (DivisorClass(*_pushforward(c.d, c.m, (1, 2, 3, 4))) if g == 0
-             else DivisorClass(c.d, c.m[:g - 1] + (c.m[g], c.m[g - 1]) + c.m[g + 1:]))
-    return c == x
+        if g == 0:
+            d = _push_in_place(d, m, (0, 1, 2, 3))
+        else:
+            m[g - 1], m[g] = m[g], m[g - 1]
+    return DivisorClass(d, m) == x
 
 
 def coxeter_relations(k: int) -> list[tuple[str, bool]]:

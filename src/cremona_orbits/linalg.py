@@ -148,17 +148,3 @@ def charpoly(m):
         if k < n:  # work + ck * I: only the diagonal changes
             work = tuple(r[:i] + (r[i] + ck,) + r[i + 1:] for i, r in enumerate(work))
     return tuple(coeffs)
-
-
-def multiplicity_at_one(coeffs):
-    """Multiplicity of 1 as a root of the polynomial with the given coefficients."""
-    cur = list(coeffs)
-    mult = 0
-    while len(cur) > 1 and sum(cur) == 0:
-        # synthetic division by (x - 1); remainder is sum(cur) == 0
-        q = [cur[0]]
-        for a in cur[1:-1]:
-            q.append(q[-1] + a)
-        cur = q
-        mult += 1
-    return mult

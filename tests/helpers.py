@@ -8,7 +8,7 @@ import random
 
 import cremona_orbits as co
 from cremona_orbits import canonical, linalg, orbit
-from cremona_orbits.lattice import _from_vector, _pushforward, _to_vector
+from cremona_orbits.lattice import _from_vector, _to_vector
 from cremona_orbits.projective import BracketTable, cremona_image
 
 
@@ -252,11 +252,17 @@ def stored_stepping_iterate(config, steps) -> co.IterationReport:
 
 
 # ---------------------------------------------------------------------------
-# earlier lattice algorithms, kept as differential oracles
+# lattice algorithms written apart from the library's, kept as differential oracles
 
 def pushforward(c, centers) -> co.DivisorClass:
-    """The Cremona pushforward of a class at 1-based centers, through ``lattice._pushforward``."""
-    return co.DivisorClass(*_pushforward(c.d, c.m, centers))
+    """The Cremona pushforward of a class at 1-based centers, written out apart from the library.
+
+    With s the sum of the multiplicities at the centers: d' = 3d - s, and
+    m_i' = m_i + 2d - s at a center, m_i elsewhere.
+    """
+    s = sum(c.m[i - 1] for i in centers)
+    return co.DivisorClass(3 * c.d - s, tuple(x + 2 * c.d - s if i in centers else x
+                                              for i, x in enumerate(c.m, 1)))
 
 
 def permute_class(c, perm) -> co.DivisorClass:
@@ -292,8 +298,8 @@ def _coxeter_step_by_generators(c) -> co.DivisorClass:
 def distinctness_by_dict(v, N) -> co.DistinctnessReport:
     """The distinctness report from the whole orbit, every class hashed into a dict.
 
-    The orbit steps through the pushforward and the relabeling by
-    ``cyclic_shift``, not through the Coxeter step's slicing.
+    The orbit steps through ``pushforward`` above and the relabeling by
+    ``cyclic_shift``, not through the library's ring of multiplicities.
     """
     orbit = [v]
     for _ in range(max(N, 2)):

@@ -357,11 +357,13 @@ def test_lattice_cert_k9_relations(tmp_path):
 
 @pytest.mark.parametrize("k, digest", [
     (8, "8aa824049e0dfa3ac40e76d86846e98f82dd250a35ed38e09a2d8ea7eba41e0e"),
+    (9, "f5d69abf7693e5a026beea733016d8bfbfb5e935abcdb39c7bc12da8d4edcfd2"),
     (12, "07d1e01ce929de43d74a6a177db574afd8acc8c30a70386747f004035ca8fc92"),
     (16, "8633565145f0d53a68c2332b12dea97890e93458c542b8f55bc655789f31873b"),
     (20, "fe27e5b48c9c7c948c3a6b4c2adf9ae58de20c10ed435b1166b79dd5a0088e04"),
     (24, "97e31ce57f4bd59c0be602b8373a43063734d4300485391c068e1dc3e80d033c"),
-], ids=["k8", "k12", "k16", "k20", "k24"])
+    (64, "c0059cb76d69125aea6f52f14e619f420f84b37876e1231280925d3f6d9e52e9"),
+], ids=["k8", "k9", "k12", "k16", "k20", "k24", "k64"])
 def test_lattice_cert_bytes_are_pinned(tmp_path, k, digest):
     out = tmp_path / "cert.json"
     assert run(["lattice-cert", "--k", k, "--N", 100, "--out", out]) == 0

@@ -76,14 +76,6 @@ def test_charpoly_against_sympy():
         assert list(linalg.charpoly(m)) == want
 
 
-def test_multiplicity_at_one():
-    x = sympy.symbols("x")
-    for mult in range(5):
-        poly = sympy.Poly((x - 1) ** mult * (x + 2) * (x**2 + 3), x)
-        coeffs = [int(c) for c in poly.all_coeffs()]
-        assert linalg.multiplicity_at_one(coeffs) == mult
-
-
 def test_mat_mul_and_mat_vec_against_sympy():
     rng = random.Random(6)
     for _ in range(40):
