@@ -6,9 +6,9 @@ frame (send it to the standard frame ``projective._FRAME``: e0, e1, e2, e3,
 keeps the least in the order of integer point tuples and writes it as
 ``k|x0,x1,x2,x3;...`` in decimal.  Two configurations are equivalent iff
 their canonical forms agree; ``equivalent`` decides this without building
-either form, by looking for one candidate of the first configuration among
-the candidates of the second.  Both read the frames from one scan
-(``_scan``), in one order.
+either form, by looking for any candidate of the first configuration's
+first frame base among the candidates of the second.  Both read the frames
+from one scan (``_scan``), in one order.
 ``normalized_at`` gives the same configuration in the frame of one base and
 a unit point of its own above it, read from the brackets around that base.
 """
@@ -198,22 +198,26 @@ def bracket_form(br: BracketTable) -> bytes:
 def _scan(br: BracketTable):
     """The bound and the reduced image set of every frame, in scan order.
 
-    For each base of labels below k, in lexicographic order, and each unit
-    point u above its last label that makes base + u a frame (``_frames``),
-    an item holds the k - 5 other points reduced in that frame, with its
-    bound (``_reduce``).  The candidate order is this one with each image
-    set followed by its four unit swaps (``_unit_choices``); ``bracket_form``
-    and ``equivalent`` both expand an image set only as its bound allows.  A
-    reader that stops early has read only the brackets around the bases
-    scanned so far.  The first item is read here: NoFrameError if there is
-    none.
+    For each base of labels below k, in lexicographic order (``_bases``),
+    and each unit point u above its last label that makes base + u a frame
+    (``_frames``), an item holds the k - 5 other points reduced in that
+    frame, with its bound (``_reduce``).  The candidate order is this one
+    with each image set followed by its four unit swaps (``_unit_choices``);
+    ``bracket_form`` and ``equivalent`` both expand an image set only as its
+    bound allows.  A reader that stops early has read only the brackets
+    around the bases scanned so far.  The first item is read here:
+    NoFrameError if there is none.
     """
-    items = (item for base in itertools.combinations(range(1, br.k), 4)
-             for _, item in _frames(br, base))
+    items = (item for frames in _bases(br) for _, item in frames)
     first = next(items, None)
     if first is None:
         raise NoFrameError(_NO_FRAME)
     return itertools.chain((first,), items)
+
+
+def _bases(br: BracketTable):
+    """The frames (``_frames``) of each base of labels below k, base by base in scan order."""
+    return (_frames(br, base) for base in itertools.combinations(range(1, br.k), 4))
 
 
 def _frames(br: BracketTable, base):
@@ -270,43 +274,61 @@ def normalized_at(br: BracketTable, base) -> Configuration | None:
 def equivalent(a: Configuration, b: Configuration) -> bool:
     """True iff some relabeling plus a projective map carries b onto a.
 
-    The target is one candidate of ``a`` (``canonical_form``): its first
-    image set, read in the given vertex order (``_scan``).  Each
-    configuration's bracket table starts empty and is filled only as far as
-    the bases scanned, so a verdict of True reads ``b``'s brackets only up
-    to the match.  The candidate multiset is invariant under PGL(4) x S_k,
-    so if a ~ b the target is a candidate of ``b``.  Conversely, a candidate
-    of ``b`` equal to it comes from frames F of a and F' of b with
-    T_F(a) = T_F'(b) as point sets, so T_F'^{-1} T_F carries a onto b up to
-    relabeling.  So the image sets of ``b`` are scanned until one of their
-    24 orders gives the target.  Reordering the vertices and orienting and
-    sorting the images leave the multiset of |coordinates| of an image set
-    as it is, so an image set whose multiset differs from the target's is
-    skipped.  A matching image set has the target's least |coordinate|, so
-    a 5-subset whose carried bound (``_reduce``: the least |coordinate| over
-    its five unit choices) exceeds it is skipped before any unit swap is
-    built; on a verdict of False every 5-subset of ``b`` is read.  When the
-    sizes differ, the verdict is False once ``b``'s first frame is read:
-    without one the input is rejected, as at equal sizes.
+    The targets are the candidates (``canonical_form``) of every frame of
+    ``a``'s first frame base, each image set read in the given vertex
+    order: at most k - 4 of them, all from that base's one ``cramer`` call
+    (``_frames``).  Each configuration's bracket table starts empty and is
+    filled only as far as the bases scanned, so ``a``'s table reads only
+    the brackets up to its first frame base, and a verdict of True reads
+    ``b``'s only up to the match.  The candidate multiset is invariant under
+    PGL(4) x S_k, so if a ~ b every target is a candidate of ``b``.
+    Conversely, a candidate of ``b`` equal to any target comes from frames F
+    of a and F' of b with T_F(a) = T_F'(b) as point sets, so T_F'^{-1} T_F
+    carries a onto b up to relabeling.  So ``b`` is scanned once, and the
+    first image set one of whose 24 orders gives a target decides True.
+
+    Two exact filters keep most image sets of ``b`` from any vertex order.
+    The bound of an image set (``_reduce``) is the least of |y_i| and
+    |y_i - y_j| over its images y: reordering the vertices permutes those
+    numbers, orienting leaves them, and the unit swaps run over the five
+    unit choices of the same 5-subset, so every candidate of a 5-subset has
+    its bound, and a map of PGL(4) x S_k, which carries candidates to equal
+    candidates, carries it too.  A 5-subset of ``b`` whose bound is no
+    target's is skipped before any unit swap is built.  Reordering,
+    orienting and sorting leave the multiset of |coordinates| of a unit
+    choice as it is (``_abs_profile``), so each unit choice is compared only
+    with the targets of its profile, each order by set membership.  On a
+    verdict of False every 5-subset of ``b`` is read.  When the sizes
+    differ, the verdict is False once ``b``'s first frame is read: without
+    one the input is rejected, as at equal sizes.
     """
-    _, first = next(_scan(BracketTable(a)))
-    target = sorted([_oriented(y) for y in first])
+    for frames in _bases(BracketTable(a)):
+        targets = [item for _, item in frames]
+        if targets:
+            break
+    else:
+        raise NoFrameError(_NO_FRAME)
     frames = _scan(BracketTable(b))
     if a.k != b.k:
         return False  # no image set of b can match: only its first frame is read
-    profile = _abs_profile(first)
+    bounds = {bound for bound, _ in targets}
+    by_profile = {}
+    for _, ys in targets:
+        candidate = tuple(sorted([_oriented(y) for y in ys]))
+        by_profile.setdefault(_abs_profile(ys), set()).add(candidate)
     for bound, reduced in frames:
-        if bound > profile[0]:
-            continue  # no unit choice has the target's least |coordinate|
+        if bound not in bounds:
+            continue  # no candidate of this 5-subset has a target's bound
         for ys in _unit_choices(reduced):
-            if _abs_profile(ys) != profile:
+            wanted = by_profile.get(_abs_profile(ys))
+            if wanted is None:
                 continue
             for order in _ORDERS:
-                if sorted([_oriented(order(y)) for y in ys]) == target:
+                if tuple(sorted([_oriented(order(y)) for y in ys])) in wanted:
                     return True
     return False
 
 
 def _abs_profile(ys):
-    """The sorted |coordinates| of all images in ``ys``."""
-    return sorted(map(abs, itertools.chain.from_iterable(ys)))
+    """The sorted |coordinates| of all images in ``ys``, as a tuple."""
+    return tuple(sorted(map(abs, itertools.chain.from_iterable(ys))))

@@ -279,6 +279,29 @@ def test_equivalence_target_with_1234_coplanar_counts_det4(monkeypatch):
     assert calls["det4"] == 17 + 17
 
 
+def test_equivalence_stops_at_the_first_match_against_any_target(monkeypatch):
+    # b's labels 1..5 are a's frame base (1,2,3,4) and the unit 6, reordered and
+    # moved by a projective map: b's first image set is a unit choice of the
+    # 5-subset of a's frame 1234 + 6, a target though not the first one.  So
+    # the search reduces every frame of a's first base and one frame of b; from
+    # the frame 1234 + 5 alone it would reach b's base (2,3,4,5), 73 reductions
+    a = co.random_config(2300, 10, k=9)
+    b = moved(co.permute_config(a, (6, 3, 1, 4, 2, 9, 5, 8, 7)),
+              rand_invertible_map(random.Random(40)))
+    frames = len(list(canonical._frames(co.projective.BracketTable(a), CENTERS.indices)))
+    assert frames == a.k - 4
+    calls = []
+    real = canonical._reduce
+
+    def counted(ws, c):
+        calls.append(c)
+        return real(ws, c)
+
+    monkeypatch.setattr(canonical, "_reduce", counted)
+    assert co.equivalent(a, b)
+    assert len(calls) == frames + 1
+
+
 def test_verdicts_match_byte_order_oracle():
     # the byte-least serialization picks other winners; verdicts must agree
     rng = random.Random(36)
@@ -402,6 +425,9 @@ def _equivalence_corpus():
     twice = co.cremona_at(co.cremona_at(g, CENTERS), co.CenterSet((5, 6, 7, 8)))
     pairs += [(g, twice), (twice, scrambled(twice, rng))]
     pairs += [(g, _PLANAR), (_PLANAR, _PLANAR)]
+    # every image set of these has bound 0, so only the profiles tell the targets apart
+    s = small_config(rng, 11)
+    pairs += [(s, scrambled(s, rng)), (s, small_config(rng, 11))]
     return pairs
 
 
@@ -429,7 +455,7 @@ def test_equivalence_iff_canonical_forms_agree():
             want = _verdict(by_forms, p, q)
             assert _verdict(co.equivalent, p, q) == want, (corpus.index((x, y)), p is y)
             verdicts.append(want)
-    assert (verdicts.count(True), verdicts.count(False)) == (48, 50)
+    assert (verdicts.count(True), verdicts.count(False)) == (50, 52)
     assert verdicts.count("NoFrameError: " + canonical._NO_FRAME) == 4
 
 
