@@ -8,13 +8,17 @@ keeps the least in the order of integer point tuples and writes it as
 their canonical forms agree; ``equivalent`` decides this without building
 either form, by looking for any candidate of the first configuration's
 first frame base among the candidates of the second.  Both read the frames
-from one scan (``_scan``), in one order.
+from one scan (``_scan``), in one order: a plan per k (``_plan``) puts each
+5-subset of labels under one base, and one kernel (``_frames``) reduces all
+the frames of a base together.
 ``normalized_at`` gives the same configuration in the frame of one base and
 a unit point of its own above it, read from the brackets around that base.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 import math
 import operator
@@ -40,36 +44,6 @@ def serialize_points(k, pts) -> bytes:
     """Byte encoding of a point list: ``k|x0,x1,x2,x3;...`` in decimal."""
     text = "%d|" % k + ";".join(",".join(int_to_decimal(v) for v in p) for p in pts)
     return text.encode("ascii")
-
-
-def _reduce(ws, c):
-    """The bound of an image set and its primitive points (w0/c0 : .. : w3/c3), one per w in ``ws``.
-
-    c is the Cramer vector of the unit point, w those of the other points.
-    Each coordinate is cancelled on its own, w_i/c_i = n_i/d_i with
-    g_i = gcd(w_i, c_i), and the point is n_i * (m / d_i) for m the lcm of
-    the d_i.  That is already primitive: a prime dividing m misses the
-    coordinate whose d_i holds its full power in m, and any other common
-    prime divides every n_i, hence every w_i, and w is primitive.  No c_i
-    may be zero, and each w must be primitive.  The bound is the least gap
-    between neighbours of sorted((0, *y)) over the images y, which is the
-    least of |y_i| and |y_i - y_j|: the least |coordinate| over the five
-    unit choices of the image set (``_unit_choices``).
-    """
-    c0, c1, c2, c3 = c
-    gcd = math.gcd
-    out = []
-    gaps = []
-    for w0, w1, w2, w3 in ws:
-        g0, g1, g2, g3 = gcd(w0, c0), gcd(w1, c1), gcd(w2, c2), gcd(w3, c3)
-        d0, d1, d2, d3 = c0 // g0, c1 // g1, c2 // g2, c3 // g3
-        m = math.lcm(d0, d1, d2, d3)
-        y = (w0 // g0 * (m // d0), w1 // g1 * (m // d1),
-             w2 // g2 * (m // d2), w3 // g3 * (m // d3))
-        out.append(y)
-        z0, z1, z2, z3, z4 = sorted((0, *y))
-        gaps.append(min(z1 - z0, z2 - z1, z3 - z2, z4 - z3))
-    return min(gaps), out
 
 
 def _swap_unit(ys, j):
@@ -115,24 +89,28 @@ def canonical_form(config: Configuration) -> bytes:
     image, so each unordered 5-subset and choice of u yields one image set
     and 24 coordinate orders.
 
-    Unit points.  Each 5-subset S is reduced in one frame only, with u its
-    largest label, so no base containing label k is used.  For the frame
-    with b_j as unit point and u as vertex j, the normalizing map is M_j T:
-    M_j (``_swap_unit``) fixes e_i for i != j and swaps e_j with (1:1:1:1)
-    up to sign, so M_j T sends this ordered frame to the standard one, and a
-    projective map is fixed by the images of a frame.  M_j is an integer
-    matrix of determinant -1, so a primitive image stays primitive and only
-    its sign is left to fix.  The five unit points of S thus give exactly the
-    candidates of every (base, u) with base + u = S.
+    Unit points.  Each 5-subset S is reduced in one frame only: the plan
+    (``_plan``) puts it under one base, and its fifth label is u.  For the
+    frame with b_j as unit point and u as vertex j, the normalizing map is
+    M_j T: M_j (``_swap_unit``) fixes e_i for i != j and swaps e_j with
+    (1:1:1:1) up to sign, so M_j T sends this ordered frame to the standard
+    one, and a projective map is fixed by the images of a frame.  M_j is an
+    integer matrix of determinant -1, so a primitive image stays primitive
+    and only its sign is left to fix.  The five unit points of S thus give
+    exactly the candidates of every (base, u) with base + u = S.
 
     Kernel.  Per base, one ``cramer`` call gives the vectors of all k - 4
-    other points, read through the base's cached plan of signed 4-subsets.
-    Per frame, ``_reduce`` turns all k - 5 vectors into images in one call,
-    cancelling each coordinate w_i / c_i by gcd(w_i, c_i) and scaling by the
-    lcm of the reduced denominators, so the images come out primitive with
-    no further gcd; cancelling per coordinate keeps the products short on
-    tall configurations, where gcd(w_i, c_i) is large.  As it reduces, it
-    takes the image set's bound: the least gap between neighbours of
+    other points, read through the base's cached Cramer plan of signed
+    4-subsets, and ``_frames`` turns them into the image sets of all the
+    base's frames.  An image cancels each coordinate w_i / c_i by
+    gcd(w_i, c_i) and is scaled by the lcm of the reduced denominators, so
+    it comes out primitive with no further gcd; cancelling per coordinate
+    keeps the products short on tall configurations, where gcd(w_i, c_i) is
+    large.  The image of u in the frame of t needs the gcds of the image of
+    t in the frame of u, with the quotients swapped, so each pair of points
+    is cancelled once for both frames: at k = 8, where every base of the
+    plan has four units, 6 pairs give its 4 x 3 images.  The kernel also
+    takes each image set's bound: the least gap between neighbours of
     sorted((0, *y)) over its images y.  The least gap of a set of numbers
     is its least pairwise distance, so the bound is the least of |y_i| and
     |y_i - y_j|; as M_j turns the coordinates y_i of an image into y_i - y_j
@@ -141,7 +119,8 @@ def canonical_form(config: Configuration) -> bytes:
     comprehension.
 
     Cost.  C(k, 5) five-subsets times 5 unit points give 280, 630 and 1260
-    image sets of k - 5 images at k = 8, 9 and 10.  Every 5-subset is
+    image sets of k - 5 images at k = 8, 9 and 10, read through the plan's
+    14, 32 and 56 bases, one ``cramer`` call each.  Every 5-subset is
     reduced once and carries its bound; only those that tie the least bound
     build their unit swaps (4 of the 56 x 4 swaps for ``random_config(7,
     10)``, where one 5-subset ties), and the per-coordinate bound below
@@ -198,15 +177,14 @@ def bracket_form(br: BracketTable) -> bytes:
 def _scan(br: BracketTable):
     """The bound and the reduced image set of every frame, in scan order.
 
-    For each base of labels below k, in lexicographic order (``_bases``),
-    and each unit point u above its last label that makes base + u a frame
-    (``_frames``), an item holds the k - 5 other points reduced in that
-    frame, with its bound (``_reduce``).  The candidate order is this one
-    with each image set followed by its four unit swaps (``_unit_choices``);
-    ``bracket_form`` and ``equivalent`` both expand an image set only as its
-    bound allows.  A reader that stops early has read only the brackets
-    around the bases scanned so far.  The first item is read here:
-    NoFrameError if there is none.
+    For each base of the plan (``_plan``), in plan order, and each of its
+    units u that makes base + u a frame (``_frames``), an item holds the
+    k - 5 other points reduced in that frame, with its bound.  The
+    candidate order is this one with each image set followed by its four
+    unit swaps (``_unit_choices``); ``bracket_form`` and ``equivalent`` both
+    expand an image set only as its bound allows.  A reader that stops early
+    has read only the brackets around the bases scanned so far.  The first
+    item is read here: NoFrameError if there is none.
     """
     items = (item for frames in _bases(br) for _, item in frames)
     first = next(items, None)
@@ -216,28 +194,94 @@ def _scan(br: BracketTable):
 
 
 def _bases(br: BracketTable):
-    """The frames (``_frames``) of each base of labels below k, base by base in scan order."""
-    return (_frames(br, base) for base in itertools.combinations(range(1, br.k), 4))
+    """The frames (``_frames``) of each base of the plan, base by base in plan order."""
+    return (_frames(br, base, units) for base, units in _plan(br.k))
 
 
-def _frames(br: BracketTable, base):
-    """u and the scan item of each frame base + u, u above the base.
+@functools.lru_cache(maxsize=16)
+def _plan(k):
+    """The scan plan of k labels: (base, units) pairs that put each 5-subset under one base.
 
-    ``base`` is a sorted 4-subset of labels and u runs upward over the
-    labels above its last one; the item (``_reduce``) is the bound and the
+    ``base`` is a sorted 4-subset and ``units`` the labels u, in order, whose
+    5-subset base + u the base reduces; every 5-subset of 1..k is some
+    base + u exactly once.  Built greedily: the next base is the one with
+    the most 5-subsets not yet assigned, the lexicographically least among
+    ties, and it takes all of them.  A heap with lazy updates finds it, as a
+    base's count only falls.  The first base is (1,2,3,4) with all k - 4
+    units; there are 14, 32, 56, 93, 143 and 230 bases at k = 8..13.  At
+    k = 8 the plan is the 14 complements of a Steiner system S(3,4,8) (every
+    3-subset of labels lies in one block), each with its block as units.
+    Plans are built on first use, none at import.
+    """
+    labels = range(1, k + 1)
+    todo = set(itertools.combinations(labels, 5))
+    count = dict.fromkeys(itertools.combinations(labels, 4), k - 4)
+    heap = [(4 - k, base) for base in count]  # sorted, so already a heap
+    plan = []
+    while todo:
+        neg, base = heapq.heappop(heap)
+        if -neg != count[base]:
+            heapq.heappush(heap, (-count[base], base))  # stale: its count fell since
+            continue
+        units = []
+        for u in labels:
+            s = tuple(sorted((*base, u)))
+            if u not in base and s in todo:
+                todo.remove(s)
+                units.append(u)
+                for sub in itertools.combinations(s, 4):
+                    count[sub] -= 1
+        plan.append((base, tuple(units)))
+    return tuple(plan)
+
+
+def _frames(br: BracketTable, base, units):
+    """u and the scan item of each frame base + u, u in ``units``.
+
+    ``base`` is a sorted 4-subset of labels; the item is the bound and the
     images, in label order, of the other k - 5 points in the frame sending
-    the base to e0..e3 and u to (1:1:1:1).  Only the brackets of base plus
-    one point are read, through one ``cramer`` call.
+    the base to e0..e3 and u to (1:1:1:1) (``canonical_form``, "Kernel"),
+    for each u in ``units`` whose Cramer vector has no zero coordinate, in
+    label order.  Only the brackets of base plus one point are read, through
+    one ``cramer`` call, when the first item is.
+
+    For points t and u outside the base with vectors w and c, the image of t
+    in the frame of u is (w_i / c_i) and that of u in the frame of t is
+    (c_i / w_i): with g_i = gcd(w_i, c_i), one reads (w_i / g_i) over
+    (c_i / g_i) and the other the same quotients swapped, so each pair is
+    cancelled once for both frames.  An image with reduced numerators n_i
+    and denominators d_i is n_i * (m / d_i), for m the lcm of the d_i.
+    That is already primitive: a prime dividing m misses the coordinate
+    whose d_i holds its full power in m, and any other common prime divides
+    every n_i, hence every coordinate of the point's vector, which
+    ``cramer`` makes primitive.  No d_i is zero, as a unit's vector has no
+    zero coordinate.
+    The bound is the least gap between neighbours of sorted((0, *y)) over
+    the images y.
     """
     if br[base] == 0:
         return
     others = [t for t in range(1, br.k + 1) if t not in base]
-    vecs = cramer(br, base)
-    for n, u in enumerate(others):
-        c = vecs[n]
-        if u < base[3] or not all(c):
-            continue  # below the base, or a zero c_i: u lies on a plane of three base points
-        yield u, _reduce(vecs[:n] + vecs[n + 1:], c)
+    rows = [(t in units and all(v), v, []) for t, v in zip(others, cramer(br, base))]
+    gcd, lcm = math.gcd, math.lcm
+    for n, (at_w, (w0, w1, w2, w3), ys_w) in enumerate(rows):
+        for at_c, (c0, c1, c2, c3), ys_c in rows[n + 1:]:
+            if not (at_w or at_c):
+                continue  # neither point is a unit of a frame
+            g0, g1, g2, g3 = gcd(w0, c0), gcd(w1, c1), gcd(w2, c2), gcd(w3, c3)
+            a0, a1, a2, a3 = w0 // g0, w1 // g1, w2 // g2, w3 // g3
+            b0, b1, b2, b3 = c0 // g0, c1 // g1, c2 // g2, c3 // g3
+            if at_c:
+                m = lcm(b0, b1, b2, b3)
+                ys_c.append((a0 * (m // b0), a1 * (m // b1), a2 * (m // b2), a3 * (m // b3)))
+            if at_w:
+                m = lcm(a0, a1, a2, a3)
+                ys_w.append((b0 * (m // a0), b1 * (m // a1), b2 * (m // a2), b3 * (m // a3)))
+    for u, (at, _, ys) in zip(others, rows):
+        if at:
+            low = min(min(z1 - z0, z2 - z1, z3 - z2, z4 - z3)
+                      for z0, z1, z2, z3, z4 in map(sorted, ((0, *y) for y in ys)))
+            yield u, (low, ys)
 
 
 def _unit_choices(ys):
@@ -260,8 +304,9 @@ def normalized_at(br: BracketTable, base) -> Configuration | None:
     the same canonical form and the same zero brackets, and its heights do
     not depend on the frame the configuration is written in.
     """
+    above = range(base[3] + 1, br.k + 1)
     sized = [(sum(abs(v).bit_length() for y in ys for v in y), u, ys)
-             for u, (_, ys) in _frames(br, base)]
+             for u, (_, ys) in _frames(br, base, above)]
     if not sized:
         return None
     _, u, ys = min(sized)  # u breaks ties, so the images are never compared
@@ -288,7 +333,7 @@ def equivalent(a: Configuration, b: Configuration) -> bool:
     first image set one of whose 24 orders gives a target decides True.
 
     Two exact filters keep most image sets of ``b`` from any vertex order.
-    The bound of an image set (``_reduce``) is the least of |y_i| and
+    The bound of an image set (``_frames``) is the least of |y_i| and
     |y_i - y_j| over its images y: reordering the vertices permutes those
     numbers, orienting leaves them, and the unit swaps run over the five
     unit choices of the same 5-subset, so every candidate of a 5-subset has

@@ -262,8 +262,8 @@ def orbit_bfs(config: Configuration, max_depth: int, max_nodes: int,
     child puts C at e0..e3 and each other p_t at the ``_reciprocal`` of one,
     which has none either.  So for t outside C the five brackets of C + t
     are +-1 and +- the coordinates of p_t: C + t is a frame, which
-    ``canonical._scan`` finds, as it reads every 5-subset with its largest
-    label as unit point.
+    ``canonical._scan`` finds, as its plan reads every 5-subset under one
+    base, and a 5-subset is a frame whichever of its points is the unit.
     """
     if max_depth < 0:
         raise UsageError("max_depth must be >= 0")

@@ -171,11 +171,14 @@ def _cramer_plan(k, base):
 
     S = sorted(base + t), and r runs over the positions of the base labels
     in S, with sign (-1)^r.  The plan depends on k and the labels only.  The
-    cache holds 4096 plans, every base up to k = 19 (C(19, 4) = 3876), so
-    the 715 bases of k = 13 never evict one another.  A plan is a tuple of
-    k - 4 rows of eight references: 40 + 112(k - 4) bytes (``sys.getsizeof``
-    of the tuple and its rows), 712 at k = 10 and 1048 at k = 13, about
-    7 MB for a full cache at k = 19, besides the cache's own key and link.
+    cache holds 4096 plans, every base up to k = 19 (C(19, 4) = 3876).  The
+    orbit search moves at every center set, so the 715 bases of k = 13
+    never evict one another; the canonical form reads fewer, the bases of
+    its scan plan (``canonical._plan``: 14 at k = 8, 230 at k = 13).  A
+    plan is a tuple of k - 4 rows of eight references: 40 + 112(k - 4)
+    bytes (``sys.getsizeof`` of the tuple and its rows), 712 at k = 10 and
+    1048 at k = 13, about 7 MB for a full cache at k = 19, besides the
+    cache's own key and link.
     Its subsets are shared: ``_SUBSETS`` keeps the first 72-byte tuple equal
     to each 4-subset a plan read, at most C(k, 4) of them for labels up to
     k, so a table read finds the key it stored by identity.  Plans are built

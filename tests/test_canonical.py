@@ -79,8 +79,8 @@ def _coplanar_with_last_label(seed):
     lambda: _coplanar_with_last_label(511),
 ], ids=["random", "cremona-image", "coplanar-with-label-9"])
 def test_matches_brute_force_k9(make):
-    # label 9 is never in a reduced base, so every frame holding it comes from
-    # a unit swap; with {2,5,7,9} coplanar, some 5-subsets through 9 are no frames
+    # the plan reduces some 5-subsets through label 9 with 9 in the base and
+    # some with 9 as the unit; with {2,5,7,9} coplanar, some are no frames
     cfg = make()
     assert cfg.k == 9
     assert co.canonical_form(cfg) == brute_force_canonical(cfg)
@@ -102,37 +102,69 @@ def test_unit_swap_is_unimodular_involution_of_the_frame(j):
         basis[j], unit]
 
 
-def _frames(cfg):
-    """(ws, c) for every frame base + u of cfg: the Cramer vectors of the other points and of u."""
-    br = co.projective.BracketTable(cfg)
-    for base in itertools.combinations(range(1, cfg.k + 1), 4):
-        if br[base] == 0:
-            continue
-        others = [t for t in range(1, cfg.k + 1) if t not in base]
-        vecs = dict(zip(others, co.projective.cramer(br, base)))
-        for u, c in vecs.items():
-            if all(c):
-                yield [w for t, w in vecs.items() if t != u], c
-
-
 def test_frame_reduction_matches_exact_fractions():
     # steps 12 and 17 of random_config(7, 10), as the stored-point chain gives
     # them (each move in the Cremona frame of the last), cancel thousands of
     # bits per coordinate; in the special configuration the brackets through
-    # {5,6,7,8} give zero coordinates
+    # {5,6,7,8} give zero coordinates.  The kernel runs at every base with
+    # every other label as a unit, so each pair of points is read both ways
     step12 = coxeter_chain(co.random_config(7, 10), 12)
     step17 = coxeter_chain(step12, 5)
     cancelled = zeros = 0
     for cfg in (step12, step17, special_coplanar_config(3)):
-        for ws, c in _frames(cfg):
-            _, images = canonical._reduce(ws, c)
-            assert len(images) == len(ws) == cfg.k - 5
-            for w, y in zip(ws, images):
-                want = co.normalize_point(tuple(Fraction(a, b) for a, b in zip(w, c)))
-                assert canonical._oriented(y) == want.coords
-                cancelled = max(cancelled, *(math.gcd(a, b).bit_length() for a, b in zip(w, c)))
-                zeros += w.count(0)
+        br = co.projective.BracketTable(cfg)
+        for base in itertools.combinations(range(1, cfg.k + 1), 4):
+            others = [t for t in range(1, cfg.k + 1) if t not in base]
+            frames = list(canonical._frames(br, base, others))
+            if br[base] == 0:
+                assert not frames
+                continue
+            vecs = dict(zip(others, co.projective.cramer(br, base)))
+            assert [u for u, _ in frames] == [u for u, c in vecs.items() if all(c)]
+            for u, (_, images) in frames:
+                c = vecs[u]
+                ws = [w for t, w in vecs.items() if t != u]
+                assert len(images) == len(ws) == cfg.k - 5
+                for w, y in zip(ws, images):
+                    want = co.normalize_point(tuple(Fraction(a, b) for a, b in zip(w, c)))
+                    assert canonical._oriented(y) == want.coords
+                    cancelled = max(cancelled, *(math.gcd(a, b).bit_length() for a, b in zip(w, c)))
+                    zeros += w.count(0)
     assert cancelled > 5000 and zeros > 0
+
+
+@pytest.mark.parametrize("k", range(8, 14))
+def test_plan_puts_every_5_subset_under_one_base(k):
+    plan = canonical._plan(k)
+    assert plan[0] == ((1, 2, 3, 4), tuple(range(5, k + 1)))
+    covered = [tuple(sorted((*base, u))) for base, units in plan for u in units]
+    assert sorted(covered) == list(itertools.combinations(range(1, k + 1), 5))
+    assert len(plan) == {8: 14, 9: 32, 10: 56, 11: 93, 12: 143, 13: 230}[k]
+    if k == 8:
+        # the complements of a Steiner quadruple system S(3,4,8), each with
+        # its block as units: every 3-subset lies in one block
+        assert all(len(units) == 4 for _, units in plan)
+        for triple in itertools.combinations(range(1, 9), 3):
+            assert sum(not set(triple) & set(base) for base, _ in plan) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: special_coplanar_config(3),
+    lambda: _coplanar_with_last_label(511),
+], ids=["coplanar-5678", "coplanar-with-label-9"])
+def test_scan_reads_exactly_the_frames(make):
+    # a 5-subset is a frame iff its five brackets are nonzero, whichever
+    # point is the unit, so the scan reads each frame once and nothing else
+    cfg = make()
+    br = co.projective.BracketTable(cfg)
+    want = [s for s in itertools.combinations(range(1, cfg.k + 1), 5)
+            if all(br[sub] for sub in itertools.combinations(s, 4))]
+    assert 0 < len(want) < math.comb(cfg.k, 5)
+    read = [tuple(sorted((*base, u)))
+            for (base, _), frames in zip(canonical._plan(cfg.k), canonical._bases(br))
+            for u, _ in frames]
+    assert sorted(read) == want
+    assert len(list(canonical._scan(co.projective.BracketTable(cfg)))) == len(want)
 
 
 def _selection_corpus(k):
@@ -155,7 +187,8 @@ def test_selection_matches_unpruned_oracle(k):
         late = [_on_planes(2203, {4: (1, 2, 3)}),
                 _on_planes(2204, {5: (1, 2, 3), 6: (1, 2, 4), 7: (1, 3, 4), 8: (2, 3, 4)})]
         for cfg in late:
-            assert not list(canonical._frames(co.projective.BracketTable(cfg), CENTERS.indices))
+            br = co.projective.BracketTable(cfg)
+            assert not list(canonical._frames(br, CENTERS.indices, CENTERS.complement(8)))
         cfgs += late
     for cfg in cfgs:
         assert co.canonical_form(cfg) == unpruned_form(cfg)
@@ -273,33 +306,37 @@ def test_equivalence_target_with_1234_coplanar_counts_det4(monkeypatch):
 
     monkeypatch.setattr(co.projective, "det4", counted)
     assert co.equivalent(a, a)
-    # the target: [1234] = 0, then [1235] and the 16 brackets of 1235 plus
-    # one point, [1234] among them; the second argument's scan matches at
-    # its first image set, so it reads the same 17
-    assert calls["det4"] == 17 + 17
+    # the target: [1234] = 0, then the plan's next base (1,2,5,6): [1256]
+    # and the 16 brackets of 1256 plus one of 3, 4, 7, 8; the second
+    # argument's scan matches at its first image set, so it reads the same 18
+    assert canonical._plan(8)[1] == ((1, 2, 5, 6), (3, 4, 7, 8))
+    assert calls["det4"] == 18 + 18
 
 
 def test_equivalence_stops_at_the_first_match_against_any_target(monkeypatch):
     # b's labels 1..5 are a's frame base (1,2,3,4) and the unit 6, reordered and
-    # moved by a projective map: b's first image set is a unit choice of the
-    # 5-subset of a's frame 1234 + 6, a target though not the first one.  So
-    # the search reduces every frame of a's first base and one frame of b; from
-    # the frame 1234 + 5 alone it would reach b's base (2,3,4,5), 73 reductions
+    # moved by a projective map: b's first planned frame, 1234 + 5, is a unit
+    # choice of the 5-subset of a's frame 1234 + 6, a target though not the
+    # first one.  So the search reads every frame of a's first base and one
+    # frame of b; from the frame 1234 + 5 alone it would read 47 frames of b,
+    # as a's {1,2,3,4,5} is b's {2,3,4,5,7}, under the plan's tenth base (2,4,5,7)
     a = co.random_config(2300, 10, k=9)
     b = moved(co.permute_config(a, (6, 3, 1, 4, 2, 9, 5, 8, 7)),
               rand_invertible_map(random.Random(40)))
-    frames = len(list(canonical._frames(co.projective.BracketTable(a), CENTERS.indices)))
-    assert frames == a.k - 4
+    units = tuple(range(5, 10))
+    frames = len(list(canonical._frames(co.projective.BracketTable(a), CENTERS.indices, units)))
+    assert frames == a.k - 4 and canonical._plan(9)[0] == (CENTERS.indices, units)
     calls = []
-    real = canonical._reduce
+    real = canonical._frames
 
-    def counted(ws, c):
-        calls.append(c)
-        return real(ws, c)
+    def counted(br, base, units):
+        for item in real(br, base, units):
+            calls.append(base)
+            yield item
 
-    monkeypatch.setattr(canonical, "_reduce", counted)
+    monkeypatch.setattr(canonical, "_frames", counted)
     assert co.equivalent(a, b)
-    assert len(calls) == frames + 1
+    assert calls == [CENTERS.indices] * (frames + 1)
 
 
 def test_verdicts_match_byte_order_oracle():
