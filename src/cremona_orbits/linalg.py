@@ -1,7 +1,9 @@
-"""Exact integer linear algebra: determinants, adjugates, ranks, characteristic polynomials.
+"""Exact integer linear algebra: determinants, ranks, characteristic polynomials.
 
 Everything here works on plain Python ints (arbitrary precision) in
-lists/tuples of rows.  No floating point anywhere.
+lists/tuples of rows.  No floating point anywhere.  ``det4`` is the one
+hand-expanded 4x4 formula: the adjugate is defined through it, and
+``projective._plane`` writes out only the four cofactors it needs.
 """
 
 from __future__ import annotations
@@ -29,30 +31,13 @@ def det4(m):
 
 
 def adjugate4(m):
-    """Adjugate of a 4x4: adjugate4(m) @ m == det4(m) * I."""
-    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = m
-    s0 = a00 * a11 - a10 * a01
-    s1 = a00 * a12 - a10 * a02
-    s2 = a00 * a13 - a10 * a03
-    s3 = a01 * a12 - a11 * a02
-    s4 = a01 * a13 - a11 * a03
-    s5 = a02 * a13 - a12 * a03
-    c5 = a22 * a33 - a32 * a23
-    c4 = a21 * a33 - a31 * a23
-    c3 = a21 * a32 - a31 * a22
-    c2 = a20 * a33 - a30 * a23
-    c1 = a20 * a32 - a30 * a22
-    c0 = a20 * a31 - a30 * a21
-    return (
-        (a11 * c5 - a12 * c4 + a13 * c3, -a01 * c5 + a02 * c4 - a03 * c3,
-         a31 * s5 - a32 * s4 + a33 * s3, -a21 * s5 + a22 * s4 - a23 * s3),
-        (-a10 * c5 + a12 * c2 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1,
-         -a30 * s5 + a32 * s2 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1),
-        (a10 * c4 - a11 * c2 + a13 * c0, -a00 * c4 + a01 * c2 - a03 * c0,
-         a30 * s4 - a31 * s2 + a33 * s0, -a20 * s4 + a21 * s2 - a23 * s0),
-        (-a10 * c3 + a11 * c1 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0,
-         -a30 * s3 + a31 * s1 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0),
-    )
+    """Adjugate of a 4x4: entry (i, j) is det4 of m with row j replaced by e_i.
+
+    No module of the package calls it; its only readers are perfbench's trace
+    list and the tests' Cramer oracle.
+    """
+    rows = tuple(m)
+    return tuple(tuple(det4(rows[:j] + (e,) + rows[j + 1:]) for j in range(4)) for e in identity(4))
 
 
 def mat_vec(m, v):

@@ -40,7 +40,7 @@ from .errors import (
     UsageError,
 )
 from .lattice import _check_rank
-from .linalg import adjugate4, det4
+from .linalg import det4
 
 
 def _oriented(p):
@@ -297,10 +297,19 @@ def cremona_image(br: BracketTable, centers: CenterSet) -> Configuration:
 def _plane(p, q, r):
     """The plane through three points: det(p, q, r, x) is its dot product with x.
 
-    Its entries are the last-row cofactors, read off column 3 of the adjugate;
-    all four are zero iff the three points are collinear.
+    Entry i is the last-row cofactor det(p, q, r, e_i), from the six 2x2 minors
+    of p and q as ``linalg.det4`` names them; all four are zero iff the three
+    points are collinear.
     """
-    return tuple(row[3] for row in adjugate4((p, q, r, (0, 0, 0, 0))))
+    (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3) = p, q, r
+    s0 = p0 * q1 - q0 * p1
+    s1 = p0 * q2 - q0 * p2
+    s2 = p0 * q3 - q0 * p3
+    s3 = p1 * q2 - q1 * p2
+    s4 = p1 * q3 - q1 * p3
+    s5 = p2 * q3 - q2 * p3
+    return (-r1 * s5 + r2 * s4 - r3 * s3, r0 * s5 - r2 * s2 + r3 * s1,
+            -r0 * s4 + r1 * s2 - r3 * s0, r0 * s3 - r1 * s1 + r2 * s0)
 
 
 def random_config(seed: int, height: int, k: int = 8) -> Configuration:

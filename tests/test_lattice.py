@@ -199,6 +199,8 @@ def test_generated_maps_are_unimodular():
 def test_lattice_map_rejects_non_unimodular():
     with pytest.raises(ValueError):
         co.LatticeMap(((2, 0), (0, 1)))
+    with pytest.raises(ValueError, match="square"):
+        co.LatticeMap(((1, 0, 0), (0, 1, 0)))
 
 
 def test_fixed_classes():
@@ -285,6 +287,14 @@ def test_jordan_of_single_block():
     assert cert.multiplicity_of_one == 3
     assert cert.ranks == (2, 1, 0, 0)
     assert cert.eigenvalue_one_block_sizes() == (3,)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        co.JordanCertificate((1, 2, 0, 0), cert.charpoly)
+    # a block of size 5: (M - I)^4 has rank 1, so the ranks have not stabilized
+    five = co.LatticeMap(tuple(tuple(int(j in (i, i + 1)) for j in range(5)) for i in range(5)))
+    cert = co.jordan_certificate(five)
+    assert cert.ranks == (4, 3, 2, 1) and not cert.stabilized
+    with pytest.raises(ValueError, match="stabilize"):
+        cert.eigenvalue_one_block_sizes()
 
 
 def test_jordan_of_coxeter_element():

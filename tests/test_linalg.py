@@ -46,6 +46,15 @@ def test_det_bareiss_against_sympy():
         ((1, 2, 3), (2, 4, 6), (1, 0, 1)),  # zero pivot after one step
     ):
         assert linalg.det_bareiss(m) == sympy.Matrix(m).det()
+    # the adjugate, built from det4, against sympy's: the tests' Cramer oracle
+    # (helpers.frame_matrix) reads it, so it is tied here to code that shares
+    # nothing with det4
+    for trial in range(40):
+        m = rand_mat(rng, 4, 10 ** (6 * (trial % 4)))
+        if trial % 5 == 4:
+            m = (m[0], m[1], m[2], m[trial % 3])  # a repeated row: singular
+        want = sympy.Matrix(m).adjugate().tolist()
+        assert linalg.adjugate4(m) == tuple(tuple(int(x) for x in r) for r in want)
 
 
 def test_rank_against_sympy():

@@ -72,8 +72,8 @@ def test_iteration_star_violation_carries_partial_report(steps):
 
 
 def test_one_bracket_table_per_configuration(monkeypatch):
-    cfg = co.random_config(7, 10)  # drawn before counting: random_config uses adjugate4
-    calls = {"det4": 0, "adjugate4": 0}
+    cfg = co.random_config(7, 10)
+    calls = {"det4": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(co.projective, name)):
             calls[_name] += 1
@@ -83,12 +83,12 @@ def test_one_bracket_table_per_configuration(monkeypatch):
     report = co.coxeter_iterate(cfg, 3)
     # per configuration: the 17 brackets around the centers, the 70 of its normalized copy
     iterate = 4 * (17 + 70)
-    assert calls == {"det4": iterate, "adjugate4": 0}
+    assert calls == {"det4": iterate}
     assert co.consistency_check(report)
-    assert calls == {"det4": iterate + 4 * 70, "adjugate4": 0}
+    assert calls == {"det4": iterate + 4 * 70}
     graph = co.orbit_bfs(cfg, 1, 1000, workers=1)
     assert len(graph.nodes) == 71
-    assert calls == {"det4": iterate + (4 + 71) * 70, "adjugate4": 0}
+    assert calls == {"det4": iterate + (4 + 71) * 70}
 
 
 def test_iterate_scans_from_normalized_copy_match_full_tables():
@@ -441,11 +441,12 @@ def test_orbit_node_budget_truncates_deterministically():
     cfg = co.random_config(56, 6)
     g1 = co.orbit_bfs(cfg, 1, 12, workers=1)
     g2 = co.orbit_bfs(cfg, 1, 12, workers=2)
-    assert g1.truncated and g2.truncated
+    g3 = co.orbit_bfs(cfg, 3, 12, workers=1)  # a truncated level ends the search
+    assert g1.truncated and g2.truncated and g3.truncated
     assert len(g1.nodes) == 12
-    assert g1.frontier_remaining == 11
-    assert set(g1.nodes) == set(g2.nodes)
-    assert g1.edges == g2.edges
+    assert g1.frontier_remaining == g3.frontier_remaining == 11
+    assert set(g1.nodes) == set(g2.nodes) == set(g3.nodes)
+    assert g1.edges == g2.edges == g3.edges
 
 
 def test_orbit_validates_limits():

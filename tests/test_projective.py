@@ -376,6 +376,23 @@ def test_random_config_general_position():
         assert co.star_violation(cfg, co.CenterSet(sub)) is None
 
 
+def test_plane_is_the_last_row_cofactors():
+    # oracle: det4 with e_i as the fourth row, shared with no code of _plane
+    rng = random.Random(44)
+    units = (E0, E1, E2, E3)
+    for trial in range(300):
+        bounds = [10 ** rng.choice((0, 1, 3, 20, 60)) for _ in range(3)]
+        p, q, r = (tuple(rng.randint(-b, b) for _ in range(4)) for b in bounds)
+        plane = co.projective._plane(p, q, r)
+        assert plane == tuple(linalg.det4((p, q, r, e)) for e in units)
+        x = tuple(rng.randint(-9, 9) for _ in range(4))
+        assert sum(h * v for h, v in zip(plane, x)) == linalg.det4((p, q, r, x))
+        s, t = rng.randint(-5, 5), rng.randint(-5, 5)
+        collinear = tuple(s * u + t * v for u, v in zip(p, q))
+        assert co.projective._plane(p, q, collinear) == (0, 0, 0, 0)
+        assert co.projective._plane(p, p, r) == (0, 0, 0, 0)
+
+
 def test_random_config_height_bound_and_k():
     cfg = co.random_config(9, 6, k=9)
     assert cfg.k == 9

@@ -50,6 +50,7 @@ def test_reader_recanonicalizes(tmp_path):
         lambda o: o["points"][1].__setitem__(0, "x"),
         lambda o: o["points"].__setitem__(0, list(o["points"][1])),
         lambda o: o["points"][3].append("1"),
+        lambda o: o["points"].__setitem__(4, "1357"),  # not read as its four digits
     ],
 )
 def test_reader_rejects_bad_documents(tmp_path, mutate):
